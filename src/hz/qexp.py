@@ -7,13 +7,17 @@ operator tracks its output bound explicitly: coefficients beyond the bound
 are unknown, never assumed zero, and operations that would need unknown
 coefficients fail loudly.
 
-Hilbert expansions live on the identity component: keys are the totally
+Hilbert expansions live on the identity component, indexed by the totally
 positive elements of the inverse different with trace up to the trace
-bound, stored densely (every key of the enumerated domain is present, with
-explicit zeros)."""
+bound.  Each field has one `HilbertDomain`: those elements in trace order,
+enumerated on demand as larger bounds are asked for.  An expansion stores
+one coefficient per element (explicit zeros included) in a list aligned to
+a prefix of its field's domain, so a trace bound is a prefix length and the
+residue maps at a split prime are per-domain vectors aligned the same way."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -282,66 +286,116 @@ def q_derivative(f: EllipticQExp) -> EllipticQExp:
 # Hilbert expansions
 
 
-_domain_cache: dict = {}
+class HilbertDomain:
+    """The totally positive elements of the inverse different of one field,
+    in canonical order (by trace, then coordinates), enumerated on demand.
+
+    `offsets[t]` is the position where trace t starts, so the elements with
+    trace <= T are the prefix of length `offsets[T + 1]`.  `index` maps the
+    integer key of an element to its position.  Residue vectors at split
+    primes are cached in the same order and extended as the domain grows."""
+
+    def __init__(self, F: RealQuadraticField):
+        self.F = F
+        self.elements = []
+        self.offsets = [0, 0]
+        self.index = {}
+        self._residues = {}
+
+    def size(self, T: int) -> int:
+        """Number of elements with trace <= T, enumerating them if needed."""
+        while len(self.offsets) < T + 2:
+            t = len(self.offsets) - 1
+            for xi in totally_positive_by_trace(self.F, t, "inverse_different"):
+                self.index[_int_key(xi)] = len(self.elements)
+                self.elements.append(xi)
+            self.offsets.append(len(self.elements))
+        return self.offsets[max(T + 1, 0)]
+
+    def residues(self, prime_data: PrimeIdealData, which, T: int):
+        """Residues mod p^m at prime `which`, in domain order, through at
+        least trace T.  Denominators divide the discriminant, which is prime
+        to a split p, so the residue map applies directly."""
+        n = self.size(T)
+        key = (prime_data.p, prime_data.m, prime_data.roots, which)
+        vec = self._residues.setdefault(key, [])
+        vec.extend(prime_data.residue(xi, which) for xi in self.elements[len(vec):n])
+        return vec
+
+
+_domain_cache: dict = {}  # F.d -> HilbertDomain
+
+
+def _domain(F: RealQuadraticField) -> HilbertDomain:
+    dom = _domain_cache.get(F.d)
+    if dom is None:
+        dom = _domain_cache[F.d] = HilbertDomain(F)
+    return dom
+
+
+def _int_key(xi: QuadElement):
+    # reduced fractions are canonical, so this key identifies xi
+    return (xi.x.numerator, xi.x.denominator, xi.y.numerator, xi.y.denominator)
 
 
 def hilbert_domain(F: RealQuadraticField, T: int):
     """Totally positive elements of the inverse different with trace <= T,
     in canonical order (by trace, then coordinates)."""
-    key = (F.d, T)
-    if key not in _domain_cache:
-        dom = []
-        for t in range(1, T + 1):
-            dom.extend(totally_positive_by_trace(F, t, "inverse_different"))
-        _domain_cache[key] = tuple(dom)
-    return _domain_cache[key]
-
-
-def _key(xi: QuadElement):
-    return (xi.x, xi.y)
+    dom = _domain(F)
+    return tuple(dom.elements[: dom.size(T)])
 
 
 class HilbertQExp:
-    """Expansion over the identity component: constant term a0 plus a dense
-    coefficient table on the trace-bounded domain."""
+    """Expansion over the identity component: constant term a0 plus one
+    coefficient per domain element up to the trace bound, in a list
+    aligned to the field's `HilbertDomain`."""
 
     __slots__ = ("F", "weights", "trace_bound", "a0", "coeffs", "ring", "character")
 
     def __init__(self, F, weights, trace_bound, a0, coeffs, ring=RATIONAL, character=None):
-        self.F = F
-        self.weights = tuple(weights)
-        self.trace_bound = trace_bound
-        self.ring = ring
-        self.a0 = ring_coerce(a0, ring)
-        self.character = character
-        dom = hilbert_domain(F, trace_bound)
-        table = {}
-        for xi in dom:
-            k = _key(xi)
-            if k not in coeffs:
+        """`coeffs` maps (x, y) coordinates to values and must cover the
+        whole domain up to the trace bound."""
+        dom = _domain(F)
+        values = []
+        for xi in dom.elements[: dom.size(trace_bound)]:
+            try:
+                values.append(ring_coerce(coeffs[(xi.x, xi.y)], ring))
+            except KeyError:
                 raise QExpError(
                     "dense storage violated: missing coefficient at %r" % (xi,)
-                )
-            table[k] = ring_coerce(coeffs[k], ring)
-        self.coeffs = table
+                ) from None
+        self.F, self.weights, self.trace_bound = F, tuple(weights), trace_bound
+        self.a0, self.coeffs = ring_coerce(a0, ring), values
+        self.ring, self.character = ring, character
+
+    @classmethod
+    def _make(cls, F, weights, trace_bound, a0, coeffs, ring, character=None):
+        """An expansion from a coefficient list already aligned to the
+        domain, with a0 and every value already in the ring."""
+        if len(coeffs) != _domain(F).size(trace_bound):
+            raise QExpError("coefficient list does not match the domain")
+        g = object.__new__(cls)
+        g.F, g.weights, g.trace_bound = F, tuple(weights), trace_bound
+        g.a0, g.coeffs, g.ring, g.character = a0, coeffs, ring, character
+        return g
+
+    def _derive(self, coeffs, a0, weights=None, trace_bound=None) -> "HilbertQExp":
+        """Same field, ring and character; new coefficients."""
+        T = self.trace_bound if trace_bound is None else trace_bound
+        return HilbertQExp._make(
+            self.F, weights or self.weights, T, a0, coeffs, self.ring, self.character
+        )
 
     @classmethod
     def zero(cls, F, weights, trace_bound, ring=RATIONAL):
-        dom = hilbert_domain(F, trace_bound)
-        return cls(
-            F,
-            weights,
-            trace_bound,
-            ring_zero(ring),
-            {_key(xi): ring_zero(ring) for xi in dom},
-            ring,
-        )
+        z = ring_zero(ring)
+        return cls._make(F, weights, trace_bound, z, [z] * _domain(F).size(trace_bound), ring)
 
     def coefficient(self, xi: QuadElement):
-        k = _key(xi)
-        if k not in self.coeffs:
+        i = _domain(self.F).index.get(_int_key(xi))
+        if i is None or i >= len(self.coeffs):
             raise BoundTooSmall("coefficient at %r beyond the trace bound" % (xi,))
-        return self.coeffs[k]
+        return self.coeffs[i]
 
     def domain(self):
         return hilbert_domain(self.F, self.trace_bound)
@@ -349,46 +403,29 @@ class HilbertQExp:
     def map_coefficients(self, fn, weights=None, ring=None, a0=None) -> "HilbertQExp":
         """New expansion with coefficient at xi replaced by fn(xi, value)."""
         ring = ring or self.ring
-        return HilbertQExp(
-            self.F,
-            weights or self.weights,
-            self.trace_bound,
-            self.a0 if a0 is None else a0,
-            {_key(xi): fn(xi, self.coeffs[_key(xi)]) for xi in self.domain()},
-            ring,
-            self.character,
+        pairs = zip(_domain(self.F).elements, self.coeffs)
+        coeffs = [ring_coerce(fn(xi, v), ring) for xi, v in pairs]
+        a0 = ring_coerce(self.a0 if a0 is None else a0, ring)
+        return HilbertQExp._make(
+            self.F, weights or self.weights, self.trace_bound, a0, coeffs, ring, self.character
         )
 
     def truncate(self, T: int) -> "HilbertQExp":
         if T > self.trace_bound:
             raise BoundTooSmall("cannot extend a truncated expansion")
-        return HilbertQExp(
-            self.F,
-            self.weights,
-            T,
-            self.a0,
-            {_key(xi): self.coeffs[_key(xi)] for xi in hilbert_domain(self.F, T)},
-            self.ring,
-            self.character,
-        )
+        n = _domain(self.F).size(T)
+        return self._derive(self.coeffs[:n], self.a0, trace_bound=T)
 
     def __add__(self, other):
         if not isinstance(other, HilbertQExp):
             return NotImplemented
         if self.ring != other.ring or self.F.d != other.F.d:
             raise QExpError("incompatible expansions")
-        T = min(self.trace_bound, other.trace_bound)
-        return HilbertQExp(
-            self.F,
-            self.weights,
-            T,
+        # both lists are prefixes of one domain: zip stops at the smaller bound
+        return self._derive(
+            [a + b for a, b in zip(self.coeffs, other.coeffs)],
             self.a0 + other.a0,
-            {
-                _key(xi): self.coeffs[_key(xi)] + other.coeffs[_key(xi)]
-                for xi in hilbert_domain(self.F, T)
-            },
-            self.ring,
-            self.character,
+            trace_bound=min(self.trace_bound, other.trace_bound),
         )
 
     def __sub__(self, other):
@@ -396,19 +433,15 @@ class HilbertQExp:
 
     def scale(self, c) -> "HilbertQExp":
         c = ring_coerce(c, self.ring)
-        return self.map_coefficients(lambda xi, v: c * v, a0=c * self.a0)
+        return self._derive([c * v for v in self.coeffs], c * self.a0)
 
     def eq_at_precision(self, other) -> bool:
-        T = min(self.trace_bound, other.trace_bound)
         if not _is_zero(self.a0 - other.a0):
             return False
-        return all(
-            _is_zero(self.coeffs[_key(xi)] - other.coeffs[_key(xi)])
-            for xi in hilbert_domain(self.F, T)
-        )
+        return all(_is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
 
     def is_zero(self) -> bool:
-        return _is_zero(self.a0) and all(_is_zero(v) for v in self.coeffs.values())
+        return _is_zero(self.a0) and all(_is_zero(v) for v in self.coeffs)
 
     def __repr__(self):
         return "HilbertQExp(d=%d, weights=%r, trace_bound=%d)" % (
@@ -480,21 +513,15 @@ def eisenstein_hilbert(F: RealQuadraticField, k: int, T: int) -> HilbertQExp:
             "narrow class number unknown; supply it in the field record"
         )
     sqrtD = F.different_generator
-    coeffs = {}
-    for xi in hilbert_domain(F, T):
-        z = xi * sqrtD
-        coeffs[_key(xi)] = Fraction(ideal_divisor_sigma(F, z, k - 1))
-    # calibrate a0 from the trace-1 coefficients (computed directly, so a
-    # zero trace bound still gets a correct constant term)
-    b1 = sum(
-        (
-            Fraction(ideal_divisor_sigma(F, xi * sqrtD, k - 1))
-            for xi in totally_positive_by_trace(F, 1, "inverse_different")
-        ),
-        Fraction(0),
-    )
-    a0 = b1 / _EISENSTEIN_LEADING[2 * k]
-    return HilbertQExp(F, (k, k), T, a0, coeffs, RATIONAL)
+    dom = _domain(F)
+    # the trace-1 coefficients calibrate a0, so they are computed even when
+    # the trace bound is zero
+    sigmas = [
+        Fraction(ideal_divisor_sigma(F, xi * sqrtD, k - 1))
+        for xi in dom.elements[: dom.size(max(T, 1))]
+    ]
+    a0 = sum(sigmas[: dom.offsets[2]], Fraction(0)) / _EISENSTEIN_LEADING[2 * k]
+    return HilbertQExp._make(F, (k, k), T, a0, sigmas[: dom.size(T)], RATIONAL)
 
 
 def eisenstein_normalization_constant(F: RealQuadraticField) -> Fraction:
@@ -512,12 +539,11 @@ def eisenstein_normalization_constant(F: RealQuadraticField) -> Fraction:
 def diagonal_restrict(g: HilbertQExp) -> EllipticQExp:
     """b_n = sum of a(xi) over totally positive xi in the inverse different
     with trace n; b_0 = a0; the output has weight k1 + k2."""
-    T = g.trace_bound
-    out = [ring_zero(g.ring) for _ in range(T + 1)]
-    out[0] = g.a0
-    for xi in g.domain():
-        n = int(xi.trace())
-        out[n] = out[n] + g.coeffs[_key(xi)]
+    T, offsets = g.trace_bound, _domain(g.F).offsets
+    zero = ring_zero(g.ring)
+    out = [g.a0] + [
+        sum(g.coeffs[offsets[n] : offsets[n + 1]], zero) for n in range(1, T + 1)
+    ]
     return EllipticQExp(g.weights[0] + g.weights[1], 1, T, out, g.ring)
 
 
@@ -530,105 +556,86 @@ def _prime_context(g: HilbertQExp, prime_data: PrimeIdealData):
         raise QExpError("operator requires a split prime")
     if g.F.d != prime_data.F.d:
         raise QExpError("prime data belongs to a different field")
-    return prime_data
+    return _domain(g.F)
 
 
-def _residue_of_xi(g: HilbertQExp, prime_data: PrimeIdealData, xi: QuadElement, which: int):
-    # xi has coordinates with denominators dividing the discriminant, which
-    # is prime to a split p, so the residue map applies directly
-    return prime_data.residue(xi, which)
+def _padic_context(g: HilbertQExp, prime_data: PrimeIdealData, what: str):
+    if g.ring == RATIONAL:
+        raise ExactRingUnsupported("%s p-adic coefficients" % what)
+    dom = _prime_context(g, prime_data)
+    if (prime_data.p, prime_data.m) != (g.ring[1], g.ring[2]):
+        raise QExpError("prime data precision must match the coefficient ring")
+    return dom
 
 
 def hilbert_deplete(g: HilbertQExp, prime_data: PrimeIdealData, which) -> HilbertQExp:
     """Remove coefficients whose ideal (xi)*different is divisible by the
     chosen prime(s); `which` is 1, 2 or "both".  Constant term dies."""
-    prime_data = _prime_context(g, prime_data)
-    p = prime_data.p
-    whiches = (1, 2) if which == "both" else (which,)
-
-    def fn(xi, v):
-        for w in whiches:
-            if _residue_of_xi(g, prime_data, xi, w) % p == 0:
-                return ring_zero(g.ring)
-        return v
-
-    return g.map_coefficients(fn, a0=ring_zero(g.ring))
+    dom = _prime_context(g, prime_data)
+    p, zero = prime_data.p, ring_zero(g.ring)
+    coeffs = g.coeffs
+    for w in (1, 2) if which == "both" else (which,):
+        res = dom.residues(prime_data, w, g.trace_bound)
+        coeffs = [zero if r % p == 0 else v for v, r in zip(coeffs, res)]
+    return g._derive(coeffs, zero)
 
 
-def _embedding_bounds(pi: QuadElement):
-    lo = min(pi.approx(1), pi.approx(2))
-    hi = max(pi.approx(1), pi.approx(2))
-    return lo, hi
+def _u_bound(pi: QuadElement, T: int) -> int:
+    """Largest t <= T with t * max(pi_1, pi_2) <= T, decided in integers:
+    with pi = (A + B sqrt d)/den, t fits when r = T den - t A >= 0 and
+    (t B)^2 d <= r^2.  The search starts at T den / (A + isqrt(B^2 d)),
+    which no fitting t exceeds."""
+    a, b = pi.sqrt_basis()
+    den = math.lcm(a.denominator, b.denominator)
+    A, B, d = int(a * den), int(b * den), pi.F.d
+    t = min(T, T * den // (A + math.isqrt(B * B * d)))
+    while t > 0 and (T * den < t * A or (t * B) ** 2 * d > (T * den - t * A) ** 2):
+        t -= 1
+    return t
 
 
 def hilbert_u(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> HilbertQExp:
     """U at the prime generated by the totally positive generator pi:
-    a(xi) -> a(pi * xi).  The trace bound shrinks so that every needed
-    coefficient is known."""
-    prime_data = _prime_context(g, prime_data)
+    a(xi) -> a(pi * xi).  The trace bound shrinks to the largest T2 with
+    T2 * max(pi_1, pi_2) <= T, so that every needed coefficient is known."""
+    _prime_context(g, prime_data)
     if not (pi.is_totally_positive() and pi.norm() == prime_data.p):
         raise NotNarrowlyPrincipal("need a totally positive generator of norm p")
-    _, hi = _embedding_bounds(pi)
-    T2 = int(g.trace_bound / hi)
-    # shrink further if any needed key is out of range (float safety)
-    while T2 >= 1:
-        ok = True
-        for xi in hilbert_domain(g.F, T2):
-            if _key(pi * xi) not in g.coeffs:
-                ok = False
-                break
-        if ok:
-            break
-        T2 -= 1
+    T2 = _u_bound(pi, g.trace_bound)
     if T2 < 1:
         raise BoundTooSmall("trace bound too small for the U operator")
-    return HilbertQExp(
-        g.F,
-        g.weights,
-        T2,
-        g.a0,
-        {_key(xi): g.coeffs[_key(pi * xi)] for xi in hilbert_domain(g.F, T2)},
-        g.ring,
-        g.character,
-    )
+    coeffs = [g.coefficient(pi * xi) for xi in hilbert_domain(g.F, T2)]
+    return g._derive(coeffs, g.a0, trace_bound=T2)
 
 
 def hilbert_v(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> HilbertQExp:
     """V at the prime generated by pi: a(xi) -> a(xi / pi) when xi/pi stays
     in the inverse different, else 0."""
-    prime_data = _prime_context(g, prime_data)
+    dom = _prime_context(g, prime_data)
     if not (pi.is_totally_positive() and pi.norm() == prime_data.p):
         raise NotNarrowlyPrincipal("need a totally positive generator of norm p")
-    sqrtD = g.F.different_generator
-    # output bound: every xi <= T2 with pi | xi must have Tr(xi/pi) <= T
-    T2 = g.trace_bound
-    needed = {}
-    for xi in hilbert_domain(g.F, g.trace_bound):
+    p, T = prime_data.p, g.trace_bound
+    # (pi) is the prime where pi's residue vanishes, and xi/pi stays in the
+    # inverse different exactly when xi's residue there vanishes too (sqrtD
+    # is a unit at a split p)
+    which = 1 if prime_data.residue(pi, 1) % p == 0 else 2
+    zero = ring_zero(g.ring)
+    # output bound: every xi <= T2 with pi | xi must have Tr(xi/pi) <= T;
+    # the domain is in trace order, so the first failure fixes T2
+    T2, coeffs = T, []
+    res = dom.residues(prime_data, which, T)
+    for xi, r in zip(dom.elements[: len(g.coeffs)], res):
+        if r % p:
+            coeffs.append(zero)
+            continue
         eta = xi / pi
-        if (eta * sqrtD).is_integral():
-            tr = int(eta.trace())
-            if tr > g.trace_bound:
-                T2 = min(T2, int(xi.trace()) - 1)
-            else:
-                needed[_key(xi)] = _key(eta)
+        if eta.trace() > T:
+            T2 = int(xi.trace()) - 1
+            break
+        coeffs.append(g.coefficient(eta))
     if T2 < 1:
         raise BoundTooSmall("trace bound too small for the V operator")
-
-    def value(xi):
-        k = _key(xi)
-        if k in needed:
-            return g.coeffs[needed[k]]
-        return ring_zero(g.ring)
-
-    return HilbertQExp(
-        g.F,
-        g.weights,
-        T2,
-        ring_zero(g.ring),
-        {_key(xi): value(xi) for xi in hilbert_domain(g.F, T2)},
-        g.ring,
-        g.character,
-    )
+    return g._derive(coeffs[: dom.size(T2)], zero, trace_bound=T2)
 
 
 def twist_star(
@@ -641,21 +648,23 @@ def twist_star(
     """Coefficientwise twist: a(xi) -> chi(xi mod prime^c) a(xi) on the
     coefficients prime to the chosen prime, 0 elsewhere.  chi is a value
     table on the units modulo p^c, read through the residue map."""
-    prime_data = _prime_context(g, prime_data)
+    dom = _prime_context(g, prime_data)
     p, c = prime_data.p, conductor_exponent
     if prime_data.m < c:
         raise CharacterDomainMismatch("residue precision below the conductor")
     pc = p**c
+    zero = ring_zero(g.ring)
 
-    def fn(xi, v):
-        r = _residue_of_xi(g, prime_data, xi, which) % pc
+    def twist(v, r):
+        r %= pc
         if r % p == 0:
-            return ring_zero(g.ring)
+            return zero
         if r not in chi:
             raise CharacterDomainMismatch("character undefined at %d" % r)
         return ring_coerce(chi[r], g.ring) * v
 
-    return g.map_coefficients(fn, a0=ring_zero(g.ring))
+    res = dom.residues(prime_data, which, g.trace_bound)
+    return g._derive([twist(v, r) for v, r in zip(g.coeffs, res)], zero)
 
 
 def trivial_character(p: int, c: int = 1) -> dict:
@@ -666,48 +675,31 @@ def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Theta operator at embedding i: multiply a(xi) by the image of xi
     under the residue map at prime i; raises the weight by 2 in slot i.
     p-adic coefficients only."""
-    if g.ring == RATIONAL:
-        raise ExactRingUnsupported("theta operators act on p-adic coefficients")
-    prime_data = _prime_context(g, prime_data)
-    if (prime_data.p, prime_data.m) != (g.ring[1], g.ring[2]):
-        raise QExpError("prime data precision must match the coefficient ring")
+    dom = _padic_context(g, prime_data, "theta operators act on")
+    p, m, zero = prime_data.p, prime_data.m, ring_zero(g.ring)
     w = list(g.weights)
     w[i - 1] += 2
-
-    def fn(xi, v):
-        r = _residue_of_xi(g, prime_data, xi, i)
-        if r == 0:
-            return ring_zero(g.ring)
-        return PadicNumber(prime_data.p, prime_data.m, r, 0) * v
-
-    return g.map_coefficients(fn, weights=tuple(w), a0=ring_zero(g.ring))
+    res = dom.residues(prime_data, i, g.trace_bound)
+    coeffs = [PadicNumber(p, m, r, 0) * v if r else zero for v, r in zip(g.coeffs, res)]
+    return g._derive(coeffs, zero, weights=w)
 
 
 def theta_d_inverse(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Inverse theta operator; defined only on expansions depleted at the
     prime i (every surviving coefficient sits at a unit residue)."""
-    if g.ring == RATIONAL:
-        raise ExactRingUnsupported("theta operators act on p-adic coefficients")
-    prime_data = _prime_context(g, prime_data)
-    if (prime_data.p, prime_data.m) != (g.ring[1], g.ring[2]):
-        raise QExpError("prime data precision must match the coefficient ring")
+    dom = _padic_context(g, prime_data, "theta operators act on")
     p, m = prime_data.p, prime_data.m
     if not _is_zero(g.a0):
         raise NotDepleted("nonzero constant term")
-    for xi in g.domain():
-        if not _is_zero(g.coeffs[_key(xi)]):
-            if _residue_of_xi(g, prime_data, xi, i) % p == 0:
-                raise NotDepleted("nonzero coefficient at a non-unit index")
+    res = dom.residues(prime_data, i, g.trace_bound)
+    if any(r % p == 0 and not _is_zero(v) for v, r in zip(g.coeffs, res)):
+        raise NotDepleted("nonzero coefficient at a non-unit index")
     w = list(g.weights)
     w[i - 1] -= 2
-
-    def fn(xi, v):
-        if _is_zero(v):
-            return v
-        r = _residue_of_xi(g, prime_data, xi, i)
-        return v / PadicNumber(p, m, r, 0)
-
-    return g.map_coefficients(fn, weights=tuple(w), a0=ring_zero(g.ring))
+    coeffs = [
+        v if _is_zero(v) else v / PadicNumber(p, m, r, 0) for v, r in zip(g.coeffs, res)
+    ]
+    return g._derive(coeffs, ring_zero(g.ring), weights=w)
 
 
 def conjugate_ratio_partner(
@@ -718,26 +710,19 @@ def conjugate_ratio_partner(
     The pair then satisfies theta_1(partner) - theta_2(g1) = 0, and the
     diagonal restriction of their sum is a q-derivative (so its ordinary
     projection vanishes)."""
-    if g1.ring == RATIONAL:
-        raise ExactRingUnsupported("partner construction needs p-adic coefficients")
-    prime_data = _prime_context(g1, prime_data)
+    dom = _padic_context(g1, prime_data, "partner construction needs")
     p, m = prime_data.p, prime_data.m
-    if (p, m) != (g1.ring[1], g1.ring[2]):
-        raise QExpError("prime data precision must match the coefficient ring")
 
-    def fn(xi, v):
+    def partner(v, r1, r2):
         if _is_zero(v):
             return v
-        r1 = _residue_of_xi(g1, prime_data, xi, 1)
         if r1 % p == 0:
             raise NotDepleted("nonzero coefficient at a non-unit first residue")
-        r2 = _residue_of_xi(g1, prime_data, xi, 2)
-        num = PadicNumber(p, m, r2, 0) if r2 else PadicNumber.zero(p, m)
-        return v * num / PadicNumber(p, m, r1, 0)
+        return v * PadicNumber(p, m, r2, 0) / PadicNumber(p, m, r1, 0)
 
-    return g1.map_coefficients(
-        fn, weights=(g1.weights[1], g1.weights[0]), a0=ring_zero(g1.ring)
-    )
+    res1, res2 = (dom.residues(prime_data, w, g1.trace_bound) for w in (1, 2))
+    coeffs = [partner(v, r1, r2) for v, r1, r2 in zip(g1.coeffs, res1, res2)]
+    return g1._derive(coeffs, ring_zero(g1.ring), weights=(g1.weights[1], g1.weights[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +744,15 @@ def _value_from_json(obj, ring):
 
 def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def _fraction_key(s: str):
+    """(numerator, denominator) of the reduced fraction written "n/d"."""
+    num, den = map(int, s.split("/"))
+    if den <= 0 or math.gcd(num, den) != 1:
+        q = Fraction(num, den)  # reduces, fixes the sign, rejects zero
+        num, den = q.numerator, q.denominator
+    return num, den
 
 
 def to_json(exp) -> dict:
@@ -785,8 +779,8 @@ def to_json(exp) -> dict:
             "ring": ring,
             "a0": _value_to_json(exp.a0),
             "entries": [
-                [[_frac_str(xi.x), _frac_str(xi.y)], _value_to_json(exp.coeffs[_key(xi)])]
-                for xi in exp.domain()
+                [[_frac_str(xi.x), _frac_str(xi.y)], _value_to_json(v)]
+                for xi, v in zip(_domain(exp.F).elements, exp.coeffs)
             ],
         }
     raise QExpError("unknown expansion type")
@@ -811,16 +805,21 @@ def from_json(obj: dict, field: RealQuadraticField = None):
             from .realquad import make_field
 
             field = make_field(obj["d"], h_plus=obj.get("h_plus"))
-        coeffs = {}
+        dom = _domain(field)
+        n = dom.size(obj["trace_bound"])
+        coeffs = [None] * n
+        # entries may come in any order; those beyond the bound are ignored
         for (xs, ys), v in obj["entries"]:
-            nx, dx = xs.split("/")
-            ny, dy = ys.split("/")
-            coeffs[(Fraction(int(nx), int(dx)), Fraction(int(ny), int(dy)))] = (
-                _value_from_json(v, ring)
-            )
-        return HilbertQExp(
+            value = _value_from_json(v, ring)
+            i = dom.index.get(_fraction_key(xs) + _fraction_key(ys), n)
+            if i < n:
+                coeffs[i] = value
+        for xi, c in zip(dom.elements, coeffs):
+            if c is None:
+                raise QExpError("dense storage violated: missing coefficient at %r" % (xi,))
+        return HilbertQExp._make(
             field,
-            tuple(obj["weights"]),
+            obj["weights"],
             obj["trace_bound"],
             _value_from_json(obj["a0"], ring),
             coeffs,

@@ -32,10 +32,6 @@ class NotSplit(RealQuadError):
     pass
 
 
-class ClassNumberUnsupported(RealQuadError):
-    pass
-
-
 class RealQuadraticField:
     """Q(sqrt(d)) for squarefree d > 1, with integral basis (1, omega)."""
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 import sympy
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
+from hz import qexp
 from hz.padic import PadicNumber, teichmuller
 from hz.qexp import (
     RATIONAL,
@@ -41,7 +43,12 @@ from hz.qexp import (
     u_operator,
     v_operator,
 )
-from hz.realquad import make_field, narrowly_principal_split, split_prime
+from hz.realquad import (
+    make_field,
+    narrowly_principal_split,
+    split_prime,
+    totally_positive_by_trace,
+)
 
 F5 = make_field(5)
 P11 = split_prime(F5, 11, 5)
@@ -407,6 +414,34 @@ class TestHilbertOperators:
         with pytest.raises(NotNarrowlyPrincipal):
             hilbert_u(g, P11, F5.from_sqrt_basis(2, 0))
 
+    def test_u_bound_matches_float_formula(self):
+        # the exact output bound of U against int(T / max embedding of pi),
+        # evaluated here in floating point
+        for pi in GEN11:
+            hi = max(pi.approx(1), pi.approx(2))
+            for T in range(5, 61):
+                g = HilbertQExp.zero(F5, (2, 0), T, R11)
+                if int(T / hi) < 1:
+                    with pytest.raises(BoundTooSmall):
+                        hilbert_u(g, P11, pi)
+                else:
+                    assert hilbert_u(g, P11, pi).trace_bound == int(T / hi)
+
+    def test_v_matches_division_oracle(self):
+        # V reads a(xi / pi) exactly where xi / pi stays in the inverse
+        # different, decided here by dividing
+        rng = random.Random(67)
+        sqrtD = F5.different_generator
+        for pi in GEN11:
+            g = random_hilbert(rng, T=30)
+            v = hilbert_v(g, P11, pi)
+            for xi in v.domain():
+                eta = xi / pi
+                if (eta * sqrtD).is_integral():
+                    assert v.coefficient(xi) == g.coefficient(eta)
+                else:
+                    assert v.coefficient(xi).is_zero()
+
 
 class TestTwistStar:
     def test_trivial_character_is_depletion(self):
@@ -540,3 +575,86 @@ class TestJsonRoundTrip:
         e2 = from_json(json.loads(json.dumps(to_json(e))))
         assert e2.eq_at_precision(e)
         assert e2.a0 == e.a0
+
+
+@contextlib.contextmanager
+def fresh_domains():
+    """Grow every domain from nothing inside the block; the shared cache
+    the other tests use is put back afterwards."""
+    saved = qexp._domain_cache
+    qexp._domain_cache = {}
+    try:
+        yield
+    finally:
+        qexp._domain_cache = saved
+
+
+class TestGrowingDomain:
+    def test_theta_and_partner_match_residue_oracle(self):
+        # T = 20 first, then T = 40: the second pass reads residue vectors
+        # that were extended after the domain grew
+        rng = random.Random(111)
+        with fresh_domains():
+            for T in (20, 40):
+                g = random_hilbert(rng, T=T)
+                for i in (1, 2):
+                    theta = theta_d(g, i, P11)
+                    for xi in g.domain():
+                        r = PadicNumber(11, 5, P11.residue(xi, i), 0)
+                        assert theta.coefficient(xi) == r * g.coefficient(xi)
+                g1 = hilbert_deplete(g, P11, 1)
+                g2 = conjugate_ratio_partner(g1, P11)
+                for xi in g1.domain():
+                    v = g1.coefficient(xi)
+                    r1 = PadicNumber(11, 5, P11.residue(xi, 1), 0)
+                    r2 = PadicNumber(11, 5, P11.residue(xi, 2), 0)
+                    expected = v if v.is_zero() else v * r2 / r1
+                    assert g2.coefficient(xi) == expected
+
+    @staticmethod
+    def _chain_json(T):
+        g = random_hilbert(random.Random(T), T=T)
+        g1 = hilbert_deplete(g, P11, 1)
+        g2 = conjugate_ratio_partner(g1, P11)
+        outputs = (g, g2, theta_d(g2, 1, P11), diagonal_restrict(g1 + g2))
+        return [json.dumps(to_json(e), sort_keys=True) for e in outputs]
+
+    def test_build_order_does_not_matter(self):
+        runs = []
+        for order in ((60, 30), (30, 60)):
+            with fresh_domains():
+                runs.append({T: self._chain_json(T) for T in order})
+        assert runs[0] == runs[1]
+
+    def test_domains_are_prefixes_in_canonical_order(self):
+        bounds = (9, 4, 15, 0, 12)
+        with fresh_domains():
+            doms = {T: hilbert_domain(F5, T) for T in bounds}
+        for T in bounds:
+            direct = [
+                xi
+                for t in range(1, T + 1)
+                for xi in totally_positive_by_trace(F5, t, "inverse_different")
+            ]
+            assert list(doms[T]) == direct
+            for T2 in bounds:
+                if T < T2:
+                    assert doms[T2][: len(doms[T])] == doms[T]
+
+    def test_from_json_entry_order_and_bounds(self):
+        rng = random.Random(112)
+        with fresh_domains():
+            g = random_hilbert(rng, T=12)
+            obj = json.loads(json.dumps(to_json(g)))
+            rng.shuffle(obj["entries"])
+            # an unreduced coordinate names the same element
+            x, y = obj["entries"][0][0]
+            num, den = x.split("/")
+            obj["entries"][0][0] = ["%d/%d" % (-3 * int(num), -3 * int(den)), y]
+            assert to_json(from_json(obj, F5)) == to_json(g)
+            # entries beyond a smaller declared bound are ignored
+            assert to_json(from_json(dict(obj, trace_bound=8), F5)) == to_json(
+                g.truncate(8)
+            )
+            with pytest.raises(QExpError):
+                from_json(dict(obj, entries=obj["entries"][1:]), F5)
