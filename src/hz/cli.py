@@ -54,7 +54,6 @@ from .qexp import (
 )
 from .realquad import RealQuadError, make_field, split_prime
 from .sieve import (
-    CURVE_11A1,
     DESK_H_PLUS,
     EllipticCurveData,
     SieveError,
@@ -312,8 +311,10 @@ def cmd_asai(args):
         "distinct_mod_p": eigen.distinct_mod(args.p),
     }
     if args.verify:
-        induced = tensor_induce(s5_double_cover_rep())
-        induced.verify_homomorphism()
+        cover = s5_double_cover_rep()
+        induced = tensor_induce(cover, generators=cover.generating_set(
+            cover.subgroup_elements()))
+        induced.verify_homomorphism(cover.generating_set(cover.elements))
     _emit(record, args.format)
     return EXIT_OK
 
@@ -414,9 +415,6 @@ def build_parser():
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--height-bound", type=int, default=10**5)
     p.add_argument("--csv", default=None, help="also write a CSV summary")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface stability; the search is "
-                        "sequential and deterministic")
     add_common(p)
     p.set_defaults(func=cmd_sieve)
 

@@ -10,7 +10,7 @@ other systems with Hecke operators and reading off the first coefficient."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,7 +30,6 @@ from .qexp import (
     elliptic_twist,
     hecke_T,
     hilbert_deplete,
-    padic_ring,
     ring_coerce,
     ring_zero,
     theta_d_inverse,

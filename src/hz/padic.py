@@ -154,7 +154,10 @@ class PadicNumber:
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return -(self - o)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -181,6 +184,8 @@ class PadicNumber:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, e: int):

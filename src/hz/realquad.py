@@ -9,7 +9,7 @@ strictly positive under both embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 

@@ -14,14 +14,12 @@ JSON lines and CSV.
 
 import csv
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import sympy
 
 from .asai import (
-    S5FrobeniusClass,
     asai_frobenius_eigenvalues,
     frobenius_class_quintic,
     quintic_discriminant,

@@ -11,6 +11,7 @@ from sympy.abc import x
 
 from hz.asai import (
     AsaiError,
+    AsaiRep,
     CharacterMonomial,
     ENTRY_SCALE,
     FiniteRep2,
@@ -266,6 +267,87 @@ class TestJsonIngestion:
         assert induced.character(2) == 4
         assert induced.character(1) == -2
         assert induced.character(3) == -2
+
+
+def search_inverse(rep, g):
+    # oracle: scan every element for the right inverse
+    return next(h for h in rep.elements
+                if rep.multiply(g, h) == rep.identity)
+
+
+def corrupt_outside(matrices, keep):
+    # a copy of the table with one entry outside `keep` replaced by another
+    # element's matrix
+    bad = dict(matrices)
+    victim, donor = [k for k in bad if k not in keep][:2]
+    bad[victim] = bad[donor]
+    return bad
+
+
+class TestGeneratorProof:
+    def test_inverse_matches_search_oracle(self, cover):
+        for g in cover.elements:
+            assert cover.inverse(g) == search_inverse(cover, g)
+
+    def test_generating_sets_generate(self, cover):
+        for elems in (cover.elements, cover.subgroup_elements()):
+            gens = cover.generating_set(elems)
+            assert set(gens) <= set(elems)
+            assert cover.closure(gens) == set(elems)
+
+    def test_generating_set_of_a_non_subgroup_is_refused(self, cover):
+        g = next(h for h in cover.elements
+                 if cover.multiply(h, h) != cover.identity)
+        with pytest.raises(AsaiError):
+            cover.generating_set([cover.identity, g])
+
+    def test_accepts_cover_and_induced_table(self, cover, induced):
+        cover.verify_homomorphism(
+            cover.generating_set(cover.subgroup_elements()))
+        induced.verify_homomorphism(cover.generating_set(cover.elements))
+
+    def test_accepts_json_group(self):
+        rep = TestJsonIngestion().build_c4()
+        induced = tensor_induce(
+            rep, generators=rep.generating_set(rep.subgroup_elements()))
+        induced.verify_homomorphism(rep.generating_set(rep.elements))
+
+    def test_subgroup_table_corrupted_off_generators(self, cover):
+        gens = cover.generating_set(cover.subgroup_elements())
+        bad = corrupt_outside(cover.matrices, set(gens) | {cover.identity})
+        broken = FiniteRep2(cover.elements, cover.multiply, cover.identity,
+                            cover.in_subgroup, cover.theta, bad)
+        with pytest.raises(NotHomomorphism):
+            broken.verify_homomorphism(gens)
+
+    def test_induced_table_corrupted_off_generators(self, cover, induced):
+        gens = cover.generating_set(cover.elements)
+        bad = corrupt_outside(induced.matrices, set(gens) | {cover.identity})
+        with pytest.raises(NotHomomorphism):
+            AsaiRep(cover, bad).verify_homomorphism(gens)
+
+    def test_non_generating_sets_rejected(self, cover, induced):
+        with pytest.raises(NotHomomorphism):
+            cover.verify_homomorphism([cover.identity])
+        with pytest.raises(NotHomomorphism):
+            induced.verify_homomorphism([cover.identity])
+        with pytest.raises(NotHomomorphism):
+            induced.verify_homomorphism(
+                cover.generating_set(cover.subgroup_elements()))
+        with pytest.raises(NotHomomorphism):
+            cover.verify_homomorphism([cover.theta])
+
+    def test_generator_path_of_induction_rejects_corrupted_table(self,
+                                                                 cover):
+        # the corruption of test_corrupted_table_is_rejected
+        bad = dict(cover.matrices)
+        key = next(k for k in bad if k != cover.identity)
+        bad[key] = bad[cover.identity]
+        broken = FiniteRep2(cover.elements, cover.multiply, cover.identity,
+                            cover.in_subgroup, cover.theta, bad)
+        with pytest.raises(NotHomomorphism):
+            tensor_induce(broken, generators=broken.generating_set(
+                broken.subgroup_elements()))
 
 
 class TestFrobeniusClass:

@@ -59,6 +59,12 @@ class TestAsai:
         assert code == EXIT_ERROR
         assert "discriminant" in err
 
+    def test_verify_leaves_stdout_unchanged(self, capsys):
+        plain = run(capsys, ["asai", "--p", "7"])
+        verified = run(capsys, ["asai", "--p", "7", "--verify"])
+        assert verified[0] == plain[0] == EXIT_OK
+        assert verified[1] == plain[1]
+
 
 class TestDiagRestrict:
     def test_weight_two_restriction(self, capsys):

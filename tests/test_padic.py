@@ -58,6 +58,22 @@ class TestPadicNumber:
         with pytest.raises(PadicError):
             P(1, 5, 6) + P(1, 7, 6)
 
+    def test_foreign_operand_is_not_implemented(self):
+        x = PadicNumber(7, 2, 1)
+        for name in ("add", "sub", "mul", "truediv"):
+            for method in ("__%s__" % name, "__r%s__" % name):
+                assert getattr(x, method)(object()) is NotImplemented
+        with pytest.raises(TypeError, match="'object' and 'PadicNumber'"):
+            object() / x
+        with pytest.raises(TypeError, match="'object' and 'PadicNumber'"):
+            object() - x
+
+    def test_reflected_operations_match_forward_ones(self):
+        x = P(7)
+        assert 3 - x == P(3) - x == P(-4)
+        assert Fraction(1, 2) - x == P(1) / 2 - x
+        assert 3 / x == P(3) / x
+
     @given(
         st.integers(-(10**6), 10**6),
         st.integers(-(10**6), 10**6),
