@@ -13,6 +13,7 @@ graded characters of the three-step and four-step local filtrations as
 monomials in opaque character tokens.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,16 @@ from itertools import permutations
 import sympy
 from sympy.abc import x as _x
 
-from .padic import PadicNumber, teichmuller
+from .padic import (
+    PadicNumber,
+    _padd,
+    _pdivmod_monic,
+    _pmulmod,
+    _ppowmod,
+    _psub,
+    _xgcd_poly_modp,
+    teichmuller,
+)
 
 
 class AsaiError(Exception):
@@ -443,20 +453,43 @@ class S5FrobeniusClass:
 
 
 def quintic_discriminant(coeffs):
+    return _discriminant(tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _discriminant(coeffs):
+    # once per polynomial: the sieve asks for it at every prime
     return int(sympy.discriminant(sympy.Poly(coeffs, _x)))
 
 
 def frobenius_class_quintic(coeffs, p):
     """Cycle type of Frobenius at p acting on the roots of a monic integer
-    quintic, read off from the factor degrees modulo p."""
+    quintic, from its factor degrees modulo p by distinct-degree
+    factorization: f is squarefree mod p because p does not divide the
+    discriminant, gcd(x^p - x, f) is the product of the linear factors and
+    gcd(x^(p^2) - x, f / linear) that of the quadratic ones, and what is
+    left is irreducible (two factors of degree >= 3 would need degree 6)."""
     if len(coeffs) != 6 or coeffs[0] != 1:
         raise AsaiError("expected a monic degree-5 coefficient list")
     if quintic_discriminant(coeffs) % p == 0:
         raise RamifiedPrime("p divides the quintic discriminant")
-    poly = sympy.Poly(coeffs, _x, modulus=p)
-    degrees = []
-    for factor, mult in poly.factor_list()[1]:
-        degrees.extend([factor.degree()] * mult)
+    f = [c % p for c in reversed(coeffs)]  # low-to-high, as in hz.padic
+    x = [0, 1]
+    frob = _ppowmod(x, p, f, p)
+    linear = _xgcd_poly_modp(f, _psub(frob, x, p), p)[0]
+    rest = _pdivmod_monic(f, linear, p)[0]
+    degrees = [1] * (len(linear) - 1)
+    if len(rest) > 1:
+        # x^(p^2) = frob(x)^p = frob(frob(x)): frob has coefficients in F_p
+        frob = _pdivmod_monic(frob, rest, p)[1]
+        frob2 = [frob[-1]]
+        for c in reversed(frob[:-1]):
+            frob2 = _padd(_pmulmod(frob2, frob, rest, p), [c], p)
+        quadratic = _xgcd_poly_modp(rest, _psub(frob2, x, p), p)[0]
+        rest = _pdivmod_monic(rest, quadratic, p)[0]
+        degrees += [2] * ((len(quadratic) - 1) // 2)
+        if len(rest) > 1:
+            degrees.append(len(rest) - 1)
     return S5FrobeniusClass(tuple(sorted(degrees, reverse=True)))
 
 

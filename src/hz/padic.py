@@ -383,6 +383,22 @@ def _pdivmod_monic(f, g, n):
     return _ptrim(q), _ptrim(f if f else [0])
 
 
+def _pmulmod(f, g, h, n):
+    """f g mod (h, n) for h with unit leading coefficient."""
+    return _pdivmod_monic(_pmul(f, g, n), h, n)[1]
+
+
+def _ppowmod(f, e, h, n):
+    """f^e mod (h, n), left-to-right binary, so a short f (such as x)
+    costs one cheap product per bit on top of the squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pmulmod(out, out, h, n)
+        if bit == "1":
+            out = _pmulmod(out, f, h, n)
+    return out
+
+
 def _xgcd_poly_modp(f, g, p):
     """Extended gcd over F_p[X]; returns (gcd, s, t) with s f + t g = gcd."""
     r0, r1 = [c % p for c in f], [c % p for c in g]

@@ -281,6 +281,27 @@ def _lift_root(t: int, n: int, r: int, p: int, m: int) -> int:
     return x
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a quadratic residue a modulo an odd prime p
+    (Tonelli-Shanks)."""
+    a %= p
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        x, c = x * b % p, b * b % p
+        t, e = t * c % p, i
+    return x
+
+
 @dataclass(frozen=True)
 class PrimeIdealData:
     """Splitting data of a rational prime in the quadratic field.
@@ -323,11 +344,11 @@ def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
         split = n % 2 == 0
         r0 = 0
     else:
-        ls = sympy.legendre_symbol(D % p, p)
-        split = ls == 1
+        # Euler's criterion; either square root will do, since the two
+        # lifted roots are sorted below
+        split = pow(D, (p - 1) // 2, p) == 1
         if split:
-            s = sympy.sqrt_mod(D % p, p)
-            r0 = (t + s) * pow(2, -1, p) % p
+            r0 = (t + _sqrt_mod(D, p)) * pow(2, -1, p) % p
     if not split:
         return PrimeIdealData(F, p, m, "inert")
     r1 = _lift_root(t, n, r0, p, m)
@@ -578,8 +599,10 @@ def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadEle
     if abs(u.norm()) != 1 or not u.is_integral_unit():
         raise RealQuadError("u must be a unit of the ring of integers")
     p = prime_data.p
-    one_prec = split_prime(F, p, 1)
-    a = one_prec.residue(u, 1) % p
+    if prime_data.m != 1:
+        # the first prime is the one of the smaller root at precision 1
+        prime_data = split_prime(F, p, 1)
+    a = prime_data.residue(u, 1) % p
     return int(sympy.ntheory.n_order(a, p))
 
 

@@ -14,6 +14,7 @@ JSON lines and CSV.
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -61,14 +62,16 @@ class EllipticCurveData:
             raise SieveError("singular Weierstrass equation")
 
     @property
-    def discriminant(self):
+    def c_invariants(self):
         b2 = self.a1 ** 2 + 4 * self.a2
         b4 = 2 * self.a4 + self.a1 * self.a3
         b6 = self.a3 ** 2 + 4 * self.a6
-        b8 = (self.a1 ** 2 * self.a6 + 4 * self.a2 * self.a6
-              - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 ** 2
-              - self.a4 ** 2)
-        return -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
+        return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+    @property
+    def discriminant(self):
+        c4, c6 = self.c_invariants
+        return (c4 ** 3 - c6 ** 2) // 1728
 
 
 CURVE_11A1 = EllipticCurveData(0, -1, 1, -10, -20, conductor=11)
@@ -85,10 +88,24 @@ def desk_field(height_bound: int = 10**4) -> RealQuadraticField:
                       height_bound=height_bound)
 
 
+# Mestre: above this prime the point orders on E and its twist always
+# leave a single group order in the Hasse interval; at or below, they may not
+MESTRE_BOUND = 229
+
+
 def ap_count(E: EllipticCurveData, p: int) -> int:
-    """Trace of Frobenius a_p = p + 1 - #E(F_p) by exhaustive counting."""
+    """Trace of Frobenius a_p = p + 1 - #E(F_p): exhaustive count for
+    p <= 229, Shanks-Mestre baby-step giant-step above."""
     if E.discriminant % p == 0 or E.conductor % p == 0:
         raise BadReduction("p = %d is a prime of bad reduction" % p)
+    if p <= MESTRE_BOUND:
+        return _ap_exhaustive(E, p)
+    return _ap_bsgs(E, p)
+
+
+def _ap_exhaustive(E: EllipticCurveData, p: int) -> int:
+    """a_p by counting the points of E(F_p) one x at a time: O(p), the
+    oracle for the BSGS count."""
     points = 1  # point at infinity
     if p == 2:
         for x in range(2):
@@ -112,6 +129,128 @@ def ap_count(E: EllipticCurveData, p: int) -> int:
     ap = p + 1 - points
     assert ap * ap <= 4 * p, "Hasse bound violated"
     return ap
+
+
+# -- Shanks-Mestre (Cohen, GTM 138, 7.4): affine points, None at infinity --
+
+
+def _ec_add(P, Q, a, p):
+    """P + Q on Y^2 = X^3 + a X + b over F_p (b is implicit)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n, P, a, p):
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(R, P, a, p)
+        n >>= 1
+        if n:
+            P = _ec_add(P, P, a, p)
+    return R
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n > 0, by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _order_multiple(P, a, p, w):
+    """A positive multiple of the order of P, on a curve whose group order
+    lies in [p+1-w, p+1+w]: baby steps jP (j <= s) against giant steps
+    (p+1+2sk)P, |k| <= K, which cover the interval as 2sK >= w."""
+    s = math.isqrt(w) + 1
+    baby = {}
+    R = None
+    for j in range(1, s + 1):
+        R = _ec_add(R, P, a, p)
+        if R is None:
+            return j
+        baby.setdefault(R[0], (j, R[1]))
+    K = -(-w // (2 * s))
+    step = _ec_mul(2 * s, P, a, p)
+    m = p + 1 - 2 * s * K
+    R = _ec_mul(m, P, a, p)
+    for _ in range(2 * K + 1):
+        if R is None:
+            return m
+        hit = baby.get(R[0])
+        if hit is not None:  # R = +-jP
+            return m - hit[0] if hit[1] == R[1] else m + hit[0]
+        R = _ec_add(R, step, a, p)
+        m += 2 * s
+    raise SieveError("no multiple of a point order in the Hasse interval "
+                     "at p = %d" % p)
+
+
+def _point_order(P, a, p, w):
+    order = multiple = _order_multiple(P, a, p, w)
+    for q in _prime_factors(multiple):
+        while order % q == 0 and _ec_mul(order // q, P, a, p) is None:
+            order //= q
+    return order
+
+
+def _group_orders(p, w, n_curve, n_twist):
+    """The N in [p+1-w, p+1+w] with n_curve | N and n_twist | 2p+2-N, the
+    order of the twist; steps by the larger of the two moduli."""
+    if n_curve < n_twist:
+        # the interval is symmetric under N -> 2p+2-N
+        return [2 * p + 2 - N for N in _group_orders(p, w, n_twist, n_curve)]
+    lo = p + 1 - w
+    return [N for N in range(-(-lo // n_curve) * n_curve, p + 2 + w, n_curve)
+            if (2 * p + 2 - N) % n_twist == 0]
+
+
+def _ap_bsgs(E: EllipticCurveData, p: int) -> int:
+    """a_p for p > 229 from exact point orders on E and its quadratic
+    twist, returned only once a single group order in the Hasse interval
+    is compatible with all of them (Mestre's bound guarantees that one
+    of the two curves has points that get there)."""
+    c4, c6 = E.c_invariants
+    # short model Y^2 = X^3 + A X + B, isomorphic to E for p > 3
+    A, B = -27 * c4 % p, -54 * c6 % p
+    w = math.isqrt(4 * p)
+    n_curve = n_twist = 1
+    for x0 in range(p):
+        f = (x0 * x0 * x0 + A * x0 + B) % p
+        if f == 0:
+            continue
+        # (x0 f, f^2) lies on Y^2 = X^3 + A f^2 X + B f^3, which is E when
+        # f is a square and the quadratic twist of E otherwise
+        f2 = f * f % p
+        order = _point_order((x0 * f % p, f2), A * f2 % p, p, w)
+        if pow(f, (p - 1) // 2, p) == 1:
+            n_curve = math.lcm(n_curve, order)
+        else:
+            n_twist = math.lcm(n_twist, order)
+        orders = _group_orders(p, w, n_curve, n_twist)
+        if len(orders) == 1:
+            return p + 1 - orders[0]
+    raise SieveError("point orders never fixed #E(F_p) at p = %d" % p)
 
 
 def unit_condition(F: RealQuadraticField, p: int):
@@ -243,7 +382,8 @@ def reverify(F: RealQuadraticField, quintic, E: EllipticCurveData,
         return False
     if p == 5 or result.witnesses["a_p"] % p == 0:
         return False
-    return ap_count(E, p) == result.witnesses["a_p"]
+    # the exhaustive count, not the BSGS search that produced the witness
+    return _ap_exhaustive(E, p) == result.witnesses["a_p"]
 
 
 @dataclass

@@ -559,3 +559,44 @@ class TestFiltrationCharacters:
         # times the cyclotomic character
         a, b = elliptic_graded_characters()
         assert a * b == CharacterMonomial({"neb1": 1, "neb2": 1, "cyc": 1})
+
+
+class TestDistinctDegreeFrobenius:
+    """Cycle types from gcd(x^(p^k) - x, f), k = 1, 2, against sympy's
+    factorization over F_p."""
+
+    @staticmethod
+    def sympy_degrees(coeffs, p):
+        degrees = []
+        for f, mult in sympy.Poly(coeffs, x, modulus=p).factor_list()[1]:
+            degrees += [f.degree()] * mult
+        return tuple(sorted(degrees, reverse=True))
+
+    def test_random_quintics(self):
+        rng = random.Random(5151)
+        primes = list(sympy.primerange(7, 10 ** 4))
+        seen = Counter()
+        for _ in range(120):
+            coeffs = [1] + [rng.randrange(-30, 31) for _ in range(5)]
+            disc = quintic_discriminant(coeffs)
+            if disc == 0:
+                continue
+            for p in [2, 3, 5] + rng.sample(primes, 6):
+                if disc % p == 0:
+                    continue
+                got = frobenius_class_quintic(coeffs, p).cycle_type
+                assert got == self.sympy_degrees(coeffs, p), (coeffs, p)
+                seen[got] += 1
+        # every cycle type of S5 occurs, (1,1,1,1,1) included
+        assert len(seen) == 7
+
+    def test_discriminant_is_cached(self, monkeypatch):
+        coeffs = [1, 0, 0, 0, 3, -7]
+        expected = quintic_discriminant(coeffs)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("discriminant recomputed")
+
+        monkeypatch.setattr(sympy, "discriminant", fail)
+        assert quintic_discriminant(tuple(coeffs)) == expected
+        frobenius_class_quintic(coeffs, 13)

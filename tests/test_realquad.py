@@ -6,6 +6,7 @@ import sympy
 
 from hz.realquad import (
     NotSplit,
+    _sqrt_mod,
     NotSquarefree,
     QuadElement,
     RealQuadError,
@@ -343,3 +344,43 @@ class TestJson:
         assert F.fundamental_unit == F.omega()
         with pytest.raises(RealQuadError):
             field_from_json({"d": 5, "unit": [2, 0]})
+
+
+class TestPlainIntegerSplitting:
+    def test_sqrt_mod(self):
+        for p in sympy.primerange(3, 2000):
+            for a in range(1, min(p, 60)):
+                if pow(a, (p - 1) // 2, p) == 1:
+                    assert _sqrt_mod(a, p) ** 2 % p == a
+
+    def test_split_prime_matches_sympy(self):
+        for d in (2, 5, 13, 2869):
+            F = make_field(d)
+            D = F.discriminant
+            t, n = F.omega_trace, F.omega_norm
+            for p in sympy.primerange(3, 600):
+                data = split_prime(F, p, 1)
+                if D % p == 0:
+                    assert data.splitting_type == "ramified"
+                    continue
+                split = sympy.legendre_symbol(D % p, p) == 1
+                assert data.splitting_type == ("split" if split else "inert")
+                if split:
+                    roots = [r for r in range(p) if (r * r - t * r + n) % p == 0]
+                    assert list(data.roots) == roots
+                    r1, r2 = split_prime(F, p, 3).roots
+                    assert r1 < r2 and {r1 % p, r2 % p} == set(roots)
+                    assert (r1 * r1 - t * r1 + n) % p ** 3 == 0
+
+    def test_unit_order_reuses_precision_one_data(self, monkeypatch):
+        import hz.realquad
+        F = make_field(2869, h_plus=2)
+        data = split_prime(F, 853, 1)
+        u = F.totally_positive_fundamental_unit
+        expected = unit_order_mod(F, data, u)
+
+        def fail(*args):
+            raise AssertionError("split_prime called again")
+
+        monkeypatch.setattr(hz.realquad, "split_prime", fail)
+        assert unit_order_mod(F, data, u) == expected

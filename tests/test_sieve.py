@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 
 import pytest
 import sympy
@@ -17,6 +18,8 @@ from hz.sieve import (
     EllipticCurveData,
     ExcludedPrime,
     SieveError,
+    _ap_bsgs,
+    _ap_exhaustive,
     ap_count,
     check_assumptions,
     desk_field,
@@ -291,3 +294,89 @@ class TestDeskConstants:
     def test_pinned_narrow_class_number(self):
         from hz.realquad import narrow_class_number
         assert narrow_class_number(DESK_FIELD_D) == DESK_H_PLUS
+
+
+CURVE_37A1 = EllipticCurveData(0, 0, 1, -1, 0, conductor=37)
+
+
+def _good(E, p):
+    return E.discriminant % p != 0 and E.conductor % p != 0
+
+
+class TestBabyStepGiantStep:
+    """The Shanks-Mestre count against the exhaustive O(p) count, which
+    `reverify` keeps as its oracle, and against the level-11 newform."""
+
+    @pytest.mark.parametrize("E", [CURVE_11A1, CURVE_37A1], ids=["11a", "37a"])
+    def test_every_good_prime_below_3000(self, E):
+        for p in sympy.primerange(3, 3000):
+            if not _good(E, p):
+                continue
+            expected = _ap_exhaustive(E, p)
+            assert ap_count(E, p) == expected, p
+            if p > 229:
+                assert _ap_bsgs(E, p) == expected, p
+
+    def test_random_curves(self):
+        rng = random.Random(20240)
+        primes = list(sympy.primerange(230, 5000))
+        curves = []
+        while len(curves) < 20:
+            a = [rng.randrange(-60, 61) for _ in range(5)]
+            try:
+                curves.append(EllipticCurveData(*a, conductor=1))
+            except SieveError:
+                continue
+        on_twist = 0
+        for E in curves:
+            c6 = E.c_invariants[1]
+            for p in rng.sample(primes, 6):
+                if not _good(E, p):
+                    continue
+                # the first point, at x0 = 0, lies on the twist exactly
+                # when the constant term -54 c6 of the short model is a
+                # non-residue
+                B = -54 * c6 % p
+                on_twist += B != 0 and pow(B, (p - 1) // 2, p) != 1
+                assert ap_count(E, p) == _ap_exhaustive(E, p), (E, p)
+        assert on_twist > 0
+
+    def test_newform_coefficients_to_1000(self):
+        an = eta_product_coefficients(1000)
+        for p in sympy.primerange(2, 1001):
+            if p != 11:
+                assert ap_count(CURVE_11A1, p) == an[p], p
+
+    def test_reverify_uses_the_exhaustive_count(self, desk, monkeypatch):
+        result = check_assumptions(desk, DESK_QUINTIC, CURVE_11A1, 853)
+        import hz.sieve
+
+        def fail(*args):
+            raise AssertionError("reverify reran the BSGS count")
+
+        monkeypatch.setattr(hz.sieve, "ap_count", fail)
+        monkeypatch.setattr(hz.sieve, "_ap_bsgs", fail)
+        assert reverify(desk, DESK_QUINTIC, CURVE_11A1, result)
+
+
+class TestSympyFreeLoop:
+    def test_no_polynomial_factoring_in_the_sieve(self, desk, monkeypatch):
+        """The per-prime loop factors and discriminates the quintic with
+        plain integers: sympy may compute the discriminant once at most."""
+        def once(name, fn):
+            calls = []
+
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                if len(calls) > 1:
+                    raise AssertionError("%s called per prime" % name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sympy.Poly, "factor_list",
+                            once("factor_list", sympy.Poly.factor_list))
+        monkeypatch.setattr(sympy, "discriminant",
+                            once("discriminant", sympy.discriminant))
+        run = find_admissible(desk, DESK_QUINTIC, CURVE_11A1, 10000, 10500)
+        assert run.checked == len(list(sympy.primerange(10000, 10500)))
+        assert sum(run.cycle_types.values()) == run.checked
