@@ -19,9 +19,11 @@ from .padic import (
     PadicError,
     PadicNumber,
     PolynomialExact,
+    as_padic,
     bezout_projector,
     hensel_unit_root,
     int_valuation,
+    lift_root,
 )
 from .qexp import (
     EllipticQExp,
@@ -38,7 +40,7 @@ from .qexp import (
     u_operator,
     v_operator,
 )
-from .realquad import PrimeIdealData, _lift_root
+from .realquad import PrimeIdealData
 
 
 class HeckeError(ArithmeticError):
@@ -136,7 +138,7 @@ def _unit_roots(a: int, b: int, p: int, m: int):
     if len(roots) != 2:
         raise NotSeparated("need two distinct unit roots modulo %d" % p)
     return tuple(
-        PadicNumber(p, m, _lift_root(a, b, r, p, m), 0) for r in roots
+        PadicNumber(p, m, lift_root(a, b, r, p, m), 0) for r in roots
     )
 
 
@@ -440,19 +442,13 @@ def euler_report(
     Hecke-ratio tokens entering the localization and comparison factors;
     they default to 1."""
 
-    def pn(x):
-        if isinstance(x, PadicNumber):
-            if (x.p, x.m) != (p, m):
-                raise PadicError("mixed p-adic contexts")
-            return x
-        return PadicNumber.from_fraction(Fraction(x), p, m)
-
-    a1, b1, a2, b2 = (pn(x) for x in alphas)
-    alpha_f, beta_f = (pn(x) for x in f_roots)
+    a1, b1, a2, b2 = (as_padic(x, p, m) for x in alphas)
+    alpha_f, beta_f = (as_padic(x, p, m) for x in f_roots)
     one = PadicNumber.one(p, m)
     tokens = {"chi_p1": 1, "chi_p2": 1, "ratio_12": 1, "ratio_21": 1}
     tokens.update(unit_tokens or {})
-    tokens = {k: pn(v) for k, v in tokens.items()}
+    tokens = {k: as_padic(v, p, m) for k, v in tokens.items()}
+    p_adic = as_padic(p, p, m)
 
     ordinary = one - beta_f / alpha_f
     special = one
@@ -461,13 +457,13 @@ def euler_report(
             special = special * (one - r1 * r2 / beta_f)
     depth_one = one - a1 * b1 * a2 * b2 / (beta_f * beta_f)
 
-    point_value = (a1 * a2 / alpha_f * pn(p) ** (2 - ell)) ** alpha_exp
+    point_value = (a1 * a2 / alpha_f * p_adic ** (2 - ell)) ** alpha_exp
     interpolation_at_point = (point_value, -1)
     interpolation_at_base = (one - a1 * a2 / alpha_f) / (
-        one - alpha_f / (a1 * a2 * pn(p))
+        one - alpha_f / (a1 * a2 * p_adic)
     )
 
-    twisted_unit_root = beta_f / pn(p)
+    twisted_unit_root = beta_f / p_adic
 
     localization = (one - alpha_f * tokens["chi_p1"] * tokens["ratio_12"]) * (
         one - alpha_f * tokens["chi_p2"] * tokens["ratio_21"]

@@ -97,10 +97,6 @@ class PadicNumber:
         return None if self.unit == 0 else self.val
 
     @property
-    def exact_valuation(self):
-        return self.valuation()
-
-    @property
     def residue(self) -> int:
         """The class mod p^m, defined for non-negative valuation."""
         if self.unit == 0:
@@ -117,23 +113,12 @@ class PadicNumber:
             return Fraction(0)
         return Fraction(self.unit) * Fraction(self.p) ** self.val
 
-    def _coerce(self, other):
-        if isinstance(other, PadicNumber):
-            if (other.p, other.m) != (self.p, self.m):
-                raise PadicError("mixed p-adic contexts")
-            return other
-        if isinstance(other, int):
-            return PadicNumber.from_int(other, self.p, self.m)
-        if isinstance(other, Fraction):
-            return PadicNumber.from_fraction(other, self.p, self.m)
-        return None
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         if self.unit == 0:
             return o
         if o.unit == 0:
@@ -148,21 +133,21 @@ class PadicNumber:
         return PadicNumber(self.p, self.m, -self.unit, self.val)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         return -(self - o)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         if self.unit == 0 or o.unit == 0:
             return PadicNumber.zero(self.p, self.m)
         return PadicNumber(self.p, self.m, self.unit * o.unit, self.val + o.val)
@@ -177,15 +162,15 @@ class PadicNumber:
         )
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         return o * self.inverse()
 
     def __pow__(self, e: int):
@@ -200,9 +185,9 @@ class PadicNumber:
         )
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        o = as_padic(other, self.p, self.m)
         d = self - o
         return d.unit == 0
 
@@ -219,6 +204,31 @@ class PadicNumber:
             self.p,
             self.m + self.val,
         )
+
+
+# the operands a PadicNumber operator coerces; others get NotImplemented
+_OPERANDS = (PadicNumber, int, Fraction)
+
+
+def as_padic(value, p: int, m: int) -> PadicNumber:
+    """value in the context (p, m): a PadicNumber of that context as it is,
+    an int or a rational by reduction; raises PadicError on a PadicNumber of
+    another context."""
+    if isinstance(value, PadicNumber):
+        if value.p != p or value.m != m:
+            raise PadicError("mixed p-adic contexts")
+        return value
+    if isinstance(value, int):
+        return PadicNumber(p, m, value, 0)
+    return PadicNumber.from_fraction(value, p, m)
+
+
+def is_zero_coeff(value) -> bool:
+    """Zero test for a coefficient: a PadicNumber at its precision, any other
+    value exactly."""
+    if isinstance(value, PadicNumber):
+        return value.is_zero()
+    return value == 0
 
 
 def teichmuller(n: int, p: int, m: int) -> PadicNumber:
@@ -244,14 +254,14 @@ class PolynomialExact:
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
-        while len(coeffs) > 1 and _is_zero_coeff(coeffs[-1]):
+        while len(coeffs) > 1 and is_zero_coeff(coeffs[-1]):
             coeffs.pop()
         if not coeffs:
             coeffs = [Fraction(0)]
         self.coeffs = coeffs
 
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and _is_zero_coeff(self.coeffs[0]):
+        if len(self.coeffs) == 1 and is_zero_coeff(self.coeffs[0]):
             return -1
         return len(self.coeffs) - 1
 
@@ -284,12 +294,6 @@ class PolynomialExact:
         return "PolynomialExact(%r)" % (self.coeffs,)
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, PadicNumber):
-        return c.is_zero()
-    return c == 0
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
@@ -301,7 +305,7 @@ def hensel_unit_root(poly: PolynomialExact, p: int, m: int) -> PadicNumber:
         raise PrecisionExhausted("precision m must be >= 1")
     if poly.degree() != 2:
         raise PadicError("expected a degree-2 polynomial")
-    b, neg_a, lead = (_as_padic(c, p, m) for c in poly.coeffs)
+    b, neg_a, lead = (as_padic(c, p, m) for c in poly.coeffs)
     if not lead == PadicNumber.one(p, m):
         raise PadicError("expected a monic polynomial")
     a = -neg_a
@@ -309,28 +313,22 @@ def hensel_unit_root(poly: PolynomialExact, p: int, m: int) -> PadicNumber:
         raise NotOrdinary("v_p of the linear coefficient is positive")
     if not (b.is_zero() or b.val >= 1):
         raise NotOrdinary("v_p of the constant coefficient must be >= 1")
-    ai = a.residue
-    bi = b.residue
-    pm = p**m
-    # Newton iteration on f(x) = x^2 - a x + b from x = a mod p.
-    x = ai % p
+    # a mod p is a simple root: the derivative there is a, a unit
+    return PadicNumber(p, m, lift_root(a.residue, b.residue, a.residue, p, m))
+
+
+def lift_root(t: int, n: int, r: int, p: int, m: int) -> int:
+    """Hensel-lift a simple root r of x^2 - t x + n from mod p to mod p^m
+    by Newton iteration, doubling the precision at each step."""
+    x = r % p
     k = 1
     while k < m:
         k = min(2 * k, m)
         mod = p**k
-        fx = (x * x - ai * x + bi) % mod
-        dfx = (2 * x - ai) % mod
+        fx = (x * x - t * x + n) % mod
+        dfx = (2 * x - t) % mod
         x = (x - fx * pow(dfx, -1, mod)) % mod
-    alpha = PadicNumber(p, m, x % pm, 0)
-    return alpha
-
-
-def _as_padic(c, p, m) -> PadicNumber:
-    if isinstance(c, PadicNumber):
-        if (c.p, c.m) != (p, m):
-            raise PadicError("mixed p-adic contexts")
-        return c
-    return PadicNumber.from_fraction(Fraction(c), p, m)
+    return x
 
 
 # -- integer polynomial helpers (coefficient lists low-to-high, mod n) ------
@@ -401,22 +399,17 @@ def _ppowmod(f, e, h, n):
 
 def _xgcd_poly_modp(f, g, p):
     """Extended gcd over F_p[X]; returns (gcd, s, t) with s f + t g = gcd."""
-    r0, r1 = [c % p for c in f], [c % p for c in g]
+    r0, r1 = _ptrim([c % p for c in f]), _ptrim([c % p for c in g])
     s0, s1 = [1], [0]
     t0, t1 = [0], [1]
-    while _ptrim(r1[:]) != [0]:
-        q, r = _pdivmod_monic_field(r0, r1, p)
+    while r1 != [0]:
+        q, r = _pdivmod_monic(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
         t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
     lead = r0[-1]
     inv = pow(lead, -1, p)
     return ([c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0])
-
-
-def _pdivmod_monic_field(f, g, p):
-    g = _ptrim(g[:])
-    return _pdivmod_monic(f, g, p)
 
 
 def _hensel_step(f, g, h, s, t, mod_old, mod_new):
@@ -436,28 +429,24 @@ def _hensel_step(f, g, h, s, t, mod_old, mod_new):
 
 
 def _split_int_poly(f_int, p, m):
-    """Split a monic integer polynomial mod p^m as (unit, nonunit, s, t)
-    with s*unit + t*nonunit = 1 mod p^m.  unit collects the roots of
-    valuation 0 and nonunit the roots of positive valuation."""
+    """Split a monic integer polynomial mod p^m as (unit, nonunit, s, t),
+    both factors monic, with s*unit + t*nonunit = 1 mod p^m.  unit collects
+    the roots of valuation 0 and nonunit the roots of positive valuation."""
     pm = p**m
     f_int = [c % pm for c in f_int]
     fbar = [c % p for c in f_int]
-    # strip the X^s factor of the reduction
-    sdeg = 0
-    while sdeg < len(fbar) - 1 and fbar[sdeg] == 0:
-        sdeg += 1
     if all(c == 0 for c in fbar):
         raise PrecisionExhausted("polynomial is 0 mod p; polygon unresolved")
-    hbar = _ptrim(fbar[sdeg:])
-    rdeg = len(hbar) - 1  # number of unit roots
-    deg = len(f_int) - 1
-    if rdeg == 0:
+    # strip the X^s factor of the reduction
+    sdeg = 0
+    while fbar[sdeg] == 0:
+        sdeg += 1
+    g = _ptrim(fbar[sdeg:])
+    if len(g) == 1:  # no unit roots
         return [1], f_int, [1], [0]
-    if sdeg == 0:
+    if sdeg == 0:  # no non-unit roots
         return f_int, [1], [0], [1]
-    # initial factorization mod p: f = hbar * X^sdeg
-    g = [c % p for c in hbar]
-    # force monic mod p (monic input: leading coefficient is 1 + p*(...))
+    # f = g * X^sdeg mod p; Hensel lifting keeps both factors monic
     h = [0] * sdeg + [1]
     gcd, s, t = _xgcd_poly_modp(g, h, p)
     if gcd != [1]:
@@ -466,46 +455,25 @@ def _split_int_poly(f_int, p, m):
     while k < m:
         k = min(2 * k, m)
         g, h, s, t = _hensel_step(f_int, g, h, s, t, p ** (k // 2), p**k)
-    pm = p**m
-    g = [c % pm for c in g]
-    h = [c % pm for c in h]
-    # normalize g monic (h is monic by construction of the step)
-    linv = pow(g[-1], -1, pm)
-    g = [c * linv % pm for c in g]
-    # re-run one consistency pass: f == g*h mod p^m after normalization?
-    # (the step keeps g*h = f; rescaling g requires rescaling h^0 term --
-    #  instead fold the scalar into a fresh multiplication check)
-    prod = _pmul(g, h, pm)
-    if prod != _ptrim([c % pm for c in f_int]):
-        # scaling g broke the product; rescale h by lead(g) instead
-        g = [c * pow(linv, -1, pm) % pm for c in g]
-        lead = g[-1]
-        g = [c * pow(lead, -1, pm) % pm for c in g]
-        h = [c * lead % pm for c in h]
-        prod = _pmul(g, h, pm)
-        assert prod == _ptrim([c % pm for c in f_int])
+    if _pmul(g, h, pm) != f_int:
+        raise PadicError(
+            "unit/non-unit split of degree %d + %d does not multiply back to "
+            "the polynomial mod %d^%d" % (len(g) - 1, len(h) - 1, p, m)
+        )
     return g, h, s, t
 
 
-def newton_polygon_split(charpoly: PolynomialExact, p: int = None, m: int = None):
+def newton_polygon_split(charpoly: PolynomialExact, p: int, m: int):
     """Factor a monic integral p-adic polynomial as unit_part * nonunit_part
     mod p^m, where unit_part carries the valuation-0 roots."""
-    coeffs = charpoly.coeffs
-    if p is None:
-        for c in coeffs:
-            if isinstance(c, PadicNumber):
-                p, m = c.p, c.m
-                break
-        else:
-            raise PadicError("cannot infer (p, m); pass them explicitly")
     ints = []
-    for c in coeffs:
-        cp = _as_padic(c, p, m)
-        if not cp.is_zero() and cp.val < 0:
+    for c in charpoly.coeffs:
+        cp = as_padic(c, p, m)
+        if cp.val < 0:
             raise PadicError("charpoly must have integral coefficients")
         ints.append(cp.residue)
-    if ints[-1] % p == 0:
-        raise PadicError("charpoly must be monic (unit leading coefficient)")
+    if ints[-1] != 1:
+        raise PadicError("charpoly must be monic")
     g, h, _, _ = _split_int_poly(ints, p, m)
     mk = lambda lst: PolynomialExact([PadicNumber(p, m, c) for c in lst])
     return mk(g), mk(h)
@@ -572,33 +540,22 @@ def _poly_at_matrix(coeffs, M, n):
     return acc
 
 
-def bezout_projector(M, p: int = None, m: int = None):
+def bezout_projector(M, p: int, m: int):
     """The idempotent e = t(M) * v(M) where charpoly = u*v splits into unit
     and non-unit parts and s u + t v = 1 mod p^m.  Acts as the identity on
     the unit-root generalized eigenspace and as 0 on the rest; realizes the
     limit of the U^{n!} iterates in finite dimension."""
-    if p is None:
-        for row in M:
-            for x in row:
-                if isinstance(x, PadicNumber):
-                    p, m = x.p, x.m
-                    break
-            if p is not None:
-                break
-        else:
-            raise PadicError("cannot infer (p, m); pass them explicitly")
     pm = p**m
     A = []
     for row in M:
         r = []
         for x in row:
-            xp = _as_padic(x, p, m) if not isinstance(x, int) else PadicNumber.from_int(x, p, m)
-            if not xp.is_zero() and xp.val < 0:
+            xp = as_padic(x, p, m)
+            if xp.val < 0:
                 raise PadicError("matrix entries must be p-adically integral")
             r.append(xp.residue)
         A.append(r)
-    cp = [c % pm for c in _charpoly_int(A)]
-    u, v, s, t = _split_int_poly(cp, p, m)
+    u, v, s, t = _split_int_poly(_charpoly_int(A), p, m)
     if len(u) == 1:  # no unit roots
         E = [[0] * len(A) for _ in A]
     elif len(v) == 1:  # all roots are units
@@ -619,9 +576,7 @@ def ordinary_iterate_oracle(M, p: int, m: int):
     import math
 
     pm = p**m
-    A = []
-    for row in M:
-        A.append([_as_padic(x, p, m).residue if not isinstance(x, int) else x % pm for x in row])
+    A = [[as_padic(x, p, m).residue for x in row] for row in M]
     e = 1
     for f in range(1, len(A) + 1):
         e = math.lcm(e, p**f - 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import sympy
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
-from .padic import PadicNumber, teichmuller
+from .padic import PadicNumber, as_padic, is_zero_coeff, teichmuller
 from .realquad import (
     PrimeIdealData,
     QuadElement,
@@ -77,17 +77,7 @@ def ring_zero(ring):
 def ring_coerce(value, ring):
     if ring == RATIONAL:
         return Fraction(value)
-    if isinstance(value, PadicNumber):
-        if (value.p, value.m) != (ring[1], ring[2]):
-            raise QExpError("mixed p-adic contexts")
-        return value
-    return PadicNumber.from_fraction(Fraction(value), ring[1], ring[2])
-
-
-def _is_zero(value) -> bool:
-    if isinstance(value, PadicNumber):
-        return value.is_zero()
-    return value == 0
+    return as_padic(value, ring[1], ring[2])
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +159,10 @@ class EllipticQExp:
 
     def eq_at_precision(self, other) -> bool:
         b = min(self.bound, other.bound)
-        return all(_is_zero(self.coeffs[n] - other.coeffs[n]) for n in range(b + 1))
+        return all(is_zero_coeff(self.coeffs[n] - other.coeffs[n]) for n in range(b + 1))
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coeffs)
+        return all(is_zero_coeff(c) for c in self.coeffs)
 
     def __repr__(self):
         return "EllipticQExp(weight=%r, level=%r, bound=%d)" % (
@@ -436,12 +426,12 @@ class HilbertQExp:
         return self._derive([c * v for v in self.coeffs], c * self.a0)
 
     def eq_at_precision(self, other) -> bool:
-        if not _is_zero(self.a0 - other.a0):
+        if not is_zero_coeff(self.a0 - other.a0):
             return False
-        return all(_is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
+        return all(is_zero_coeff(a - b) for a, b in zip(self.coeffs, other.coeffs))
 
     def is_zero(self) -> bool:
-        return _is_zero(self.a0) and all(_is_zero(v) for v in self.coeffs)
+        return is_zero_coeff(self.a0) and all(is_zero_coeff(v) for v in self.coeffs)
 
     def __repr__(self):
         return "HilbertQExp(d=%d, weights=%r, trace_bound=%d)" % (
@@ -689,15 +679,15 @@ def theta_d_inverse(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> Hilbe
     prime i (every surviving coefficient sits at a unit residue)."""
     dom = _padic_context(g, prime_data, "theta operators act on")
     p, m = prime_data.p, prime_data.m
-    if not _is_zero(g.a0):
+    if not is_zero_coeff(g.a0):
         raise NotDepleted("nonzero constant term")
     res = dom.residues(prime_data, i, g.trace_bound)
-    if any(r % p == 0 and not _is_zero(v) for v, r in zip(g.coeffs, res)):
+    if any(r % p == 0 and not is_zero_coeff(v) for v, r in zip(g.coeffs, res)):
         raise NotDepleted("nonzero coefficient at a non-unit index")
     w = list(g.weights)
     w[i - 1] -= 2
     coeffs = [
-        v if _is_zero(v) else v / PadicNumber(p, m, r, 0) for v, r in zip(g.coeffs, res)
+        v if is_zero_coeff(v) else v / PadicNumber(p, m, r, 0) for v, r in zip(g.coeffs, res)
     ]
     return g._derive(coeffs, ring_zero(g.ring), weights=w)
 
@@ -714,7 +704,7 @@ def conjugate_ratio_partner(
     p, m = prime_data.p, prime_data.m
 
     def partner(v, r1, r2):
-        if _is_zero(v):
+        if is_zero_coeff(v):
             return v
         if r1 % p == 0:
             raise NotDepleted("nonzero coefficient at a non-unit first residue")

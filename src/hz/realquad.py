@@ -15,6 +15,8 @@ from math import isqrt
 
 import sympy
 
+from .padic import lift_root
+
 
 class RealQuadError(ArithmeticError):
     pass
@@ -49,12 +51,7 @@ class RealQuadraticField:
             self.discriminant = 4 * d
             self.omega_trace = 0
             self.omega_norm = -d
-        self.fundamental_unit = _fundamental_unit(self, height_bound)
-        u = self.fundamental_unit
-        if u.norm() == 1:
-            self.totally_positive_fundamental_unit = u if u.is_totally_positive() else -u
-        else:
-            self.totally_positive_fundamental_unit = u * u
+        self._set_fundamental_unit(_fundamental_unit(self, height_bound))
         eps = self.totally_positive_fundamental_unit
         assert eps.norm() == 1 and eps.is_totally_positive()
         # sqrt(D) in the (1, omega) basis: 2*omega - Tr(omega) = sqrt(disc(omega));
@@ -71,10 +68,6 @@ class RealQuadraticField:
         else:
             self.h_plus = None  # must be supplied for large discriminants
 
-    @property
-    def integral_basis(self):
-        return (self.one(), self.omega())
-
     def element(self, x, y=0) -> "QuadElement":
         return QuadElement(self, Fraction(x), Fraction(y))
 
@@ -84,10 +77,14 @@ class RealQuadraticField:
     def omega(self):
         return self.element(0, 1)
 
-    def sqrt_d(self) -> "QuadElement":
-        if self.d % 4 == 1:
-            return QuadElement(self, Fraction(-1), Fraction(2))
-        return QuadElement(self, Fraction(0), Fraction(1))
+    def _set_fundamental_unit(self, u: "QuadElement"):
+        """Install u as the fundamental unit, with the totally positive
+        fundamental unit it generates: +-u if N(u) = 1, else u^2."""
+        self.fundamental_unit = u
+        if u.norm() == 1:
+            self.totally_positive_fundamental_unit = u if u.is_totally_positive() else -u
+        else:
+            self.totally_positive_fundamental_unit = u * u
 
     def from_sqrt_basis(self, a, b) -> "QuadElement":
         """The element a + b*sqrt(d) for exact rationals a, b."""
@@ -224,11 +221,6 @@ class QuadElement:
     def __repr__(self):
         return "QuadElement(d=%d, %s + %s*w)" % (self.F.d, self.x, self.y)
 
-    def approx(self, embedding: int = 1) -> float:
-        a, b = self.sqrt_basis()
-        s = self.F.d**0.5
-        return float(a) + float(b) * (s if embedding == 1 else -s)
-
 
 # ---------------------------------------------------------------------------
 # fundamental unit by continued fractions
@@ -266,19 +258,6 @@ def _fundamental_unit(F: RealQuadraticField, height_bound: int) -> QuadElement:
 
 # ---------------------------------------------------------------------------
 # prime splitting
-
-
-def _lift_root(t: int, n: int, r: int, p: int, m: int) -> int:
-    """Hensel-lift a simple root r of x^2 - t x + n from mod p to mod p^m."""
-    x = r % p
-    k = 1
-    while k < m:
-        k = min(2 * k, m)
-        mod = p**k
-        fx = (x * x - t * x + n) % mod
-        dfx = (2 * x - t) % mod
-        x = (x - fx * pow(dfx, -1, mod)) % mod
-    return x
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -351,7 +330,7 @@ def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
             r0 = (t + _sqrt_mod(D, p)) * pow(2, -1, p) % p
     if not split:
         return PrimeIdealData(F, p, m, "inert")
-    r1 = _lift_root(t, n, r0, p, m)
+    r1 = lift_root(t, n, r0, p, m)
     r2 = (t - r1) % p**m
     if r1 > r2:
         r1, r2 = r2, r1
@@ -461,12 +440,6 @@ def narrow_class_number(D: int) -> int:
         for g, _ in _cycle_of(f, D):
             forms.discard(g)
     return cycles
-
-
-def principal_form(D: int):
-    sq = isqrt(D)
-    b = sq if (sq - D) % 2 == 0 else sq - 1
-    return (1, b, (b * b - D) // 4)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +594,5 @@ def field_from_json(record: dict) -> RealQuadraticField:
         u = F.element(Fraction(x), Fraction(y))
         if not u.is_integral_unit():
             raise RealQuadError("supplied unit override is not a unit")
-        F.fundamental_unit = u
-        if u.norm() == 1:
-            F.totally_positive_fundamental_unit = u if u.is_totally_positive() else -u
-        else:
-            F.totally_positive_fundamental_unit = u * u
+        F._set_fundamental_unit(u)
     return F

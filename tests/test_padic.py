@@ -11,8 +11,14 @@ from hz.padic import (
     PadicNumber,
     PolynomialExact,
     PrecisionExhausted,
+    _padd,
+    _pmul,
+    _split_int_poly,
+    as_padic,
     bezout_projector,
     hensel_unit_root,
+    is_zero_coeff,
+    lift_root,
     newton_polygon_split,
     ordinary_iterate_oracle,
     teichmuller,
@@ -160,6 +166,85 @@ class TestHenselUnitRoot:
             hensel_unit_root(poly, 3, 0)
 
 
+class TestCoercion:
+    def test_values_enter_the_context(self):
+        p, m = 5, 6
+        x = P(7)
+        assert as_padic(x, p, m) is x
+        assert as_padic(7, p, m) == x
+        assert as_padic(Fraction(7, 25), p, m) * 25 == x
+
+    def test_mixed_context_is_a_padic_error(self):
+        from hz.qexp import padic_ring, ring_coerce
+
+        with pytest.raises(PadicError, match="mixed p-adic contexts"):
+            as_padic(P(1, 5, 6), 5, 5)
+        with pytest.raises(PadicError, match="mixed p-adic contexts"):
+            ring_coerce(P(1, 5, 6), padic_ring(7, 6))
+
+    def test_zero_test(self):
+        assert is_zero_coeff(P(5**6)) and not is_zero_coeff(P(5**5))
+        assert is_zero_coeff(Fraction(0)) and not is_zero_coeff(Fraction(1, 5))
+
+
+class TestLiftRoot:
+    def test_random_simple_roots(self):
+        rng = random.Random(1105)
+        for p in (2, 3, 5, 7, 11):
+            for m in range(1, 9):
+                for _ in range(25):
+                    r = rng.randrange(-(10**6), 10**6)
+                    t = rng.randrange(-(10**6), 10**6)
+                    if (2 * r - t) % p == 0:
+                        t += 1  # 2r - t was 0 mod p, so now it is not
+                    n = t * r - r * r + p * rng.randrange(-(10**6), 10**6)
+                    x = lift_root(t, n, r, p, m)
+                    assert 0 <= x < p**m
+                    assert (x * x - t * x + n) % p**m == 0
+                    assert x % p == r % p
+
+
+class TestSplitIntPoly:
+    @staticmethod
+    def _random_mixed(rng, p, m, deg, sdeg):
+        """A monic integer polynomial of degree deg whose reduction mod p is
+        X^sdeg times a polynomial with nonzero constant term, so it has
+        exactly sdeg roots of positive valuation."""
+        pm = p**m
+        f = [p * rng.randrange(pm) for _ in range(sdeg)]
+        f.append(rng.randrange(1, p) + p * rng.randrange(pm))
+        f += [rng.randrange(pm) for _ in range(deg - sdeg - 1)]
+        return f[:deg] + [1]
+
+    def test_random_mixed_slopes(self):
+        rng = random.Random(2718)
+        for p in (2, 3, 5, 7):
+            for m in range(1, 9):
+                pm = p**m
+                for _ in range(8):
+                    deg = rng.randrange(1, 8)
+                    sdeg = rng.randrange(deg + 1)
+                    f = self._random_mixed(rng, p, m, deg, sdeg)
+                    g, h, s, t = _split_int_poly(f, p, m)
+                    assert g[-1] == 1 and h[-1] == 1
+                    assert (len(g) - 1, len(h) - 1) == (deg - sdeg, sdeg)
+                    assert _pmul(g, h, pm) == [c % pm for c in f]
+                    assert _padd(_pmul(s, g, pm), _pmul(t, h, pm), pm) == [1]
+                    # g has the unit roots, h reduces to X^sdeg
+                    assert g[0] % p != 0
+                    assert all(c % p == 0 for c in h[:-1])
+
+    def test_broken_lift_is_caught(self, monkeypatch):
+        import hz.padic
+
+        monkeypatch.setattr(hz.padic, "_hensel_step",
+                            lambda f, g, h, s, t, old, new: (g, h, s, t))
+        p, m = 5, 4
+        f = [5, 1 + 5, 1]  # X^2 + 6X + 5 = (X + 1)(X + 5)
+        with pytest.raises(PadicError, match=r"split of degree 1 \+ 1"):
+            _split_int_poly(f, p, m)
+
+
 def _poly_from_roots(roots, p, m):
     coeffs = [Fraction(1)]
     for r in roots:
@@ -185,6 +270,12 @@ class TestNewtonPolygonSplit:
         u, v = newton_polygon_split(f, p, m)
         assert u.degree() == 0
         assert v.degree() == 2
+
+    def test_rejects_non_monic(self):
+        p, m = 5, 6
+        f = PolynomialExact([PadicNumber.from_int(c, p, m) for c in (5, 1, 2)])
+        with pytest.raises(PadicError, match="monic"):
+            newton_polygon_split(f, p, m)
 
     def test_random_cubics_against_root_valuations(self):
         rng = random.Random(7)

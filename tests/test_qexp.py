@@ -418,7 +418,9 @@ class TestHilbertOperators:
         # the exact output bound of U against int(T / max embedding of pi),
         # evaluated here in floating point
         for pi in GEN11:
-            hi = max(pi.approx(1), pi.approx(2))
+            a, b = pi.sqrt_basis()
+            s = pi.F.d ** 0.5
+            hi = max(float(a) + float(b) * s, float(a) + float(b) * -s)
             for T in range(5, 61):
                 g = HilbertQExp.zero(F5, (2, 0), T, R11)
                 if int(T / hi) < 1:

@@ -20,6 +20,12 @@ from hz.realquad import (
 )
 
 
+def first_embedding(z):
+    """Floating-point value of z under the embedding sqrt(d) > 0."""
+    a, b = z.sqrt_basis()
+    return float(a) + float(b) * z.F.d**0.5
+
+
 def brute_force_fundamental_unit(F, coord_bound=250):
     """Oracle: smallest unit > 1 by scanning coordinates of bounded height."""
     t, n = F.omega_trace, F.omega_norm
@@ -72,15 +78,15 @@ class TestMakeField:
         assert eps.norm() == 1 and eps.is_totally_positive()
         # minimality of eps: no totally positive unit strictly between 1 and
         # it (scan only when the window is small enough to search exactly)
-        if eps.approx(1) < 60:
-            bound = int(eps.approx(1)) + 2
+        if first_embedding(eps) < 60:
+            bound = int(first_embedding(eps)) + 2
             for y in range(-4 * bound, 4 * bound + 1):
                 for x in range(-4 * bound, 4 * bound + 1):
                     z = F.element(x, y)
                     if (
                         z.is_integral_unit()
                         and z.is_totally_positive()
-                        and 1 + 1e-9 < z.approx(1) < eps.approx(1) - 1e-9
+                        and 1 + 1e-9 < first_embedding(z) < first_embedding(eps) - 1e-9
                     ):
                         raise AssertionError("smaller totally positive unit %r" % z)
 
