@@ -24,12 +24,12 @@ from sympy.abc import x as _x
 
 from .padic import (
     PadicNumber,
+    _gcd_poly_modp,
     _padd,
     _pdivmod_monic,
     _pmulmod,
     _ppowmod,
     _psub,
-    _xgcd_poly_modp,
     teichmuller,
 )
 
@@ -476,7 +476,7 @@ def frobenius_class_quintic(coeffs, p):
     f = [c % p for c in reversed(coeffs)]  # low-to-high, as in hz.padic
     x = [0, 1]
     frob = _ppowmod(x, p, f, p)
-    linear = _xgcd_poly_modp(f, _psub(frob, x, p), p)[0]
+    linear = _gcd_poly_modp(f, _psub(frob, x, p), p)
     rest = _pdivmod_monic(f, linear, p)[0]
     degrees = [1] * (len(linear) - 1)
     if len(rest) > 1:
@@ -485,7 +485,7 @@ def frobenius_class_quintic(coeffs, p):
         frob2 = [frob[-1]]
         for c in reversed(frob[:-1]):
             frob2 = _padd(_pmulmod(frob2, frob, rest, p), [c], p)
-        quadratic = _xgcd_poly_modp(rest, _psub(frob2, x, p), p)[0]
+        quadratic = _gcd_poly_modp(rest, _psub(frob2, x, p), p)
         rest = _pdivmod_monic(rest, quadratic, p)[0]
         degrees += [2] * ((len(quadratic) - 1) // 2)
         if len(rest) > 1:

@@ -40,7 +40,7 @@ from .qexp import (
     u_operator,
     v_operator,
 )
-from .realquad import PrimeIdealData
+from .realquad import PrimeIdealData, factorize
 
 
 class HeckeError(ArithmeticError):
@@ -178,19 +178,17 @@ def expansion_from_eigensystem(
     """Normalized expansion (a_1 = 1) generated from prime eigenvalues by
     the standard recursion a_{l^{r+1}} = a_l a_{l^r} - chi(l) l^{k-1}
     a_{l^{r-1}} and multiplicativity."""
-    import sympy
-
     coeffs = [ring_zero(ring), ring_coerce(1, ring)]
     vals = {1: Fraction(1)}
     for n in range(2, bound + 1):
-        fac = sympy.factorint(n)
+        fac = factorize(n)
         if len(fac) > 1:
             v = Fraction(1)
-            for q, e in fac.items():
+            for q, e in fac:
                 v *= vals[q**e]
             vals[n] = v
         else:
-            (q, e), = fac.items()
+            (q, e), = fac
             if e == 1:
                 vals[n] = Fraction(system.a(q))
             else:

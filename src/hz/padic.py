@@ -397,6 +397,15 @@ def _ppowmod(f, e, h, n):
     return out
 
 
+def _gcd_poly_modp(f, g, p):
+    """Monic gcd over F_p[X], by Euclid without cofactors."""
+    r0, r1 = _ptrim([c % p for c in f]), _ptrim([c % p for c in g])
+    while r1 != [0]:
+        r0, r1 = r1, _pdivmod_monic(r0, r1, p)[1]
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0]
+
+
 def _xgcd_poly_modp(f, g, p):
     """Extended gcd over F_p[X]; returns (gcd, s, t) with s f + t g = gcd."""
     r0, r1 = _ptrim([c % p for c in f]), _ptrim([c % p for c in g])

@@ -20,17 +20,31 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import sympy
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
-from .padic import PadicNumber, as_padic, is_zero_coeff, teichmuller
+from .padic import PadicNumber, as_padic, int_valuation, is_zero_coeff, teichmuller
 from .realquad import (
     PrimeIdealData,
     QuadElement,
     RealQuadraticField,
+    factorize,
+    make_field,
     split_prime,
+    splitting_type,
     totally_positive_by_trace,
 )
+
+# public API; split_prime is re-exported for the PrimeIdealData the operators take
+__all__ = [
+    "QExpError", "BoundTooSmall", "ExactRingUnsupported", "CharacterDomainMismatch", "NotDepleted",
+    "ClassNumberUnsupported", "NotNarrowlyPrincipal", "RATIONAL", "padic_ring", "ring_zero",
+    "ring_coerce", "EllipticQExp", "u_operator", "v_operator", "deplete", "elliptic_twist",
+    "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
+    "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
+    "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "hilbert_u",
+    "hilbert_v", "twist_star", "trivial_character", "theta_d", "theta_d_inverse",
+    "conjugate_ratio_partner", "to_json", "from_json", "PrimeIdealData", "split_prime",
+]
 
 
 class QExpError(ArithmeticError):
@@ -296,7 +310,7 @@ class HilbertDomain:
         """Number of elements with trace <= T, enumerating them if needed."""
         while len(self.offsets) < T + 2:
             t = len(self.offsets) - 1
-            for xi in totally_positive_by_trace(self.F, t, "inverse_different"):
+            for xi in totally_positive_by_trace(self.F, t):
                 self.index[_int_key(xi)] = len(self.elements)
                 self.elements.append(xi)
             self.offsets.append(len(self.elements))
@@ -468,27 +482,44 @@ def ideal_divisor_sigma(F: RealQuadraticField, z: QuadElement, power: int) -> in
     ideal (z), for integral nonzero z."""
     if not z.is_integral() or z.is_zero():
         raise QExpError("ideal divisor sum needs a nonzero integral element")
-    nz = int(abs(z.norm()))
+    return _divisor_sigma(F, int(z.x), int(z.y), power)
+
+
+def _divisor_sigma(F: RealQuadraticField, x: int, y: int, power: int) -> int:
+    """ideal_divisor_sigma of z = x + y*omega, from |N(z)| and gcd(x, y).
+    At a split q = p1 p2 dividing N(z) exactly e times, q^c | z exactly
+    for c = v_q(gcd(x, y)), so the exponents of p1 and p2 in (z) are c and
+    e - c in some order, and the local factor is symmetric in them."""
+    norm = abs(x * x + F.omega_trace * x * y + F.omega_norm * y * y)
+    g = math.gcd(x, y)
     total = 1
-    for q, e in sympy.factorint(nz).items():
-        data = split_prime(F, q, e + 1)
-        if data.splitting_type == "inert":
-            assert e % 2 == 0
-            total *= _geom_sum(q ** (2 * power), e // 2)
-        elif data.splitting_type == "ramified":
-            total *= _geom_sum(q**power, e)
+    for q, e in factorize(norm):
+        kind, qk = splitting_type(F, q), q**power
+        if kind == "ramified":
+            total *= _geom_sum(qk, e)
+        elif kind == "inert":
+            if e % 2:
+                raise QExpError("the inert prime %d divides the norm to an odd power" % q)
+            total *= _geom_sum(qk * qk, e // 2)
         else:
-            r1 = data.residue(z, 1)
-            v1 = 0
-            while v1 < e and r1 % q ** (v1 + 1) == 0:
-                v1 += 1
-            v2 = e - v1
-            total *= _geom_sum(q**power, v1) * _geom_sum(q**power, v2)
+            c = int_valuation(g, q)
+            total *= _geom_sum(qk, c) * _geom_sum(qk, e - c)
     return total
 
 
+def _times_sqrt_d(F: RealQuadraticField, xi: QuadElement):
+    """(x, y) with xi*sqrt(D) = x + y*omega, from D*xi = X + Y*omega in
+    integers: y = Tr(xi) = (2X + Tr(omega) Y) / D and Y = 2x + Tr(omega) y."""
+    D, tw = F.discriminant, F.omega_trace
+    X = xi.x.numerator * (D // xi.x.denominator)
+    Y = xi.y.numerator * (D // xi.y.denominator)
+    y = (2 * X + tw * Y) // D
+    return (Y - tw * y) // 2, y
+
+
 def _geom_sum(x: int, k: int) -> int:
-    return sum(x**j for j in range(k + 1))
+    """1 + x + ... + x^k for an integer x > 1."""
+    return (x ** (k + 1) - 1) // (x - 1)
 
 
 def eisenstein_hilbert(F: RealQuadraticField, k: int, T: int) -> HilbertQExp:
@@ -502,12 +533,11 @@ def eisenstein_hilbert(F: RealQuadraticField, k: int, T: int) -> HilbertQExp:
         raise ClassNumberUnsupported(
             "narrow class number unknown; supply it in the field record"
         )
-    sqrtD = F.different_generator
     dom = _domain(F)
     # the trace-1 coefficients calibrate a0, so they are computed even when
-    # the trace bound is zero
+    # the trace bound is zero; (xi) * different is the ideal of xi*sqrt(D)
     sigmas = [
-        Fraction(ideal_divisor_sigma(F, xi * sqrtD, k - 1))
+        Fraction(_divisor_sigma(F, *_times_sqrt_d(F, xi), k - 1))
         for xi in dom.elements[: dom.size(max(T, 1))]
     ]
     a0 = sum(sigmas[: dom.offsets[2]], Fraction(0)) / _EISENSTEIN_LEADING[2 * k]
@@ -792,8 +822,6 @@ def from_json(obj: dict, field: RealQuadraticField = None):
         )
     if obj["type"] == "hilbert":
         if field is None:
-            from .realquad import make_field
-
             field = make_field(obj["d"], h_plus=obj.get("h_plus"))
         dom = _domain(field)
         n = dom.size(obj["trace_bound"])

@@ -15,7 +15,7 @@ from math import isqrt
 
 import sympy
 
-from .padic import lift_root
+from .padic import int_valuation, lift_root
 
 
 class RealQuadError(ArithmeticError):
@@ -54,13 +54,9 @@ class RealQuadraticField:
         self._set_fundamental_unit(_fundamental_unit(self, height_bound))
         eps = self.totally_positive_fundamental_unit
         assert eps.norm() == 1 and eps.is_totally_positive()
-        # sqrt(D) in the (1, omega) basis: 2*omega - Tr(omega) = sqrt(disc(omega));
-        # for d = 2,3 mod 4 that is 2*sqrt(d) = sqrt(D) directly, for d = 1 mod 4
-        # it is sqrt(d) = sqrt(D).
-        if d % 4 == 1:
-            self.different_generator = QuadElement(self, Fraction(-1), Fraction(2))
-        else:
-            self.different_generator = QuadElement(self, Fraction(0), Fraction(2))
+        # sqrt(D) = 2*omega - Tr(omega): 2*sqrt(d) for d = 2,3 mod 4, sqrt(d)
+        # for d = 1 mod 4
+        self.different_generator = QuadElement(self, Fraction(-self.omega_trace), Fraction(2))
         if h_plus is not None:
             self.h_plus = int(h_plus)
         elif self.discriminant <= 400:
@@ -110,8 +106,8 @@ class QuadElement:
 
     def __init__(self, F: RealQuadraticField, x: Fraction, y: Fraction):
         self.F = F
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        self.x = x if type(x) is Fraction else Fraction(x)
+        self.y = y if type(y) is Fraction else Fraction(y)
 
     # value = a + b*sqrt(d)
     def sqrt_basis(self):
@@ -312,29 +308,50 @@ class PrimeIdealData:
         return (frac_mod(z.x) + frac_mod(z.y) * r) % pm
 
 
-def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
+def splitting_type(F: RealQuadraticField, p: int) -> str:
+    """How the rational prime p factors in F: "split", "inert" or
+    "ramified"."""
     D = F.discriminant
-    t, n = F.omega_trace, F.omega_norm
     if D % p == 0:
-        return PrimeIdealData(F, p, m, "ramified")
+        return "ramified"
     if p == 2:
         # d = 1 mod 4 here (else 2 | D): split iff x^2 - x + n has a root
         # mod 2, i.e. n even, i.e. d = 1 mod 8.
-        split = n % 2 == 0
-        r0 = 0
+        split = F.omega_norm % 2 == 0
     else:
-        # Euler's criterion; either square root will do, since the two
-        # lifted roots are sorted below
-        split = pow(D, (p - 1) // 2, p) == 1
-        if split:
-            r0 = (t + _sqrt_mod(D, p)) * pow(2, -1, p) % p
-    if not split:
-        return PrimeIdealData(F, p, m, "inert")
+        split = pow(D, (p - 1) // 2, p) == 1  # Euler's criterion
+    return "split" if split else "inert"
+
+
+def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
+    kind = splitting_type(F, p)
+    if kind != "split":
+        return PrimeIdealData(F, p, m, kind)
+    t, n = F.omega_trace, F.omega_norm
+    # a root of x^2 - t x + n mod p; either one will do, since the two
+    # lifted roots are sorted below
+    r0 = 0 if p == 2 else (t + _sqrt_mod(F.discriminant, p)) * pow(2, -1, p) % p
     r1 = lift_root(t, n, r0, p, m)
     r2 = (t - r1) % p**m
     if r1 > r2:
         r1, r2 = r2, r1
     return PrimeIdealData(F, p, m, "split", (r1, r2))
+
+
+def factorize(n: int):
+    """The prime factorization of n > 0 as (q, e) pairs with q increasing,
+    by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = int_valuation(n, q)
+            out.append((q, e))
+            n //= q**e
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,61 +520,22 @@ def narrowly_principal_split(F: RealQuadraticField, p: int, height_bound: int = 
 # totally positive elements by trace
 
 
-def totally_positive_by_trace(F: RealQuadraticField, t: int, lattice: str):
-    """All totally positive elements of the chosen lattice with trace t,
-    sorted by (x, y) coordinates.  lattice is "O_L" or "inverse_different"."""
+def totally_positive_by_trace(F: RealQuadraticField, t: int):
+    """All totally positive elements of the inverse different with trace t,
+    sorted by (x, y) coordinates: xi = z/sqrt(D) for z = x + t*omega, and
+    with s = 2x + t*Tr(omega), 2z = s + t*sqrt(D), so xi >> 0 (z > 0 > z')
+    iff s^2 < t^2 D.  D*xi = z*sqrt(D) = -(Tr(omega) x + 2 N(omega) t) + s*omega."""
     if t < 1:
         return []
-    d = F.d
-    out = []
-    if lattice == "O_L":
-        # z = x + y*omega, trace 2x + y*Tr(omega) = t
-        tw = F.omega_trace
-        # sqrt-basis: a = t/2 fixed; enumerate y with b^2 d < a^2
-        if d % 4 == 1:
-            ybound = _floor_sqrt_frac(Fraction(t * t, d))  # |y| <= floor(t/sqrt d)
-        else:
-            ybound = _floor_sqrt_frac(Fraction(t * t, 4 * d))
-        for y in range(-ybound, ybound + 1):
-            if (t - y * tw) % 2:
-                continue
-            x = (t - y * tw) // 2
-            z = F.element(x, y)
-            if z.is_totally_positive():
-                out.append(z)
-    elif lattice == "inverse_different":
-        # xi = (x + y*omega)/sqrt(D); trace(xi) = y, totally positive iff
-        # the sqrt-coefficient of the numerator is positive and dominates.
-        sqrtD = F.different_generator
-        y = t
-        if d % 4 == 1:
-            # numerator a = x + y/2, b = y/2: need (2x+y)^2 < y^2 d
-            lim = _floor_sqrt_frac(Fraction(y * y * d))
-            for two_x_plus_y in range(-lim, lim + 1):
-                if (two_x_plus_y - y) % 2:
-                    continue
-                x = (two_x_plus_y - y) // 2
-                xi = F.element(x, y) / sqrtD
-                if xi.is_totally_positive():
-                    out.append(xi)
-        else:
-            lim = _floor_sqrt_frac(Fraction(y * y * d))
-            for x in range(-lim, lim + 1):
-                xi = F.element(x, y) / sqrtD
-                if xi.is_totally_positive():
-                    out.append(xi)
-    else:
-        raise ValueError("unknown lattice tag %r" % lattice)
-    out.sort(key=lambda z: (z.x, z.y))
-    return out
-
-
-def _floor_sqrt_frac(q: Fraction) -> int:
-    """floor(sqrt(q)) for a non-negative rational."""
-    if q < 0:
-        return 0
-    # floor(sqrt(n/d)) = isqrt(n*d)//d
-    return isqrt(q.numerator * q.denominator) // q.denominator
+    D, tw, n = F.discriminant, F.omega_trace, F.omega_norm
+    lim = isqrt(t * t * D)
+    numerators = []
+    for s in range(-lim, lim + 1):
+        if (s - t * tw) % 2 == 0 and s * s < t * t * D:
+            x = (s - t * tw) // 2
+            numerators.append((-tw * x - 2 * n * t, s))
+    numerators.sort()
+    return [QuadElement(F, Fraction(a, D), Fraction(b, D)) for a, b in numerators]
 
 
 # ---------------------------------------------------------------------------

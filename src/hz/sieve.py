@@ -28,6 +28,7 @@ from .asai import (
 from .realquad import (
     NotSplit,
     RealQuadraticField,
+    factorize,
     make_field,
     narrowly_principal_split,
     split_prime,
@@ -163,21 +164,6 @@ def _ec_mul(n, P, a, p):
     return R
 
 
-def _prime_factors(n):
-    """The distinct prime factors of n > 0, by trial division."""
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _order_multiple(P, a, p, w):
     """A positive multiple of the order of P, on a curve whose group order
     lies in [p+1-w, p+1+w]: baby steps jP (j <= s) against giant steps
@@ -208,7 +194,7 @@ def _order_multiple(P, a, p, w):
 
 def _point_order(P, a, p, w):
     order = multiple = _order_multiple(P, a, p, w)
-    for q in _prime_factors(multiple):
+    for q, _ in factorize(multiple):
         while order % q == 0 and _ec_mul(order // q, P, a, p) is None:
             order //= q
     return order

@@ -11,9 +11,11 @@ from hz.padic import (
     PadicNumber,
     PolynomialExact,
     PrecisionExhausted,
+    _gcd_poly_modp,
     _padd,
     _pmul,
     _split_int_poly,
+    _xgcd_poly_modp,
     as_padic,
     bezout_projector,
     hensel_unit_root,
@@ -202,6 +204,20 @@ class TestLiftRoot:
                     assert 0 <= x < p**m
                     assert (x * x - t * x + n) % p**m == 0
                     assert x % p == r % p
+
+
+class TestGcdPolyModp:
+    def test_matches_extended_gcd(self):
+        rng = random.Random(1729)
+        for p in (2, 3, 5, 7, 853):
+            for _ in range(60):
+                # a shared factor makes nontrivial gcds common
+                common = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+                f = _pmul(common, [rng.randrange(p) for _ in range(rng.randrange(1, 6))], p)
+                g = _pmul(common, [rng.randrange(p) for _ in range(rng.randrange(1, 6))], p)
+                if f == [0] and g == [0]:
+                    continue
+                assert _gcd_poly_modp(f, g, p) == _xgcd_poly_modp(f, g, p)[0]
 
 
 class TestSplitIntPoly:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+
+import hz.realquad
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
 from hz import qexp
@@ -326,6 +328,56 @@ class TestIdealDivisorSigma:
         with pytest.raises(QExpError):
             ideal_divisor_sigma(F5, F5.omega() / F5.from_sqrt_basis(2, 0), 1)
 
+    def test_odd_inert_exponent_is_a_typed_error(self, monkeypatch):
+        # 11 splits in Q(sqrt5); declared inert, its exponent 1 in N(4 + sqrt5)
+        # is impossible
+        monkeypatch.setattr(qexp, "splitting_type", lambda F, q: "inert")
+        with pytest.raises(QExpError, match="inert prime 11 "):
+            ideal_divisor_sigma(F5, F5.from_sqrt_basis(4, 1), 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 2869])
+    def test_matches_prime_lifting_oracle(self, d):
+        F = make_field(d)
+        sqrtD = F.different_generator
+        for xi in hilbert_domain(F, 25):
+            z = xi * sqrtD
+            for power in (1, 3):
+                assert ideal_divisor_sigma(F, z, power) == sigma_by_lifting(F, z, power)
+
+    def test_cold_eisenstein_build_is_sympy_free(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called while building an Eisenstein series")
+
+        fields = [(make_field(d), k) for d, k in ((5, 2), (13, 4))]
+        monkeypatch.setattr(sympy, "factorint", refuse)
+        for module in (hz.realquad, qexp):
+            monkeypatch.setattr(module, "split_prime", refuse)
+        with fresh_domains():
+            for F, k in fields:
+                eisenstein_hilbert(F, k, 20)
+
+
+def sigma_by_lifting(F, z, power):
+    """Oracle for ideal_divisor_sigma: factor N(z) with sympy, split each
+    prime q to precision e + 1 and read the exponent of the first prime
+    above a split q off the residue of z at root 1."""
+    total = 1
+    for q, e in sympy.factorint(int(abs(z.norm()))).items():
+        data = split_prime(F, q, e + 1)
+        if data.splitting_type == "inert":
+            assert e % 2 == 0
+            total *= sum(q ** (2 * power * j) for j in range(e // 2 + 1))
+        elif data.splitting_type == "ramified":
+            total *= sum(q ** (power * j) for j in range(e + 1))
+        else:
+            r1 = data.residue(z, 1)
+            v1 = 0
+            while v1 < e and r1 % q ** (v1 + 1) == 0:
+                v1 += 1
+            total *= sum(q ** (power * j) for j in range(v1 + 1))
+            total *= sum(q ** (power * j) for j in range(e - v1 + 1))
+    return total
+
 
 class TestDiagonalRestrict:
     def test_zero(self):
@@ -636,7 +688,7 @@ class TestGrowingDomain:
             direct = [
                 xi
                 for t in range(1, T + 1)
-                for xi in totally_positive_by_trace(F5, t, "inverse_different")
+                for xi in totally_positive_by_trace(F5, t)
             ]
             assert list(doms[T]) == direct
             for T2 in bounds:
