@@ -16,7 +16,6 @@ from typing import Optional
 
 from .padic import (
     NotOrdinary,
-    PadicError,
     PadicNumber,
     PolynomialExact,
     as_padic,
@@ -65,6 +64,11 @@ class NotDerivative(HeckeError):
 
 class WildCharacterUnsupported(HeckeError):
     pass
+
+
+class SingularBlock(HeckeError):
+    """The leading coefficient block of a basis is not invertible at the
+    working precision."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +209,10 @@ def expansion_from_eigensystem(
 # p-adic linear algebra helpers
 
 
-def _solve_linear(A, b):
+def _solve_linear(A, b, stage: str):
     """Solve A x = b over the p-adic coefficients by elimination with unit
-    pivots; raises PadicError when the leading block is not invertible at
-    precision."""
+    pivots; raises SingularBlock, naming the calling stage, when the
+    leading block is not invertible at precision."""
     n = len(A)
     M = [row[:] + [bi] for row, bi in zip(A, b)]
     for col in range(n):
@@ -219,7 +223,7 @@ def _solve_linear(A, b):
                 pivot = r
                 break
         if pivot is None:
-            raise PadicError("leading block not invertible at precision")
+            raise SingularBlock("%s: leading block not invertible at precision" % stage)
         M[col], M[pivot] = M[pivot], M[col]
         inv = M[col][col].inverse()
         M[col] = [x * inv for x in M[col]]
@@ -268,7 +272,8 @@ class HeckeSpace:
             for n in range(1, self.dimension + 1)
         ]
         # certify invertibility of the leading block
-        _solve_linear(self._block, [ring_zero(ring)] * self.dimension)
+        zero = [ring_zero(ring)] * self.dimension
+        _solve_linear(self._block, zero, "HeckeSpace certification")
         self._matrices = {}
 
     def coordinates(self, phi: EllipticQExp):
@@ -279,7 +284,8 @@ class HeckeSpace:
             raise HeckeError("mixed coefficient rings")
         if phi.bound < 2 * d:
             raise HeckeError("expansion bound below the certification window")
-        x = _solve_linear(self._block, [phi[n] for n in range(1, d + 1)])
+        b = [phi[n] for n in range(1, d + 1)]
+        x = _solve_linear(self._block, b, "coordinates")
         for n in range(d + 1, 2 * d + 1):
             recon = sum(
                 (x[j] * self.basis[j][n] for j in range(d)),

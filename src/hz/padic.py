@@ -5,6 +5,11 @@ Precision model: a computation fixes (p, m) once and works modulo p^m.
 Anything that would need more precision raises PrecisionExhausted instead
 of silently degrading.  Values of negative valuation are stored as a unit
 residue together with an explicit integer valuation.
+
+The precision rules live in one set of integer functions on (unit, val)
+pairs, `pair_normalize` and the `pair_*` operations built on it.
+`PadicNumber` and the coefficient vectors of `hz.qexp` both call them, so
+the two agree digit for digit.
 """
 
 from __future__ import annotations
@@ -39,28 +44,100 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+# -- (unit, val) pairs -------------------------------------------------------
+# A value at precision m in the context (p, m), with pm = p^m, is the pair
+# (unit, val) for unit * p^val in normal form: unit reduced mod p^m with p
+# stripped, and (0, 0) when the unit is 0 or val >= m.  The functions take
+# and return normal-form pairs.
+
+
+def pair_normalize(p: int, m: int, pm: int, unit: int, val: int):
+    """The normal form of unit * p^val."""
+    unit %= pm
+    if not unit:
+        return (0, 0)
+    while not unit % p:
+        unit //= p
+        val += 1
+    return (0, 0) if val >= m else (unit, val)
+
+
+def pair_add(p: int, m: int, pm: int, a, b):
+    (ua, va), (ub, vb) = a, b
+    if not ua:
+        return b
+    if not ub:
+        return a
+    if va <= vb:
+        return pair_normalize(p, m, pm, ua + ub * p ** (vb - va), va)
+    return pair_normalize(p, m, pm, ua * p ** (va - vb) + ub, vb)
+
+
+def pair_neg(p: int, m: int, pm: int, a):
+    return pair_normalize(p, m, pm, -a[0], a[1])
+
+
+def pair_mul(p: int, m: int, pm: int, a, b):
+    if not (a[0] and b[0]):
+        return (0, 0)
+    return pair_normalize(p, m, pm, a[0] * b[0], a[1] + b[1])
+
+
+def pair_mul_residue(p: int, m: int, pm: int, a, r: int):
+    """a times the integer r, r taken in normal form first: reduced mod
+    p^m with p stripped into the valuation."""
+    r %= pm
+    if not (a[0] and r):
+        return (0, 0)
+    val = a[1]
+    while not r % p:
+        r //= p
+        val += 1
+    return pair_normalize(p, m, pm, a[0] * r, val)
+
+
+def pair_div_unit(p: int, m: int, pm: int, a, r: int):
+    """a divided by the integer r, a unit mod p whenever a is nonzero."""
+    if not a[0]:
+        return (0, 0)
+    return pair_normalize(p, m, pm, a[0] * pow(r, -1, pm), a[1])
+
+
+def as_pair(value, p: int, m: int):
+    """value in the context (p, m) as a normal-form pair: a PadicNumber of
+    that context as it is, an int or a rational by reduction; raises
+    PadicError on a PadicNumber of another context."""
+    if isinstance(value, PadicNumber):
+        if value.p != p or value.m != m:
+            raise PadicError("mixed p-adic contexts")
+        return value.unit, value.val
+    if m < 1:
+        raise PrecisionExhausted("precision m must be >= 1")
+    pm = p**m
+    if isinstance(value, int):
+        return pair_normalize(p, m, pm, value, 0)
+    q = Fraction(value)
+    den = q.denominator
+    vd = int_valuation(den, p) if den % p == 0 else 0
+    return pair_normalize(p, m, pm, q.numerator * pow(den // p**vd, -1, pm), -vd)
+
+
 class PadicNumber:
     """An element of Q_p known to m significant p-adic digits.
 
-    value = unit * p^val with p not dividing unit; unit is reduced mod p^m.
-    Zero is unit == 0 (a number whose valuation reaches m collapses to it).
+    value = unit * p^val with (unit, val) a normal-form pair.  Unhashable:
+    equality mod p^m with ints is not transitive (1 == 50 at 7^2), so no
+    hash can agree with it.
     """
 
     __slots__ = ("p", "m", "unit", "val")
+    __hash__ = None
 
     def __init__(self, p: int, m: int, unit: int, val: int = 0):
         if m < 1:
             raise PrecisionExhausted("precision m must be >= 1")
-        pm = p**m
-        unit %= pm
-        if unit:
-            v = int_valuation(unit, p)
-            if v:
-                unit //= p**v
-                val += v
-        if unit == 0 or val >= m:
-            unit, val = 0, 0
-        self.p, self.m, self.unit, self.val = p, m, unit, val
+        self.p, self.m = p, m
+        self.unit, self.val = pair_normalize(p, m, p**m, unit, val)
 
     # -- constructors ------------------------------------------------------
 
@@ -70,14 +147,7 @@ class PadicNumber:
 
     @classmethod
     def from_fraction(cls, q, p: int, m: int) -> "PadicNumber":
-        q = Fraction(q)
-        num, den = q.numerator, q.denominator
-        if num == 0:
-            return cls(p, m, 0, 0)
-        vd = int_valuation(den, p) if den % p == 0 else 0
-        den //= p**vd
-        inv = pow(den, -1, p**m)
-        return cls(p, m, num * inv, -vd)
+        return cls(p, m, *as_pair(Fraction(q), p, m))
 
     @classmethod
     def zero(cls, p: int, m: int) -> "PadicNumber":
@@ -115,22 +185,23 @@ class PadicNumber:
 
     # -- ring operations ---------------------------------------------------
 
+    def _binary(self, op, other):
+        """PadicNumber of the pair operation op on this number and other,
+        other coerced into this context."""
+        p, m = self.p, self.m
+        b = as_pair(other, p, m)
+        return PadicNumber(p, m, *op(p, m, p**m, (self.unit, self.val), b))
+
     def __add__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        if self.unit == 0:
-            return o
-        if o.unit == 0:
-            return self
-        v = min(self.val, o.val)
-        s = self.unit * self.p ** (self.val - v) + o.unit * self.p ** (o.val - v)
-        return PadicNumber(self.p, self.m, s, v)
+        return self._binary(pair_add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicNumber(self.p, self.m, -self.unit, self.val)
+        p, m = self.p, self.m
+        return PadicNumber(p, m, *pair_neg(p, m, p**m, (self.unit, self.val)))
 
     def __sub__(self, other):
         if not isinstance(other, _OPERANDS):
@@ -147,10 +218,7 @@ class PadicNumber:
     def __mul__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        if self.unit == 0 or o.unit == 0:
-            return PadicNumber.zero(self.p, self.m)
-        return PadicNumber(self.p, self.m, self.unit * o.unit, self.val + o.val)
+        return self._binary(pair_mul, other)
 
     __rmul__ = __mul__
 
@@ -191,9 +259,6 @@ class PadicNumber:
         d = self - o
         return d.unit == 0
 
-    def __hash__(self):
-        return hash((self.p, self.m, self.unit, self.val))
-
     def __repr__(self):
         if self.unit == 0:
             return "O(%d^%d)" % (self.p, self.m)
@@ -211,16 +276,10 @@ _OPERANDS = (PadicNumber, int, Fraction)
 
 
 def as_padic(value, p: int, m: int) -> PadicNumber:
-    """value in the context (p, m): a PadicNumber of that context as it is,
-    an int or a rational by reduction; raises PadicError on a PadicNumber of
-    another context."""
-    if isinstance(value, PadicNumber):
-        if value.p != p or value.m != m:
-            raise PadicError("mixed p-adic contexts")
+    """value in the context (p, m) as a PadicNumber; see `as_pair`."""
+    if isinstance(value, PadicNumber) and value.p == p and value.m == m:
         return value
-    if isinstance(value, int):
-        return PadicNumber(p, m, value, 0)
-    return PadicNumber.from_fraction(value, p, m)
+    return PadicNumber(p, m, *as_pair(value, p, m))
 
 
 def is_zero_coeff(value) -> bool:

@@ -13,16 +13,24 @@ bound.  Each field has one `HilbertDomain`: those elements in trace order,
 enumerated on demand as larger bounds are asked for.  An expansion stores
 one coefficient per element (explicit zeros included) in a list aligned to
 a prefix of its field's domain, so a trace bound is a prefix length and the
-residue maps at a split prime are per-domain vectors aligned the same way."""
+residue maps at a split prime are per-domain vectors aligned the same way.
+Over a p-adic ring the list holds `hz.padic` (unit, val) int pairs, so the
+bulk operators run on plain integers; `coefficient` returns a PadicNumber."""
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial, reduce
 
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
-from .padic import PadicNumber, as_padic, int_valuation, is_zero_coeff, teichmuller
+from .padic import (
+    PadicNumber, as_padic, as_pair, int_valuation, is_zero_coeff, pair_add, pair_div_unit,
+    pair_mul, pair_mul_residue, pair_normalize, teichmuller,
+)
 from .realquad import (
     PrimeIdealData,
     QuadElement,
@@ -92,6 +100,28 @@ def ring_coerce(value, ring):
     if ring == RATIONAL:
         return Fraction(value)
     return as_padic(value, ring[1], ring[2])
+
+
+def _frac_str(q: Fraction) -> str:
+    return "%d/%d" % (q.numerator, q.denominator)
+
+
+_Stored = namedtuple("_Stored", "zero store load add mul parse dump")
+
+
+def _stored(ring) -> _Stored:
+    """How Hilbert expansions store `ring`'s values (Fractions, or normal-form
+    (unit, val) pairs), with their arithmetic and their JSON codec."""
+    if ring == RATIONAL:
+        return _Stored(Fraction(0), Fraction, lambda v: v, operator.add, operator.mul,
+                       lambda s: Fraction(*_fraction_key(s)), _frac_str)
+    p, m = ring[1], ring[2]
+    ctx = (p, m, p**m)
+    return _Stored(
+        (0, 0), partial(as_pair, p=p, m=m), lambda a: PadicNumber(p, m, *a),
+        partial(pair_add, *ctx), partial(pair_mul, *ctx),
+        lambda obj: pair_normalize(*ctx, obj[0], obj[1]), list,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +202,7 @@ class EllipticQExp:
         )
 
     def eq_at_precision(self, other) -> bool:
-        b = min(self.bound, other.bound)
-        return all(is_zero_coeff(self.coeffs[n] - other.coeffs[n]) for n in range(b + 1))
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
         return all(is_zero_coeff(c) for c in self.coeffs)
@@ -352,30 +381,31 @@ def hilbert_domain(F: RealQuadraticField, T: int):
 class HilbertQExp:
     """Expansion over the identity component: constant term a0 plus one
     coefficient per domain element up to the trace bound, in a list
-    aligned to the field's `HilbertDomain`."""
+    aligned to the field's `HilbertDomain`.  a0 and the list hold the
+    ring's stored form (see `_stored`); `coefficient` returns a ring value."""
 
     __slots__ = ("F", "weights", "trace_bound", "a0", "coeffs", "ring", "character")
 
     def __init__(self, F, weights, trace_bound, a0, coeffs, ring=RATIONAL, character=None):
         """`coeffs` maps (x, y) coordinates to values and must cover the
         whole domain up to the trace bound."""
-        dom = _domain(F)
+        dom, store = _domain(F), _stored(ring).store
         values = []
         for xi in dom.elements[: dom.size(trace_bound)]:
             try:
-                values.append(ring_coerce(coeffs[(xi.x, xi.y)], ring))
+                values.append(store(coeffs[(xi.x, xi.y)]))
             except KeyError:
                 raise QExpError(
                     "dense storage violated: missing coefficient at %r" % (xi,)
                 ) from None
         self.F, self.weights, self.trace_bound = F, tuple(weights), trace_bound
-        self.a0, self.coeffs = ring_coerce(a0, ring), values
+        self.a0, self.coeffs = store(a0), values
         self.ring, self.character = ring, character
 
     @classmethod
     def _make(cls, F, weights, trace_bound, a0, coeffs, ring, character=None):
         """An expansion from a coefficient list already aligned to the
-        domain, with a0 and every value already in the ring."""
+        domain, with a0 and every value already in the stored form."""
         if len(coeffs) != _domain(F).size(trace_bound):
             raise QExpError("coefficient list does not match the domain")
         g = object.__new__(cls)
@@ -392,27 +422,21 @@ class HilbertQExp:
 
     @classmethod
     def zero(cls, F, weights, trace_bound, ring=RATIONAL):
-        z = ring_zero(ring)
+        z = _stored(ring).zero
         return cls._make(F, weights, trace_bound, z, [z] * _domain(F).size(trace_bound), ring)
 
-    def coefficient(self, xi: QuadElement):
+    def _position(self, xi: QuadElement) -> int:
+        """Index of xi in the coefficient list."""
         i = _domain(self.F).index.get(_int_key(xi))
         if i is None or i >= len(self.coeffs):
             raise BoundTooSmall("coefficient at %r beyond the trace bound" % (xi,))
-        return self.coeffs[i]
+        return i
+
+    def coefficient(self, xi: QuadElement):
+        return _stored(self.ring).load(self.coeffs[self._position(xi)])
 
     def domain(self):
         return hilbert_domain(self.F, self.trace_bound)
-
-    def map_coefficients(self, fn, weights=None, ring=None, a0=None) -> "HilbertQExp":
-        """New expansion with coefficient at xi replaced by fn(xi, value)."""
-        ring = ring or self.ring
-        pairs = zip(_domain(self.F).elements, self.coeffs)
-        coeffs = [ring_coerce(fn(xi, v), ring) for xi, v in pairs]
-        a0 = ring_coerce(self.a0 if a0 is None else a0, ring)
-        return HilbertQExp._make(
-            self.F, weights or self.weights, self.trace_bound, a0, coeffs, ring, self.character
-        )
 
     def truncate(self, T: int) -> "HilbertQExp":
         if T > self.trace_bound:
@@ -425,10 +449,11 @@ class HilbertQExp:
             return NotImplemented
         if self.ring != other.ring or self.F.d != other.F.d:
             raise QExpError("incompatible expansions")
+        add = _stored(self.ring).add
         # both lists are prefixes of one domain: zip stops at the smaller bound
         return self._derive(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.a0 + other.a0,
+            [add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            add(self.a0, other.a0),
             trace_bound=min(self.trace_bound, other.trace_bound),
         )
 
@@ -436,16 +461,16 @@ class HilbertQExp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "HilbertQExp":
-        c = ring_coerce(c, self.ring)
-        return self._derive([c * v for v in self.coeffs], c * self.a0)
+        ring = _stored(self.ring)
+        c, mul = ring.store(c), ring.mul
+        return self._derive([mul(c, v) for v in self.coeffs], mul(c, self.a0))
 
     def eq_at_precision(self, other) -> bool:
-        if not is_zero_coeff(self.a0 - other.a0):
-            return False
-        return all(is_zero_coeff(a - b) for a, b in zip(self.coeffs, other.coeffs))
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        return is_zero_coeff(self.a0) and all(is_zero_coeff(v) for v in self.coeffs)
+        zero = _stored(self.ring).zero
+        return self.a0 == zero and all(v == zero for v in self.coeffs)
 
     def __repr__(self):
         return "HilbertQExp(d=%d, weights=%r, trace_bound=%d)" % (
@@ -559,12 +584,12 @@ def eisenstein_normalization_constant(F: RealQuadraticField) -> Fraction:
 def diagonal_restrict(g: HilbertQExp) -> EllipticQExp:
     """b_n = sum of a(xi) over totally positive xi in the inverse different
     with trace n; b_0 = a0; the output has weight k1 + k2."""
-    T, offsets = g.trace_bound, _domain(g.F).offsets
-    zero = ring_zero(g.ring)
-    out = [g.a0] + [
-        sum(g.coeffs[offsets[n] : offsets[n + 1]], zero) for n in range(1, T + 1)
+    T, offsets, ring = g.trace_bound, _domain(g.F).offsets, _stored(g.ring)
+    sums = [g.a0] + [
+        reduce(ring.add, g.coeffs[offsets[n] : offsets[n + 1]], ring.zero)
+        for n in range(1, T + 1)
     ]
-    return EllipticQExp(g.weights[0] + g.weights[1], 1, T, out, g.ring)
+    return EllipticQExp(g.weights[0] + g.weights[1], 1, T, map(ring.load, sums), g.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +605,21 @@ def _prime_context(g: HilbertQExp, prime_data: PrimeIdealData):
 
 
 def _padic_context(g: HilbertQExp, prime_data: PrimeIdealData, what: str):
+    """The domain, p, m and p^m for an operator on p-adic coefficients."""
     if g.ring == RATIONAL:
         raise ExactRingUnsupported("%s p-adic coefficients" % what)
     dom = _prime_context(g, prime_data)
-    if (prime_data.p, prime_data.m) != (g.ring[1], g.ring[2]):
+    p, m = prime_data.p, prime_data.m
+    if (p, m) != (g.ring[1], g.ring[2]):
         raise QExpError("prime data precision must match the coefficient ring")
-    return dom
+    return dom, p, m, p**m
 
 
 def hilbert_deplete(g: HilbertQExp, prime_data: PrimeIdealData, which) -> HilbertQExp:
     """Remove coefficients whose ideal (xi)*different is divisible by the
     chosen prime(s); `which` is 1, 2 or "both".  Constant term dies."""
     dom = _prime_context(g, prime_data)
-    p, zero = prime_data.p, ring_zero(g.ring)
+    p, zero = prime_data.p, _stored(g.ring).zero
     coeffs = g.coeffs
     for w in (1, 2) if which == "both" else (which,):
         res = dom.residues(prime_data, w, g.trace_bound)
@@ -624,7 +651,7 @@ def hilbert_u(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> Hi
     T2 = _u_bound(pi, g.trace_bound)
     if T2 < 1:
         raise BoundTooSmall("trace bound too small for the U operator")
-    coeffs = [g.coefficient(pi * xi) for xi in hilbert_domain(g.F, T2)]
+    coeffs = [g.coeffs[g._position(pi * xi)] for xi in hilbert_domain(g.F, T2)]
     return g._derive(coeffs, g.a0, trace_bound=T2)
 
 
@@ -639,7 +666,7 @@ def hilbert_v(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> Hi
     # inverse different exactly when xi's residue there vanishes too (sqrtD
     # is a unit at a split p)
     which = 1 if prime_data.residue(pi, 1) % p == 0 else 2
-    zero = ring_zero(g.ring)
+    zero = _stored(g.ring).zero
     # output bound: every xi <= T2 with pi | xi must have Tr(xi/pi) <= T;
     # the domain is in trace order, so the first failure fixes T2
     T2, coeffs = T, []
@@ -652,7 +679,7 @@ def hilbert_v(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> Hi
         if eta.trace() > T:
             T2 = int(xi.trace()) - 1
             break
-        coeffs.append(g.coefficient(eta))
+        coeffs.append(g.coeffs[g._position(eta)])
     if T2 < 1:
         raise BoundTooSmall("trace bound too small for the V operator")
     return g._derive(coeffs[: dom.size(T2)], zero, trace_bound=T2)
@@ -673,18 +700,18 @@ def twist_star(
     if prime_data.m < c:
         raise CharacterDomainMismatch("residue precision below the conductor")
     pc = p**c
-    zero = ring_zero(g.ring)
+    ring = _stored(g.ring)
 
     def twist(v, r):
         r %= pc
         if r % p == 0:
-            return zero
+            return ring.zero
         if r not in chi:
             raise CharacterDomainMismatch("character undefined at %d" % r)
-        return ring_coerce(chi[r], g.ring) * v
+        return ring.mul(ring.store(chi[r]), v)
 
     res = dom.residues(prime_data, which, g.trace_bound)
-    return g._derive([twist(v, r) for v, r in zip(g.coeffs, res)], zero)
+    return g._derive([twist(v, r) for v, r in zip(g.coeffs, res)], ring.zero)
 
 
 def trivial_character(p: int, c: int = 1) -> dict:
@@ -695,31 +722,28 @@ def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Theta operator at embedding i: multiply a(xi) by the image of xi
     under the residue map at prime i; raises the weight by 2 in slot i.
     p-adic coefficients only."""
-    dom = _padic_context(g, prime_data, "theta operators act on")
-    p, m, zero = prime_data.p, prime_data.m, ring_zero(g.ring)
+    dom, p, m, pm = _padic_context(g, prime_data, "theta operators act on")
     w = list(g.weights)
     w[i - 1] += 2
     res = dom.residues(prime_data, i, g.trace_bound)
-    coeffs = [PadicNumber(p, m, r, 0) * v if r else zero for v, r in zip(g.coeffs, res)]
-    return g._derive(coeffs, zero, weights=w)
+    coeffs = [pair_mul_residue(p, m, pm, v, r) for v, r in zip(g.coeffs, res)]
+    return g._derive(coeffs, (0, 0), weights=w)
 
 
 def theta_d_inverse(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Inverse theta operator; defined only on expansions depleted at the
     prime i (every surviving coefficient sits at a unit residue)."""
-    dom = _padic_context(g, prime_data, "theta operators act on")
-    p, m = prime_data.p, prime_data.m
-    if not is_zero_coeff(g.a0):
+    dom, p, m, pm = _padic_context(g, prime_data, "theta operators act on")
+    # a stored pair is zero exactly when its unit is
+    if g.a0[0]:
         raise NotDepleted("nonzero constant term")
     res = dom.residues(prime_data, i, g.trace_bound)
-    if any(r % p == 0 and not is_zero_coeff(v) for v, r in zip(g.coeffs, res)):
+    if any(v[0] and r % p == 0 for v, r in zip(g.coeffs, res)):
         raise NotDepleted("nonzero coefficient at a non-unit index")
     w = list(g.weights)
     w[i - 1] -= 2
-    coeffs = [
-        v if is_zero_coeff(v) else v / PadicNumber(p, m, r, 0) for v, r in zip(g.coeffs, res)
-    ]
-    return g._derive(coeffs, ring_zero(g.ring), weights=w)
+    coeffs = [pair_div_unit(p, m, pm, v, r) for v, r in zip(g.coeffs, res)]
+    return g._derive(coeffs, (0, 0), weights=w)
 
 
 def conjugate_ratio_partner(
@@ -730,40 +754,19 @@ def conjugate_ratio_partner(
     The pair then satisfies theta_1(partner) - theta_2(g1) = 0, and the
     diagonal restriction of their sum is a q-derivative (so its ordinary
     projection vanishes)."""
-    dom = _padic_context(g1, prime_data, "partner construction needs")
-    p, m = prime_data.p, prime_data.m
-
-    def partner(v, r1, r2):
-        if is_zero_coeff(v):
-            return v
-        if r1 % p == 0:
-            raise NotDepleted("nonzero coefficient at a non-unit first residue")
-        return v * PadicNumber(p, m, r2, 0) / PadicNumber(p, m, r1, 0)
-
+    dom, p, m, pm = _padic_context(g1, prime_data, "partner construction needs")
     res1, res2 = (dom.residues(prime_data, w, g1.trace_bound) for w in (1, 2))
-    coeffs = [partner(v, r1, r2) for v, r1, r2 in zip(g1.coeffs, res1, res2)]
-    return g1._derive(coeffs, ring_zero(g1.ring), weights=(g1.weights[1], g1.weights[0]))
+    if any(v[0] and r1 % p == 0 for v, r1 in zip(g1.coeffs, res1)):
+        raise NotDepleted("nonzero coefficient at a non-unit first residue")
+    coeffs = [
+        pair_div_unit(p, m, pm, pair_mul_residue(p, m, pm, v, r2), r1)
+        for v, r1, r2 in zip(g1.coeffs, res1, res2)
+    ]
+    return g1._derive(coeffs, (0, 0), weights=(g1.weights[1], g1.weights[0]))
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip
-
-
-def _value_to_json(v):
-    if isinstance(v, PadicNumber):
-        return [v.unit, v.val]
-    return "%d/%d" % (v.numerator, v.denominator)
-
-
-def _value_from_json(obj, ring):
-    if ring == RATIONAL:
-        num, den = obj.split("/")
-        return Fraction(int(num), int(den))
-    return PadicNumber(ring[1], ring[2], obj[0], obj[1])
-
-
-def _frac_str(q: Fraction) -> str:
-    return "%d/%d" % (q.numerator, q.denominator)
 
 
 def _fraction_key(s: str):
@@ -776,8 +779,9 @@ def _fraction_key(s: str):
 
 
 def to_json(exp) -> dict:
-    ring = list(exp.ring)
+    ring, stored = list(exp.ring), _stored(exp.ring)
     if isinstance(exp, EllipticQExp):
+        dump = lambda v: stored.dump(stored.store(v))
         return {
             "type": "elliptic",
             "weight": exp.weight,
@@ -786,8 +790,8 @@ def to_json(exp) -> dict:
             "ring": ring,
             "character": None
             if exp.character is None
-            else sorted([int(k), _value_to_json(ring_coerce(v, exp.ring))] for k, v in exp.character.items()),
-            "coeffs": [_value_to_json(c) for c in exp.coeffs],
+            else sorted([int(k), dump(v)] for k, v in exp.character.items()),
+            "coeffs": [dump(c) for c in exp.coeffs],
         }
     if isinstance(exp, HilbertQExp):
         return {
@@ -797,9 +801,9 @@ def to_json(exp) -> dict:
             "weights": list(exp.weights),
             "trace_bound": exp.trace_bound,
             "ring": ring,
-            "a0": _value_to_json(exp.a0),
+            "a0": stored.dump(exp.a0),
             "entries": [
-                [[_frac_str(xi.x), _frac_str(xi.y)], _value_to_json(v)]
+                [[_frac_str(xi.x), _frac_str(xi.y)], stored.dump(v)]
                 for xi, v in zip(_domain(exp.F).elements, exp.coeffs)
             ],
         }
@@ -808,15 +812,17 @@ def to_json(exp) -> dict:
 
 def from_json(obj: dict, field: RealQuadraticField = None):
     ring = tuple(obj["ring"])
+    stored = _stored(ring)
     if obj["type"] == "elliptic":
+        load = lambda v: stored.load(stored.parse(v))
         character = None
         if obj.get("character") is not None:
-            character = {int(k): _value_from_json(v, ring) for k, v in obj["character"]}
+            character = {int(k): load(v) for k, v in obj["character"]}
         return EllipticQExp(
             obj["weight"],
             obj["level"],
             obj["bound"],
-            [_value_from_json(c, ring) for c in obj["coeffs"]],
+            [load(c) for c in obj["coeffs"]],
             ring,
             character,
         )
@@ -828,19 +834,12 @@ def from_json(obj: dict, field: RealQuadraticField = None):
         coeffs = [None] * n
         # entries may come in any order; those beyond the bound are ignored
         for (xs, ys), v in obj["entries"]:
-            value = _value_from_json(v, ring)
             i = dom.index.get(_fraction_key(xs) + _fraction_key(ys), n)
             if i < n:
-                coeffs[i] = value
+                coeffs[i] = stored.parse(v)
         for xi, c in zip(dom.elements, coeffs):
             if c is None:
                 raise QExpError("dense storage violated: missing coefficient at %r" % (xi,))
-        return HilbertQExp._make(
-            field,
-            obj["weights"],
-            obj["trace_bound"],
-            _value_from_json(obj["a0"], ring),
-            coeffs,
-            ring,
-        )
+        a0 = stored.parse(obj["a0"])
+        return HilbertQExp._make(field, obj["weights"], obj["trace_bound"], a0, coeffs, ring)
     raise QExpError("unknown expansion type %r" % obj.get("type"))

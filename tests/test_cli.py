@@ -182,6 +182,17 @@ class TestLValue:
         record = json.loads(out)
         assert record["value"] == [expected.unit, expected.val]
 
+    def test_singular_basis_exits_with_the_stage(self, capsys, tmp_path):
+        path, _ = self.make_input(tmp_path, 123)
+        with open(path) as fh:
+            record = json.load(fh)
+        record["others"] = [record["target"]]  # the basis repeats itself
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+        code, out, err = run(capsys, ["lvalue", "--input", path])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "HeckeSpace certification: leading block not invertible" in err
+
     def test_missing_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         code, _, err = run(capsys, ["lvalue", "--input", missing])

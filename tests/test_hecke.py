@@ -13,7 +13,9 @@ from hz.hecke import (
     NotInSpan,
     NotInvariant,
     NotSeparated,
+    SingularBlock,
     WildCharacterUnsupported,
+    _solve_linear,
     e_ord,
     eigensystem_from_json,
     eigensystem_to_json,
@@ -82,7 +84,7 @@ class TestStabilize:
         )
         stabs = hilbert_stabilizations(sys, 7, 4)
         assert len(stabs) == 4
-        pairs = {s.up_pair for s in stabs}
+        pairs = {tuple((r.unit, r.val) for r in s.up_pair) for s in stabs}
         assert len(pairs) == 4
         for s in stabs:
             r1, r2 = s.up_pair
@@ -203,6 +205,15 @@ class TestHeckeSpace:
         with pytest.raises(NotInSpan):
             ctx["space"].coordinates(tampered)
 
+    def test_singular_block_names_the_stage(self):
+        ctx = two_eigen_space()
+        f = ctx["gt"] + ctx["go"]
+        with pytest.raises(SingularBlock, match="^HeckeSpace certification: "):
+            HeckeSpace([f, f.scale(2)])
+        block = [[f[n], f[n]] for n in (1, 2)]
+        with pytest.raises(SingularBlock, match="^coordinates: "):
+            _solve_linear(block, [f[1], f[2]], "coordinates")
+
     def test_register_matrix_write_once(self):
         ctx = two_eigen_space()
         space = ctx["space"]
@@ -314,10 +325,8 @@ class TestIsotypic:
             [(2, fx.OTHER_SYS.ap[2]), (3, third.ap[3])],
         )
         # direct oracle: solve the full 3x3 leading system
-        from hz.hecke import _solve_linear
-
         A = [[exps[j][n] for j in range(3)] for n in (1, 2, 3)]
-        direct = _solve_linear(A, [phi[n] for n in (1, 2, 3)])
+        direct = _solve_linear(A, [phi[n] for n in (1, 2, 3)], "coordinates")
         assert lam == direct[0] == cs[0]
 
 

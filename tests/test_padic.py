@@ -17,12 +17,19 @@ from hz.padic import (
     _split_int_poly,
     _xgcd_poly_modp,
     as_padic,
+    as_pair,
     bezout_projector,
     hensel_unit_root,
     is_zero_coeff,
     lift_root,
     newton_polygon_split,
     ordinary_iterate_oracle,
+    pair_add,
+    pair_div_unit,
+    pair_mul,
+    pair_mul_residue,
+    pair_neg,
+    pair_normalize,
     teichmuller,
 )
 
@@ -113,11 +120,88 @@ class TestPadicNumber:
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
 
+    def test_unhashable(self):
+        # x equals both 1 and 50 at 7^2 while 1 != 50, so no hash agrees
+        x = PadicNumber(7, 2, 1)
+        assert x == 1 and x == 50
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+
     def test_teichmuller(self):
         p, m = 5, 6
         w = teichmuller(2, p, m)
         assert w.residue % 5 == 2
         assert w**4 == PadicNumber.one(p, m)
+
+
+def digits_normal_form(x, floor, p, m):
+    """Reference normal form of the rational x read from the digit p^floor
+    upwards: the m base-p digits of x / p^floor, low zero digits moved into
+    the valuation, and (0, 0) once the valuation reaches m."""
+    y = Fraction(x) / Fraction(p) ** floor
+    assert y.denominator % p != 0
+    n = y.numerator * pow(y.denominator, -1, p**m) % p**m
+    digits = []
+    for _ in range(m):
+        n, d = divmod(n, p)
+        digits.append(d)
+    zeros = next((k for k, d in enumerate(digits) if d), m)
+    if zeros == m or floor + zeros >= m:
+        return (0, 0)
+    unit = sum(d * p**k for k, d in enumerate(digits[zeros:]))
+    return (unit, floor + zeros)
+
+
+def exact(pair, p):
+    return Fraction(pair[0]) * Fraction(p) ** pair[1]
+
+
+class TestPairKit:
+    """The (unit, val) functions against the digit reference: each result
+    is the normal form of the exact result on its inputs' representatives,
+    read from the lowest digit that the inputs carry."""
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.integers(1, 6),
+        st.tuples(st.integers(-(10**7), 10**7), st.integers(-3, 7)),
+        st.tuples(st.integers(-(10**7), 10**7), st.integers(-3, 7)),
+        st.integers(0, 10**7),
+        st.integers(1, 10**4),
+    )
+    @settings(max_examples=200)
+    def test_against_digit_reference(self, p, m, raw_a, raw_b, r, den):
+        pm = p**m
+
+        def ref(x, floor):
+            return digits_normal_form(x, floor, p, m)
+
+        a, b = (pair_normalize(p, m, pm, u, v) for u, v in (raw_a, raw_b))
+        for (u, v), pair in ((raw_a, a), (raw_b, b)):
+            assert pair == ref(exact((u, v), p), v)
+        (ua, va), (ub, vb) = a, b
+        # coercion: an int from the digit p^0, a rational from its
+        # denominator's valuation
+        assert as_pair(r, p, m) == ref(r, 0)
+        q = Fraction(r, den)
+        vd = next(k for k in range(40) if q.denominator % p ** (k + 1))
+        assert as_pair(q, p, m) == ref(q, -vd)
+
+        assert pair_neg(p, m, pm, a) == ((0, 0) if not ua else ref(-exact(a, p), va))
+        if ua and ub:
+            assert pair_add(p, m, pm, a, b) == ref(exact(a, p) + exact(b, p), min(va, vb))
+            assert pair_mul(p, m, pm, a, b) == ref(exact(a, p) * exact(b, p), va + vb)
+        else:
+            assert pair_add(p, m, pm, a, b) == (b if not ua else a)
+            assert pair_mul(p, m, pm, a, b) == (0, 0)
+        # the residue is put in normal form first: its p-factors move into
+        # the valuation before the product is read
+        rr = ref(r, 0)
+        product = (0, 0) if not (ua and rr[0]) else ref(exact(a, p) * exact(rr, p), va + rr[1])
+        assert pair_mul_residue(p, m, pm, a, r) == product
+        if r % p:
+            quotient = (0, 0) if not ua else ref(exact(a, p) / r, va)
+            assert pair_div_unit(p, m, pm, a, r) == quotient
 
 
 class TestHenselUnitRoot:

@@ -10,7 +10,7 @@ import hz.realquad
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
 from hz import qexp
-from hz.padic import PadicNumber, teichmuller
+from hz.padic import PadicNumber, as_padic, teichmuller
 from hz.qexp import (
     RATIONAL,
     BoundTooSmall,
@@ -593,7 +593,8 @@ class TestConjugateRatioPair:
     def test_rejects_undepleted(self):
         rng = random.Random(92)
         g = random_hilbert(rng, T=10)
-        g = g.map_coefficients(lambda xi, v: v + 1)  # force nonzero everywhere
+        ones = {(xi.x, xi.y): 1 for xi in hilbert_domain(F5, 10)}
+        g = g + HilbertQExp(F5, g.weights, 10, 0, ones, R11)  # nonzero everywhere
         with pytest.raises(NotDepleted):
             conjugate_ratio_partner(g, P11)
 
@@ -629,6 +630,132 @@ class TestJsonRoundTrip:
         e2 = from_json(json.loads(json.dumps(to_json(e))))
         assert e2.eq_at_precision(e)
         assert e2.a0 == e.a0
+
+
+def mixed_hilbert(rng, T=15):
+    """A random expansion over R11 whose coefficients and constant term
+    include zeros, non-units and negative valuations."""
+    p, m = 11, 5
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return PadicNumber.zero(p, m)
+        if kind == 1:
+            return PadicNumber(p, m, rng.randrange(1, p**m) * p ** rng.randrange(1, m))
+        return PadicNumber(p, m, rng.randrange(1, p**m), rng.randrange(-2, 3))
+
+    coeffs = {(xi.x, xi.y): value() for xi in hilbert_domain(F5, T)}
+    return HilbertQExp(F5, (2, 0), T, value(), coeffs, R11)
+
+
+def digits(x):
+    return (x.unit, x.val)
+
+
+def constant(g):
+    return PadicNumber(11, 5, *g.a0)
+
+
+class TestPairStorageOracle:
+    """Every map on the stored (unit, val) pairs equals the coefficientwise
+    map built from coefficient(xi) and PadicNumber operators, digit for
+    digit, on expansions with non-unit and negative-valuation values."""
+
+    @staticmethod
+    def assert_map(out, reference, a0=None):
+        for xi in out.domain():
+            assert digits(out.coefficient(xi)) == digits(reference(xi))
+        if a0 is not None:
+            assert digits(constant(out)) == digits(a0)
+
+    def test_ring_maps(self):
+        rng = random.Random(121)
+        g, h = mixed_hilbert(rng), mixed_hilbert(rng, T=12)
+        c, e = g.coefficient, h.coefficient
+        self.assert_map(g + h, lambda xi: c(xi) + e(xi), constant(g) + constant(h))
+        self.assert_map(g - h, lambda xi: c(xi) - e(xi), constant(g) - constant(h))
+        for k in (3, -1, PadicNumber(11, 5, 22 * 7), Fraction(5, 121)):
+            self.assert_map(g.scale(k), lambda xi: c(xi) * k, constant(g) * k)
+        tiny = HilbertQExp(F5, (2, 0), 12, 0, {(xi.x, xi.y): PadicNumber(11, 5, 1, 4)
+                                                 for xi in h.domain()}, R11)
+        for u, v in ((g, g), (g, h), (h, h + tiny), (h + tiny, h.scale(2))):
+            pairs = [(constant(u), constant(v))] + [
+                (u.coefficient(xi), v.coefficient(xi)) for xi in v.domain()]
+            assert u.eq_at_precision(v) == all((a - b).is_zero() for a, b in pairs)
+        for u in (g, g.scale(11**7), HilbertQExp.zero(F5, (2, 0), 12, R11)):
+            values = [constant(u)] + [u.coefficient(xi) for xi in u.domain()]
+            assert u.is_zero() == all(v.is_zero() for v in values)
+
+    def test_prime_maps(self):
+        rng = random.Random(122)
+        g = mixed_hilbert(rng)
+        c, zero = g.coefficient, PadicNumber.zero(11, 5)
+
+        def res(xi, i):
+            return PadicNumber(11, 5, P11.residue(xi, i))
+
+        for which in (1, 2, "both"):
+            kill = (1, 2) if which == "both" else (which,)
+            self.assert_map(
+                hilbert_deplete(g, P11, which),
+                lambda xi: zero if any(P11.residue(xi, i) % 11 == 0 for i in kill) else c(xi),
+                zero,
+            )
+        chi = {r: (11 * r if r % 3 else Fraction(r, 11)) for r in range(1, 11)}
+        self.assert_map(
+            twist_star(g, chi, P11, which=2),
+            lambda xi: zero if P11.residue(xi, 2) % 11 == 0
+            else as_padic(chi[P11.residue(xi, 2) % 11], 11, 5) * c(xi),
+            zero,
+        )
+        for i in (1, 2):
+            self.assert_map(theta_d(g, i, P11), lambda xi: res(xi, i) * c(xi), zero)
+            d = hilbert_deplete(g, P11, i)
+            self.assert_map(
+                theta_d_inverse(d, i, P11),
+                lambda xi: d.coefficient(xi) if d.coefficient(xi).is_zero()
+                else d.coefficient(xi) / res(xi, i),
+                zero,
+            )
+        d = hilbert_deplete(g, P11, 1)
+        self.assert_map(
+            conjugate_ratio_partner(d, P11),
+            lambda xi: d.coefficient(xi) if d.coefficient(xi).is_zero()
+            else d.coefficient(xi) * res(xi, 2) / res(xi, 1),
+            zero,
+        )
+        r = diagonal_restrict(g)
+        assert digits(r[0]) == digits(constant(g))
+        for n in range(1, g.trace_bound + 1):
+            segment = sum((c(xi) for xi in g.domain() if xi.trace() == n), zero)
+            assert digits(r[n]) == digits(segment)
+
+    def test_json_maps(self):
+        rng = random.Random(123)
+        g = mixed_hilbert(rng)
+        obj = to_json(g)
+        assert obj["a0"] == list(digits(constant(g)))
+        keys = [[qexp._frac_str(xi.x), qexp._frac_str(xi.y)] for xi in g.domain()]
+        assert obj["entries"] == [[k, list(digits(g.coefficient(xi)))]
+                                  for k, xi in zip(keys, g.domain())]
+        raw = [(rng.randrange(-(11**7), 11**7), rng.randrange(-3, 7)) for _ in keys]
+        loaded = from_json(dict(obj, entries=[[k, list(v)] for k, v in zip(keys, raw)]), F5)
+        for xi, (u, v) in zip(g.domain(), raw):
+            assert digits(loaded.coefficient(xi)) == digits(PadicNumber(11, 5, u, v))
+
+    def test_bulk_maps_build_no_padic_numbers(self, monkeypatch):
+        obj = to_json(mixed_hilbert(random.Random(124), T=20))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PadicNumber was built inside a vector map")
+
+        monkeypatch.setattr(PadicNumber, "__init__", refuse)
+        g = from_json(obj, F5)
+        g1 = hilbert_deplete(g, P11, 1)
+        g2 = conjugate_ratio_partner(g1, P11)
+        theta_d(g2, 1, P11) - theta_d(g1, 2, P11)
+        twist_star(g1 + g2, trivial_character(11), P11)
 
 
 @contextlib.contextmanager
