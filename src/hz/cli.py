@@ -17,6 +17,8 @@ import os
 import sys
 from fractions import Fraction
 
+from sympy import isprime
+
 from . import qexp
 from .asai import (
     AsaiError,
@@ -39,6 +41,7 @@ from .hecke import (
 )
 from .padic import PadicError, PadicNumber
 from .qexp import (
+    EllipticQExp,
     QExpError,
     deplete,
     diagonal_restrict,
@@ -95,6 +98,12 @@ def _int_list(text):
     except ValueError:
         raise CliError("expected a comma-separated integer list, got %r"
                        % text)
+
+
+def _prime(n, flag):
+    if not isprime(n):
+        raise CliError("%s must be a prime, got %d" % (flag, n))
+    return n
 
 
 def _load_json(path):
@@ -252,6 +261,7 @@ def cmd_lvalue(args):
 
 
 def cmd_euler(args):
+    _prime(args.p, "-p")
     m = args.m if args.m is not None else default_precision()
     alphas = _int_list(args.alphas)
     froots = _int_list(args.froots)
@@ -299,7 +309,7 @@ def cmd_euler(args):
 
 def cmd_asai(args):
     quintic = _int_list(args.quintic)
-    frob = frobenius_class_quintic(quintic, args.p)
+    frob = frobenius_class_quintic(quintic, _prime(args.p, "--p"))
     eigen = asai_frobenius_eigenvalues(frob)
     record = {
         "p": args.p,
@@ -350,6 +360,9 @@ def cmd_ht_table(args):
 def cmd_qexp_op(args):
     record = _load_json(args.input)
     f = from_json(record)
+    if not isinstance(f, EllipticQExp):
+        raise CliError("qexp-op needs an elliptic expansion, not a %s one"
+                       % record["type"])
     p = args.p
     if args.op in ("u", "v", "deplete") and p is None:
         raise CliError("--op %s requires -p" % args.op)
@@ -379,7 +392,7 @@ def cmd_qexp_op(args):
     elif args.op == "hecke":
         if args.ell is None:
             raise CliError("--op hecke requires --ell")
-        out = hecke_T(f, args.ell)
+        out = hecke_T(f, _prime(args.ell, "--ell"))
     else:
         raise CliError("unknown operator %r" % args.op)
     print(json.dumps(to_json(out), sort_keys=True))

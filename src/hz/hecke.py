@@ -31,8 +31,6 @@ from .qexp import (
     elliptic_twist,
     hecke_T,
     hilbert_deplete,
-    ring_coerce,
-    ring_zero,
     theta_d_inverse,
     twist_star,
     trivial_character,
@@ -128,7 +126,7 @@ def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
     """The stabilization transformer f(q) - beta f(q^p); an eigenvector of
     U_p with the complementary root as eigenvalue."""
     shifted = v_operator(f, p, storage_cap=f.bound)
-    return f + shifted.scale(ring_coerce(beta, f.ring) * (-1))
+    return f + shifted.scale(as_padic(beta, *f.ring[1:]) * (-1))
 
 
 def _unit_roots(a: int, b: int, p: int, m: int):
@@ -182,7 +180,7 @@ def expansion_from_eigensystem(
     """Normalized expansion (a_1 = 1) generated from prime eigenvalues by
     the standard recursion a_{l^{r+1}} = a_l a_{l^r} - chi(l) l^{k-1}
     a_{l^{r-1}} and multiplicativity."""
-    coeffs = [ring_zero(ring), ring_coerce(1, ring)]
+    coeffs = [Fraction(0), Fraction(1)]
     vals = {1: Fraction(1)}
     for n in range(2, bound + 1):
         fac = factorize(n)
@@ -201,7 +199,7 @@ def expansion_from_eigensystem(
                     Fraction(system.a(q)) * vals[q ** (e - 1)]
                     - back * vals[q ** (e - 2)]
                 )
-        coeffs.append(ring_coerce(vals[n], ring))
+        coeffs.append(vals[n])
     return EllipticQExp(system.weight, system.level, bound, coeffs, ring)
 
 
@@ -272,7 +270,7 @@ class HeckeSpace:
             for n in range(1, self.dimension + 1)
         ]
         # certify invertibility of the leading block
-        zero = [ring_zero(ring)] * self.dimension
+        zero = [PadicNumber.zero(self.p, self.m)] * self.dimension
         _solve_linear(self._block, zero, "HeckeSpace certification")
         self._matrices = {}
 
@@ -289,7 +287,7 @@ class HeckeSpace:
         for n in range(d + 1, 2 * d + 1):
             recon = sum(
                 (x[j] * self.basis[j][n] for j in range(d)),
-                ring_zero(self.ring),
+                PadicNumber.zero(self.p, self.m),
             )
             if not (recon - phi[n]).is_zero():
                 raise NotInSpan("residual nonzero at coefficient %d" % n)
@@ -299,7 +297,7 @@ class HeckeSpace:
         out = [
             sum(
                 (x[j] * self.basis[j][n] for j in range(self.dimension)),
-                ring_zero(self.ring),
+                PadicNumber.zero(self.p, self.m),
             )
             for n in range(self.bound + 1)
         ]
@@ -359,12 +357,12 @@ def isotypic_project(space: HeckeSpace, phi: EllipticQExp, target: EigenSystem, 
     d = space.dimension
     for ell, a_other in annihilation:
         M = space.operator_matrix(("T", ell))
-        diff = ring_coerce(Fraction(target.a(ell)) - Fraction(a_other), space.ring)
+        diff = as_padic(Fraction(target.a(ell)) - Fraction(a_other), space.p, space.m)
         if diff.valuation() != 0:
             raise NotSeparated(
                 "eigenvalues at %d not separated at precision" % ell
             )
-        a_o = ring_coerce(a_other, space.ring)
+        a_o = as_padic(a_other, space.p, space.m)
         y = _mat_vec(M, x)
         x = [(y[i] - a_o * x[i]) / diff for i in range(d)]
     component = space.combine(x)
@@ -381,10 +379,10 @@ def ordinary_projection_of_derivative(h: EllipticQExp) -> EllipticQExp:
     if h.ring[0] != "padic":
         raise HeckeError("certification needs p-adic coefficients")
     p = h.ring[1]
-    if not h.coeffs[0].is_zero():
+    if not h[0].is_zero():
         raise NotDerivative("nonzero constant term")
     for n in range(1, h.bound + 1):
-        v = h.coeffs[n].valuation()
+        v = h[n].valuation()
         if v is not None and v < int_valuation(n, p):
             raise NotDerivative(
                 "coefficient %d not divisible by its index" % n
@@ -526,9 +524,7 @@ def lvalue_weight2(
     ordinary = e_ord(space, tame)
     _, lambda1 = isotypic_project(space, ordinary, fstar, annihilation)
     alpha_f, beta_f = fstar_roots
-    E = PadicNumber.one(p, space.m) - ring_coerce(beta_f, tame.ring) / ring_coerce(
-        alpha_f, tame.ring
-    )
+    E = PadicNumber.one(p, space.m) - as_padic(beta_f, p, space.m) / as_padic(alpha_f, p, space.m)
     return lambda1 / E
 
 

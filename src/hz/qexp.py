@@ -23,13 +23,14 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
+from sympy import isprime
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
 from .padic import (
-    PadicNumber, as_padic, as_pair, int_valuation, is_zero_coeff, pair_add, pair_div_unit,
-    pair_mul, pair_mul_residue, pair_normalize, teichmuller,
+    PadicNumber, as_pair, int_valuation, pair_add, pair_div_unit, pair_mul, pair_mul_residue,
+    pair_normalize, teichmuller,
 )
 from .realquad import (
     PrimeIdealData,
@@ -45,8 +46,8 @@ from .realquad import (
 # public API; split_prime is re-exported for the PrimeIdealData the operators take
 __all__ = [
     "QExpError", "BoundTooSmall", "ExactRingUnsupported", "CharacterDomainMismatch", "NotDepleted",
-    "ClassNumberUnsupported", "NotNarrowlyPrincipal", "RATIONAL", "padic_ring", "ring_zero",
-    "ring_coerce", "EllipticQExp", "u_operator", "v_operator", "deplete", "elliptic_twist",
+    "ClassNumberUnsupported", "NotNarrowlyPrincipal", "RATIONAL", "padic_ring", "EllipticQExp",
+    "u_operator", "v_operator", "deplete", "elliptic_twist",
     "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
     "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
     "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "hilbert_u",
@@ -90,18 +91,6 @@ def padic_ring(p: int, m: int):
     return ("padic", p, m)
 
 
-def ring_zero(ring):
-    if ring == RATIONAL:
-        return Fraction(0)
-    return PadicNumber.zero(ring[1], ring[2])
-
-
-def ring_coerce(value, ring):
-    if ring == RATIONAL:
-        return Fraction(value)
-    return as_padic(value, ring[1], ring[2])
-
-
 def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
@@ -109,8 +98,9 @@ def _frac_str(q: Fraction) -> str:
 _Stored = namedtuple("_Stored", "zero store load add mul parse dump")
 
 
+@lru_cache(maxsize=None)
 def _stored(ring) -> _Stored:
-    """How Hilbert expansions store `ring`'s values (Fractions, or normal-form
+    """How expansions store `ring`'s values (Fractions, or normal-form
     (unit, val) pairs), with their arithmetic and their JSON codec."""
     if ring == RATIONAL:
         return _Stored(Fraction(0), Fraction, lambda v: v, operator.add, operator.mul,
@@ -129,46 +119,62 @@ def _stored(ring) -> _Stored:
 
 
 class EllipticQExp:
-    """Truncated expansion sum a_n q^n, 0 <= n <= bound."""
+    """Truncated expansion sum a_n q^n, 0 <= n <= bound.  `coeffs` holds the
+    ring's stored form (see `_stored`); `f[n]` returns a ring value."""
 
     __slots__ = ("weight", "level", "character", "bound", "coeffs", "ring")
 
     def __init__(self, weight, level, bound, coeffs, ring=RATIONAL, character=None):
+        store = _stored(ring).store
+        self._set(weight, level, bound, [store(c) for c in coeffs], ring, character)
+
+    @classmethod
+    def _make(cls, weight, level, bound, coeffs, ring, character=None):
+        """An expansion from coefficients already in the stored form."""
+        f = object.__new__(cls)
+        f._set(weight, level, bound, coeffs, ring, character)
+        return f
+
+    def _set(self, weight, level, bound, coeffs, ring, character):
         if bound < 0:
             raise BoundTooSmall("bound must be >= 0")
-        coeffs = list(coeffs)
         if len(coeffs) != bound + 1:
             raise QExpError("need exactly bound+1 coefficients")
-        self.weight = weight
-        self.level = level
-        self.character = character  # None (trivial) or dict n mod level -> value
-        self.bound = bound
-        self.coeffs = [ring_coerce(c, ring) for c in coeffs]
-        self.ring = ring
+        self.weight, self.level, self.bound = weight, level, bound
+        # character: None (trivial) or dict n mod level -> value
+        self.coeffs, self.ring, self.character = coeffs, ring, character
+
+    def _derive(self, coeffs) -> "EllipticQExp":
+        """Same weight, level, ring and character; stored coefficients 0 .. bound."""
+        return self._make(
+            self.weight, self.level, len(coeffs) - 1, coeffs, self.ring, self.character
+        )
 
     @classmethod
     def zero(cls, weight, level, bound, ring=RATIONAL):
-        return cls(weight, level, bound, [ring_zero(ring)] * (bound + 1), ring)
+        return cls._make(weight, level, bound, [_stored(ring).zero] * (bound + 1), ring)
 
     def __getitem__(self, n: int):
         if not 0 <= n <= self.bound:
             raise BoundTooSmall(
                 "coefficient %d beyond known bound %d" % (n, self.bound)
             )
-        return self.coeffs[n]
+        return _stored(self.ring).load(self.coeffs[n])
+
+    def _chi(self, n: int):
+        """chi(n) in the stored form."""
+        value = 1 if self.character is None else self.character.get(n % self.level)
+        if value is None:
+            raise CharacterDomainMismatch("character undefined at %d" % (n % self.level))
+        return _stored(self.ring).store(value)
 
     def chi(self, n: int):
-        if self.character is None:
-            return ring_coerce(1, self.ring)
-        key = n % self.level
-        if key not in self.character:
-            raise CharacterDomainMismatch("character undefined at %d" % key)
-        return ring_coerce(self.character[key], self.ring)
+        return _stored(self.ring).load(self._chi(n))
 
     def truncate(self, bound: int) -> "EllipticQExp":
         if bound > self.bound:
             raise BoundTooSmall("cannot extend a truncated expansion")
-        return EllipticQExp(
+        return self._make(
             self.weight, self.level, bound, self.coeffs[: bound + 1], self.ring, self.character
         )
 
@@ -177,35 +183,24 @@ class EllipticQExp:
             return NotImplemented
         if self.ring != other.ring:
             raise QExpError("mixed coefficient rings")
-        b = min(self.bound, other.bound)
-        return EllipticQExp(
-            self.weight,
-            self.level,
-            b,
-            [self.coeffs[n] + other.coeffs[n] for n in range(b + 1)],
-            self.ring,
-            self.character,
-        )
+        add = _stored(self.ring).add
+        # zip stops at the smaller bound
+        return self._derive([add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "EllipticQExp":
-        c = ring_coerce(c, self.ring)
-        return EllipticQExp(
-            self.weight,
-            self.level,
-            self.bound,
-            [c * a for a in self.coeffs],
-            self.ring,
-            self.character,
-        )
+        ring = _stored(self.ring)
+        c, mul = ring.store(c), ring.mul
+        return self._derive([mul(c, a) for a in self.coeffs])
 
     def eq_at_precision(self, other) -> bool:
         return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        return all(is_zero_coeff(c) for c in self.coeffs)
+        zero = _stored(self.ring).zero
+        return all(v == zero for v in self.coeffs)
 
     def __repr__(self):
         return "EllipticQExp(weight=%r, level=%r, bound=%d)" % (
@@ -219,45 +214,31 @@ def u_operator(f: EllipticQExp, p: int) -> EllipticQExp:
     newbound = f.bound // p
     if newbound < 1:
         raise BoundTooSmall("bound %d too small for U_%d" % (f.bound, p))
-    return EllipticQExp(
-        f.weight,
-        f.level,
-        newbound,
-        [f.coeffs[p * n] for n in range(newbound + 1)],
-        f.ring,
-        f.character,
-    )
+    return f._derive(f.coeffs[::p])
 
 
 def v_operator(f: EllipticQExp, p: int, storage_cap: int = 10**6) -> EllipticQExp:
     newbound = min(f.bound * p, storage_cap)
-    out = [ring_zero(f.ring)] * (newbound + 1)
+    out = [_stored(f.ring).zero] * (newbound + 1)
     for n in range(f.bound + 1):
         if p * n <= newbound:
             out[p * n] = f.coeffs[n]
-    return EllipticQExp(f.weight, f.level, newbound, out, f.ring, f.character)
+    return f._derive(out)
 
 
 def deplete(f: EllipticQExp, p: int) -> EllipticQExp:
     """f - V(U(f)): kills every coefficient with index divisible by p.
     The constant term is killed too (it is the p*0-th coefficient)."""
-    out = [
-        ring_zero(f.ring) if n % p == 0 else f.coeffs[n] for n in range(f.bound + 1)
-    ]
-    return EllipticQExp(f.weight, f.level, f.bound, out, f.ring, f.character)
+    zero = _stored(f.ring).zero
+    return f._derive([zero if n % p == 0 else c for n, c in enumerate(f.coeffs)])
 
 
 def elliptic_twist(
-    f: EllipticQExp,
-    chi=None,
-    j: int = 0,
-    p: int = None,
-    norm_power: int = 0,
-    chi_modulus: int = None,
+    f: EllipticQExp, chi=None, j: int = 0, p: int = None, norm_power: int = 0
 ) -> EllipticQExp:
     """Twist by chi * omega^j * |.|^norm_power at p: for n prime to p,
-    a_n -> chi(n) * omega(n)^j * n^norm_power * a_n (omega the Teichmuller
-    character); coefficients with p | n are killed."""
+    a_n -> chi(n mod p) * omega(n)^j * n^norm_power * a_n (omega the
+    Teichmuller character); coefficients with p | n are killed."""
     if f.ring == RATIONAL:
         raise ExactRingUnsupported("twisting requires p-adic coefficients")
     rp, rm = f.ring[1], f.ring[2]
@@ -265,24 +246,22 @@ def elliptic_twist(
         p = rp
     if p != rp:
         raise QExpError("twist prime must match the coefficient ring")
+    ring = _stored(f.ring)
     out = []
-    for n in range(f.bound + 1):
+    for n, c in enumerate(f.coeffs):
         if n % p == 0:
-            out.append(ring_zero(f.ring))
+            out.append(ring.zero)
             continue
-        c = f.coeffs[n]
         if chi is not None:
-            mod = chi_modulus if chi_modulus is not None else p
-            key = n % mod
-            if key not in chi:
-                raise CharacterDomainMismatch("character undefined at %d" % key)
-            c = c * ring_coerce(chi[key], f.ring)
+            if n % p not in chi:
+                raise CharacterDomainMismatch("character undefined at %d" % (n % p))
+            c = ring.mul(c, ring.store(chi[n % p]))
         if j % (p - 1) != 0:
-            c = c * teichmuller(n, rp, rm) ** (j % (p - 1))
+            c = ring.mul(c, ring.store(teichmuller(n, rp, rm) ** (j % (p - 1))))
         if norm_power:
-            c = c * ring_coerce(n, f.ring) ** norm_power
+            c = ring.mul(c, ring.store(PadicNumber(rp, rm, n) ** norm_power))
         out.append(c)
-    return EllipticQExp(f.weight, f.level, f.bound, out, f.ring, f.character)
+    return f._derive(out)
 
 
 def hecke_T(f: EllipticQExp, ell: int) -> EllipticQExp:
@@ -293,26 +272,18 @@ def hecke_T(f: EllipticQExp, ell: int) -> EllipticQExp:
     newbound = f.bound // ell
     if newbound < 1:
         raise BoundTooSmall("bound %d too small for T_%d" % (f.bound, ell))
-    scale = f.chi(ell) * ring_coerce(ell ** (f.weight - 1), f.ring)
-    out = []
-    for n in range(newbound + 1):
-        c = f.coeffs[ell * n]
-        if n % ell == 0:
-            c = c + scale * f.coeffs[n // ell]
-        out.append(c)
-    return EllipticQExp(f.weight, f.level, newbound, out, f.ring, f.character)
+    ring = _stored(f.ring)
+    scale = ring.mul(f._chi(ell), ring.store(ell ** (f.weight - 1)))
+    out = f.coeffs[::ell]  # a_{ell n} for n <= newbound
+    for n in range(0, newbound + 1, ell):
+        out[n] = ring.add(out[n], ring.mul(scale, f.coeffs[n // ell]))
+    return f._derive(out)
 
 
 def q_derivative(f: EllipticQExp) -> EllipticQExp:
     """q d/dq: a_n -> n a_n (weight bookkeeping left to the caller)."""
-    return EllipticQExp(
-        f.weight,
-        f.level,
-        f.bound,
-        [ring_coerce(n, f.ring) * f.coeffs[n] for n in range(f.bound + 1)],
-        f.ring,
-        f.character,
-    )
+    ring = _stored(f.ring)
+    return f._derive([ring.mul(ring.store(n), c) for n, c in enumerate(f.coeffs)])
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +560,7 @@ def diagonal_restrict(g: HilbertQExp) -> EllipticQExp:
         reduce(ring.add, g.coeffs[offsets[n] : offsets[n + 1]], ring.zero)
         for n in range(1, T + 1)
     ]
-    return EllipticQExp(g.weights[0] + g.weights[1], 1, T, map(ring.load, sums), g.ring)
+    return EllipticQExp._make(g.weights[0] + g.weights[1], 1, T, sums, g.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -686,25 +657,20 @@ def hilbert_v(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> Hi
 
 
 def twist_star(
-    g: HilbertQExp,
-    chi: dict,
-    prime_data: PrimeIdealData,
-    which: int = 1,
-    conductor_exponent: int = 1,
+    g: HilbertQExp, chi: dict, prime_data: PrimeIdealData, which: int = 1
 ) -> HilbertQExp:
-    """Coefficientwise twist: a(xi) -> chi(xi mod prime^c) a(xi) on the
+    """Coefficientwise twist: a(xi) -> chi(xi mod prime) a(xi) on the
     coefficients prime to the chosen prime, 0 elsewhere.  chi is a value
-    table on the units modulo p^c, read through the residue map."""
+    table on the units modulo p, read through the residue map."""
     dom = _prime_context(g, prime_data)
-    p, c = prime_data.p, conductor_exponent
-    if prime_data.m < c:
+    p = prime_data.p
+    if prime_data.m < 1:
         raise CharacterDomainMismatch("residue precision below the conductor")
-    pc = p**c
     ring = _stored(g.ring)
 
     def twist(v, r):
-        r %= pc
-        if r % p == 0:
+        r %= p
+        if not r:
             return ring.zero
         if r not in chi:
             raise CharacterDomainMismatch("character undefined at %d" % r)
@@ -781,7 +747,6 @@ def _fraction_key(s: str):
 def to_json(exp) -> dict:
     ring, stored = list(exp.ring), _stored(exp.ring)
     if isinstance(exp, EllipticQExp):
-        dump = lambda v: stored.dump(stored.store(v))
         return {
             "type": "elliptic",
             "weight": exp.weight,
@@ -790,8 +755,8 @@ def to_json(exp) -> dict:
             "ring": ring,
             "character": None
             if exp.character is None
-            else sorted([int(k), dump(v)] for k, v in exp.character.items()),
-            "coeffs": [dump(c) for c in exp.coeffs],
+            else sorted([int(k), stored.dump(stored.store(v))] for k, v in exp.character.items()),
+            "coeffs": [stored.dump(c) for c in exp.coeffs],
         }
     if isinstance(exp, HilbertQExp):
         return {
@@ -810,21 +775,28 @@ def to_json(exp) -> dict:
     raise QExpError("unknown expansion type")
 
 
+def _ring_from_json(written):
+    """The ring written as ["rational"], or as ["padic", p, m] with int p
+    prime and int m >= 1; QExpError for anything else."""
+    ring = tuple(written) if isinstance(written, (list, tuple)) else None
+    if ring == RATIONAL or (
+        ring and len(ring) == 3 and ring[0] == "padic"
+        and all(type(x) is int for x in ring[1:]) and ring[2] >= 1 and isprime(ring[1])
+    ):
+        return ring
+    raise QExpError("unsupported coefficient ring %r" % (written,))
+
+
 def from_json(obj: dict, field: RealQuadraticField = None):
-    ring = tuple(obj["ring"])
+    ring = _ring_from_json(obj["ring"])
     stored = _stored(ring)
     if obj["type"] == "elliptic":
-        load = lambda v: stored.load(stored.parse(v))
         character = None
         if obj.get("character") is not None:
-            character = {int(k): load(v) for k, v in obj["character"]}
-        return EllipticQExp(
-            obj["weight"],
-            obj["level"],
-            obj["bound"],
-            [load(c) for c in obj["coeffs"]],
-            ring,
-            character,
+            character = {int(k): stored.load(stored.parse(v)) for k, v in obj["character"]}
+        coeffs = [stored.parse(c) for c in obj["coeffs"]]
+        return EllipticQExp._make(
+            obj["weight"], obj["level"], obj["bound"], coeffs, ring, character
         )
     if obj["type"] == "hilbert":
         if field is None:

@@ -8,7 +8,8 @@ import pipeline_fixtures as fx
 from hz.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
 from hz.hecke import eigensystem_to_json
 from hz.padic import PadicNumber
-from hz.qexp import RATIONAL, EllipticQExp, to_json
+from hz.qexp import RATIONAL, EllipticQExp, eisenstein_hilbert, to_json
+from hz.realquad import make_field
 from fractions import Fraction
 
 
@@ -240,3 +241,42 @@ class TestQExpOp:
         code, _, err = run(capsys, ["qexp-op", "--input", path,
                                     "--op", "u"])
         assert code == EXIT_ERROR
+
+    def test_hilbert_expansion_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(to_json(eisenstein_hilbert(make_field(5), 2, 6))))
+        code, out, err = run(capsys, ["qexp-op", "--input", str(path),
+                                      "--op", "u", "-p", "5"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: qexp-op needs an elliptic expansion, not a hilbert one\n"
+
+    def test_unsupported_ring(self, capsys, tmp_path):
+        path, _ = self.store(tmp_path)
+        with open(path) as fh:
+            record = json.load(fh)
+        record["ring"] = ["padic", 4, 3]
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+        code, out, err = run(capsys, ["qexp-op", "--input", path,
+                                      "--op", "derive"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: unsupported coefficient ring")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["asai", "--p", "4"], "--p", 4),
+    (["asai", "--p", "0"], "--p", 0),
+    (["asai", "--p", "-3"], "--p", -3),
+    (TestEuler.ARGS[:-1] + ["4"], "-p", 4),
+    (TestEuler.ARGS[:-1] + ["1"], "-p", 1),
+    (["qexp-op", "--op", "hecke", "--ell", "4"], "--ell", 4),
+])
+def test_prime_arguments_are_checked(capsys, tmp_path, argv, flag, value):
+    if argv[0] == "qexp-op":
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(to_json(
+            EllipticQExp(2, 1, 12, list(range(13)), RATIONAL))))
+        argv = argv + ["--input", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: %s must be a prime, got %d\n" % (flag, value)

@@ -175,7 +175,7 @@ class TestHeckeSpace:
                 )
                 for n in range(img.bound + 1)
             ]
-            assert all((x - y).is_zero() for x, y in zip(recon, img.coeffs))
+            assert all((x - img[n]).is_zero() for n, x in enumerate(recon))
 
     def test_not_invariant(self):
         rng = random.Random(5)
@@ -199,7 +199,7 @@ class TestHeckeSpace:
             phi.weight,
             phi.level,
             phi.bound,
-            phi.coeffs[:3] + [phi.coeffs[3] + 1] + phi.coeffs[4:],
+            [phi[n] + (1 if n == 3 else 0) for n in range(phi.bound + 1)],
             phi.ring,
         )
         with pytest.raises(NotInSpan):

@@ -1,5 +1,7 @@
-"""Every module-level import in src/hz is used by its module (stdlib only;
-the repository has no linter, so this test keeps the imports clean)."""
+"""Every module-level import in src/hz is used by its module, and every
+name in a module's `__all__` is bound at module level (stdlib only; the
+repository has no linter, so this test keeps the imports and exports
+clean)."""
 
 import ast
 from pathlib import Path
@@ -21,19 +23,48 @@ def unused_imports(source):
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_exports(tree))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def _exports(tree):
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in used)
+            return ast.literal_eval(node.value)
+    return []
+
+
+def unbound_exports(source):
+    """The names in `__all__` that no module-level statement binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return sorted(name for name in _exports(tree) if name not in bound)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
 
 
 def test_detector_sees_unused_and_used_names():
@@ -43,3 +74,14 @@ def test_detector_sees_unused_and_used_names():
               "__all__ = ['loads']\n"
               "print(os.path.sep, d)\n")
     assert unused_imports(source) == [(2, "math")]
+
+
+def test_export_detector_sees_a_stale_name():
+    source = ("from json import dumps\n"
+              "import os.path\n"
+              "X: int = 1\n"
+              "Y, (Z, W) = 2, (3, 4)\n"
+              "def f(): pass\n"
+              "class C: pass\n"
+              "__all__ = ['dumps', 'os', 'X', 'Y', 'W', 'f', 'C', 'ring_zero']\n")
+    assert unbound_exports(source) == ["ring_zero"]

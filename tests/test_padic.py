@@ -261,12 +261,12 @@ class TestCoercion:
         assert as_padic(Fraction(7, 25), p, m) * 25 == x
 
     def test_mixed_context_is_a_padic_error(self):
-        from hz.qexp import padic_ring, ring_coerce
+        from hz.qexp import EllipticQExp, padic_ring
 
         with pytest.raises(PadicError, match="mixed p-adic contexts"):
             as_padic(P(1, 5, 6), 5, 5)
         with pytest.raises(PadicError, match="mixed p-adic contexts"):
-            ring_coerce(P(1, 5, 6), padic_ring(7, 6))
+            EllipticQExp(2, 1, 0, [P(1, 5, 6)], padic_ring(7, 6))
 
     def test_zero_test(self):
         assert is_zero_coeff(P(5**6)) and not is_zero_coeff(P(5**5))

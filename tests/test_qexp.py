@@ -169,7 +169,7 @@ class TestEllipticTwist:
         rng = random.Random(22)
         f = random_elliptic(rng, bound=10, ring=self.RING)
         g = elliptic_twist(f, j=1)
-        assert g.coeffs[2] == teichmuller(2, 5, 6) * f.coeffs[2]
+        assert g[2] == teichmuller(2, 5, 6) * f[2]
 
     def test_j_composes(self):
         rng = random.Random(23)
@@ -184,7 +184,7 @@ class TestEllipticTwist:
         g = elliptic_twist(f, norm_power=2)
         for n in range(1, 21):
             if n % 5:
-                assert g.coeffs[n] == f.coeffs[n] * (n * n)
+                assert g[n] == f[n] * (n * n)
 
     def test_depletion_compatible(self):
         rng = random.Random(25)
@@ -631,22 +631,35 @@ class TestJsonRoundTrip:
         assert e2.eq_at_precision(e)
         assert e2.a0 == e.a0
 
+    @pytest.mark.parametrize(
+        "ring",
+        [["padic", 7], ["bogus"], ["padic", 0, 3], ["padic", 4, 3], ["padic", -7, 3],
+         ["padic", 7, 0], ["padic", 7.0, 3], [["padic"], 7, 3], "rational", None],
+        ids=repr,
+    )
+    def test_rejects_unsupported_rings(self, ring):
+        for exp in (random_elliptic(random.Random(104), bound=4, ring=padic_ring(7, 3)),
+                    eisenstein_hilbert(F5, 2, 3)):
+            with pytest.raises(QExpError, match="unsupported coefficient ring"):
+                from_json(dict(to_json(exp), ring=ring), F5)
+
+
+def mixed_value(rng):
+    """A random zero, non-unit or negative-valuation value over R11."""
+    p, m = 11, 5
+    kind = rng.randrange(4)
+    if kind == 0:
+        return PadicNumber.zero(p, m)
+    if kind == 1:
+        return PadicNumber(p, m, rng.randrange(1, p**m) * p ** rng.randrange(1, m))
+    return PadicNumber(p, m, rng.randrange(1, p**m), rng.randrange(-2, 3))
+
 
 def mixed_hilbert(rng, T=15):
     """A random expansion over R11 whose coefficients and constant term
     include zeros, non-units and negative valuations."""
-    p, m = 11, 5
-
-    def value():
-        kind = rng.randrange(4)
-        if kind == 0:
-            return PadicNumber.zero(p, m)
-        if kind == 1:
-            return PadicNumber(p, m, rng.randrange(1, p**m) * p ** rng.randrange(1, m))
-        return PadicNumber(p, m, rng.randrange(1, p**m), rng.randrange(-2, 3))
-
-    coeffs = {(xi.x, xi.y): value() for xi in hilbert_domain(F5, T)}
-    return HilbertQExp(F5, (2, 0), T, value(), coeffs, R11)
+    coeffs = {(xi.x, xi.y): mixed_value(rng) for xi in hilbert_domain(F5, T)}
+    return HilbertQExp(F5, (2, 0), T, mixed_value(rng), coeffs, R11)
 
 
 def digits(x):
@@ -756,6 +769,107 @@ class TestPairStorageOracle:
         g2 = conjugate_ratio_partner(g1, P11)
         theta_d(g2, 1, P11) - theta_d(g1, 2, P11)
         twist_star(g1 + g2, trivial_character(11), P11)
+
+
+def mixed_elliptic(rng, bound=30, level=1, character=None):
+    """A random elliptic expansion over R11 with zero, non-unit and
+    negative-valuation coefficients."""
+    coeffs = [mixed_value(rng) for _ in range(bound + 1)]
+    return EllipticQExp(4, level, bound, coeffs, R11, character)
+
+
+class TestEllipticStorageOracle:
+    """Every elliptic operator on stored (unit, val) pairs equals the same
+    operator written with PadicNumber arithmetic on f[n], digit for digit."""
+
+    @staticmethod
+    def assert_coeffs(out, reference):
+        assert [digits(out[n]) for n in range(out.bound + 1)] == [digits(r) for r in reference]
+
+    def test_index_maps(self):
+        rng = random.Random(131)
+        f, zero = mixed_elliptic(rng), PadicNumber.zero(11, 5)
+        a = [f[n] for n in range(f.bound + 1)]
+        self.assert_coeffs(u_operator(f, 3), a[::3])
+        self.assert_coeffs(v_operator(f, 2), [a[n // 2] if n % 2 == 0 else zero for n in range(61)])
+        self.assert_coeffs(deplete(f, 11), [zero if n % 11 == 0 else c for n, c in enumerate(a)])
+        self.assert_coeffs(f.truncate(7), a[:8])
+
+    def test_ring_maps(self):
+        rng = random.Random(132)
+        f, g = mixed_elliptic(rng), mixed_elliptic(rng, bound=20)
+        a, b = [f[n] for n in range(31)], [g[n] for n in range(21)]
+        self.assert_coeffs(f + g, [x + y for x, y in zip(a, b)])
+        self.assert_coeffs(f - g, [x - y for x, y in zip(a, b)])
+        for k in (3, -1, PadicNumber(11, 5, 22 * 7), Fraction(5, 121)):
+            self.assert_coeffs(f.scale(k), [as_padic(k, 11, 5) * x for x in a])
+        self.assert_coeffs(q_derivative(f), [as_padic(n, 11, 5) * x for n, x in enumerate(a)])
+        tiny = EllipticQExp(4, 1, 20, [PadicNumber(11, 5, 1, 4)] * 21, R11)
+        for u, v in ((f, f), (f, g), (g, g + tiny), (g + tiny, g.scale(2))):
+            assert u.eq_at_precision(v) == all((u[n] - v[n]).is_zero() for n in range(21))
+        for u in (f, f.scale(11**7), EllipticQExp.zero(4, 1, 30, R11)):
+            assert u.is_zero() == all(u[n].is_zero() for n in range(31))
+
+    def test_hecke_and_twist(self):
+        rng = random.Random(133)
+        chi = {1: PadicNumber(11, 5, 1), 2: PadicNumber(11, 5, 3, -1)}
+        f = mixed_elliptic(rng, bound=40, level=3, character=chi)
+        a = [f[n] for n in range(41)]
+        for ell in (2, 5):
+            scale = f.chi(ell) * as_padic(ell**3, 11, 5)
+            self.assert_coeffs(
+                hecke_T(f, ell),
+                [a[ell * n] + scale * a[n // ell] if n % ell == 0 else a[ell * n]
+                 for n in range(40 // ell + 1)],
+            )
+        tw = {r: (11 * r if r % 3 else Fraction(r, 11)) for r in range(1, 11)}
+        for j, norm_power in ((0, 0), (1, 0), (3, 2), (13, -1)):
+            reference = []
+            for n, c in enumerate(a):
+                if n % 11 == 0:
+                    reference.append(PadicNumber.zero(11, 5))
+                    continue
+                c = c * as_padic(tw[n % 11], 11, 5)
+                if j % 10:
+                    c = c * teichmuller(n, 11, 5) ** (j % 10)
+                if norm_power:
+                    c = c * as_padic(n, 11, 5) ** norm_power
+                reference.append(c)
+            self.assert_coeffs(elliptic_twist(f, tw, j=j, norm_power=norm_power), reference)
+
+    def test_restriction_and_json(self):
+        g = mixed_hilbert(random.Random(134))
+        r = diagonal_restrict(g)
+        assert digits(r[0]) == digits(constant(g))
+        for n in range(1, g.trace_bound + 1):
+            segment = sum((g.coefficient(xi) for xi in g.domain() if xi.trace() == n),
+                          PadicNumber.zero(11, 5))
+            assert digits(r[n]) == digits(segment)
+        rng = random.Random(135)
+        f = mixed_elliptic(rng)
+        obj = to_json(f)
+        assert obj["coeffs"] == [list(digits(f[n])) for n in range(31)]
+        self.assert_coeffs(from_json(obj), [f[n] for n in range(31)])
+        raw = [(rng.randrange(-(11**7), 11**7), rng.randrange(-3, 7)) for _ in range(31)]
+        loaded = from_json(dict(obj, coeffs=[list(v) for v in raw]))
+        # stored in normal form, not only read back through PadicNumber
+        assert loaded.coeffs == [digits(PadicNumber(11, 5, u, v)) for u, v in raw]
+
+    def test_operators_build_no_padic_numbers(self, monkeypatch):
+        rng = random.Random(136)
+        f = mixed_elliptic(rng, level=3, character={1: 1, 2: PadicNumber(11, 5, 4)})
+        g = mixed_elliptic(rng, bound=20)
+        obj, h = to_json(g), mixed_hilbert(rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PadicNumber was built inside an elliptic operator")
+
+        monkeypatch.setattr(PadicNumber, "__init__", refuse)
+        u_operator(f, 2), v_operator(f, 3), deplete(f, 11), q_derivative(f)
+        hecke_T(f, 2), hecke_T(g, 5)
+        (f + g) - f.truncate(10), f.scale(7), f.scale(Fraction(3, 22))
+        f.eq_at_precision(g), f.is_zero()
+        diagonal_restrict(h), from_json(obj)
 
 
 @contextlib.contextmanager
