@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-import sympy
-from sympy.abc import x as _x
-
 from .padic import (
     PadicNumber,
     _gcd_poly_modp,
@@ -30,6 +27,8 @@ from .padic import (
     _pmulmod,
     _ppowmod,
     _psub,
+    _ptrim,
+    primitive_root,
     teichmuller,
 )
 
@@ -458,8 +457,65 @@ def quintic_discriminant(coeffs):
 
 @functools.lru_cache(maxsize=None)
 def _discriminant(coeffs):
-    # once per polynomial: the sieve asks for it at every prime
-    return int(sympy.discriminant(sympy.Poly(coeffs, _x)))
+    """Discriminant of the integer polynomial with coefficients `coeffs`
+    (high to low), (-1)^(n(n-1)/2) Res(f, f') / lead(f) for degree n >= 1
+    and 0 for a constant.  Cached: the sieve asks for it at every prime."""
+    f = coeffs[next((i for i, c in enumerate(coeffs) if c), len(coeffs)):]
+    n = len(f) - 1
+    if n < 1:
+        return 0
+    df = [c * (n - i) for i, c in enumerate(f[:-1])]
+    return (-1) ** (n * (n - 1) // 2) * _resultant(f, df) // f[0]
+
+
+def _resultant(f, g):
+    """Res(f, g) for integer polynomials (high to low, nonzero leading
+    coefficients): the determinant of the Sylvester matrix, by
+    fraction-free Bareiss elimination, in which every division is exact."""
+    n, m = len(f) - 1, len(g) - 1
+    M = [[0] * i + list(f) + [0] * (m - 1 - i) for i in range(m)]
+    M += [[0] * i + list(g) + [0] * (n - 1 - i) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n + m - 1):
+        pivot = next((i for i in range(k, n + m) if M[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            M[k], M[pivot], sign = M[pivot], M[k], -sign
+        for i in range(k + 1, n + m):
+            for j in range(k + 1, n + m):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def is_irreducible_modp(f, p):
+    """Whether f (coefficients low to high) is irreducible over F_p, by
+    Berlekamp: f mod p has degree >= 1, gcd(f, f') = 1, and Q - I has
+    nullity 1, the rows of Q being x^(ip) mod f for 0 <= i < deg f.  The
+    nullity counts the irreducible factors of a squarefree f, so this is
+    independent of the distinct-degree factorization of the search."""
+    f = _ptrim([c % p for c in f])
+    n = len(f) - 1
+    if n < 1 or len(_gcd_poly_modp(f, [i * c for i, c in enumerate(f)][1:], p)) > 1:
+        return False
+    frob, row, rows = _ppowmod([0, 1], p, f, p), [1], []
+    for i in range(n):
+        rows.append(row + [0] * (n - len(row)))
+        rows[i][i] -= 1
+        row = _pmulmod(row, frob, f, p)
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, n):
+            c = rows[i][col] * inv % p
+            rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == n - 1
 
 
 def frobenius_class_quintic(coeffs, p):
@@ -546,7 +602,7 @@ class AsaiEigenvalues:
                 continue
             if (p - 1) % m:
                 raise AsaiError("no root of order %d in the p-adic units" % m)
-            g = sympy.primitive_root(p)
+            g = primitive_root(p)
             root = teichmuller(pow(g, (p - 1) // m, p), p, precision)
             value = PadicNumber(p, precision, 1, 0)
             for _ in range(j):

@@ -17,8 +17,6 @@ import os
 import sys
 from fractions import Fraction
 
-from sympy import isprime
-
 from . import qexp
 from .asai import (
     AsaiError,
@@ -39,7 +37,7 @@ from .hecke import (
     stabilize,
     stabilized_expansion,
 )
-from .padic import PadicError, PadicNumber
+from .padic import PadicError, PadicNumber, divisor_sigma, isprime
 from .qexp import (
     EllipticQExp,
     QExpError,
@@ -201,11 +199,10 @@ def cmd_diag_restrict(args):
             str(eisenstein_normalization_constant(F)),
     }
     if args.verify:
-        from sympy.functions.combinatorial.numbers import divisor_sigma
         k2 = 2 * args.eisenstein - 1
         b1 = r[1]
         for n in range(1, r.bound + 1):
-            if r[n] != b1 * int(divisor_sigma(n, k2)):
+            if r[n] != b1 * divisor_sigma(n, k2):
                 print("restriction is not proportional to the divisor sum "
                       "at n = %d" % n, file=sys.stderr)
                 return EXIT_ERROR
@@ -364,8 +361,10 @@ def cmd_qexp_op(args):
         raise CliError("qexp-op needs an elliptic expansion, not a %s one"
                        % record["type"])
     p = args.p
-    if args.op in ("u", "v", "deplete") and p is None:
-        raise CliError("--op %s requires -p" % args.op)
+    if args.op in ("u", "v", "deplete"):
+        if p is None:
+            raise CliError("--op %s requires -p" % args.op)
+        _prime(p, "-p")
     if args.op == "u":
         out = u_operator(f, p)
         if args.verify and not (u_operator(v_operator(f, p), p)

@@ -20,6 +20,7 @@ from .padic import (
     PolynomialExact,
     as_padic,
     bezout_projector,
+    factorize,
     hensel_unit_root,
     int_valuation,
     lift_root,
@@ -37,7 +38,7 @@ from .qexp import (
     u_operator,
     v_operator,
 )
-from .realquad import PrimeIdealData, factorize
+from .realquad import PrimeIdealData
 
 
 class HeckeError(ArithmeticError):
@@ -451,6 +452,11 @@ def euler_report(
     tokens.update(unit_tokens or {})
     tokens = {k: as_padic(v, p, m) for k, v in tokens.items()}
     p_adic = as_padic(p, p, m)
+    for name, divisor in (("alpha", alpha_f), ("beta", beta_f), ("a1", a1), ("a2", a2),
+                          ("beta^2", beta_f * beta_f), ("a1*a2*p", a1 * a2 * p_adic)):
+        if divisor.is_zero():
+            raise HeckeError("the Euler report divides by %s, which is 0 modulo %d^%d"
+                             % (name, p, m))
 
     ordinary = one - beta_f / alpha_f
     special = one

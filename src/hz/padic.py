@@ -1,5 +1,7 @@
-"""Fixed-precision p-adic numbers, exact polynomials, and the unit-root
-splitting machinery behind the ordinary projector.
+"""Fixed-precision p-adic numbers, exact polynomials, the unit-root
+splitting machinery behind the ordinary projector, and the small-integer
+number theory (primality, prime ranges, factoring, orders) of the other
+layers.
 
 Precision model: a computation fixes (p, m) once and works modulo p^m.
 Anything that would need more precision raises PrecisionExhausted instead
@@ -15,6 +17,8 @@ the two agree digit for digit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import isqrt
 
 
 class PadicError(ArithmeticError):
@@ -42,6 +46,121 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+# -- small-integer number theory ----------------------------------------------
+
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+class OutOfRange(PadicError):
+    """An integer beyond the range where a test is proved exact."""
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; OutOfRange for
+    n >= 3.3 * 10^24, where the 13 bases are no longer proved enough."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise OutOfRange("the primality test is proved only below %d, got %d" % (_MR_LIMIT, n))
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primerange(start: int, stop: int):
+    """The primes p with start <= p < stop in increasing order, by a
+    segmented sieve of Eratosthenes (memory O(sqrt(stop) + segment))."""
+    start = max(start, 2)
+    if stop <= start:
+        return
+    root = isqrt(stop - 1)
+    small = bytearray([1]) * (root + 1)
+    small[:2] = b"\0\0"
+    for q in range(2, isqrt(root) + 1):
+        if small[q]:
+            small[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+    base = list(compress(range(root + 1), small))
+    width = max(root, 1 << 15)
+    for lo in range(start, stop, width):
+        hi = min(lo + width, stop)
+        seg = bytearray([1]) * (hi - lo)
+        for q in base:
+            if q * q >= hi:
+                break
+            first = max(q * q, -(-lo // q) * q) - lo
+            seg[first::q] = bytes(len(range(first, hi - lo, q)))
+        yield from compress(range(lo, hi), seg)
+
+
+def factorize(n: int):
+    """The prime factorization of n > 0 as (q, e) pairs with q increasing,
+    by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = int_valuation(n, q)
+            out.append((q, e))
+            n //= q**e
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n: int):
+    """The positive divisors of n > 0 in increasing order."""
+    out = [1]
+    for q, e in factorize(n):
+        out = [d * q**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def divisor_sigma(n: int, k: int) -> int:
+    """sigma_k(n), the sum of d^k over the positive divisors d of n > 0."""
+    return sum(d**k for d in divisors(n))
+
+
+def n_order(a: int, p: int) -> int:
+    """The multiplicative order of a modulo a prime p that does not divide
+    it, from the factorization of p - 1."""
+    if a % p == 0:
+        raise ValueError("%d is not a unit modulo %d" % (a, p))
+    order = p - 1
+    for q, e in factorize(p - 1):
+        for _ in range(e):
+            if pow(a, order // q, p) != 1:
+                break
+            order //= q
+    return order
+
+
+def primitive_root(p: int) -> int:
+    """The smallest primitive root modulo a prime p (1 for p = 2)."""
+    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
+    g = 1
+    while any(pow(g, c, p) == 1 for c in cofactors):
+        g += 1
+    return g
 
 
 # -- (unit, val) pairs -------------------------------------------------------

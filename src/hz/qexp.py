@@ -25,18 +25,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
-from sympy import isprime
-from sympy.functions.combinatorial.numbers import divisor_sigma
-
 from .padic import (
-    PadicNumber, as_pair, int_valuation, pair_add, pair_div_unit, pair_mul, pair_mul_residue,
-    pair_normalize, teichmuller,
+    PadicNumber, as_pair, divisor_sigma, factorize, int_valuation, isprime, pair_add,
+    pair_div_unit, pair_mul, pair_mul_residue, pair_normalize, teichmuller,
 )
 from .realquad import (
     PrimeIdealData,
     QuadElement,
     RealQuadraticField,
-    factorize,
     make_field,
     split_prime,
     splitting_type,
@@ -98,13 +94,26 @@ def _frac_str(q: Fraction) -> str:
 _Stored = namedtuple("_Stored", "zero store load add mul parse dump")
 
 
-@lru_cache(maxsize=None)
 def _stored(ring) -> _Stored:
     """How expansions store `ring`'s values (Fractions, or normal-form
-    (unit, val) pairs), with their arithmetic and their JSON codec."""
+    (unit, val) pairs), with their arithmetic and their JSON codec.  The
+    ring is RATIONAL or ("padic", p, m) with int p prime and int m >= 1;
+    anything else raises QExpError.  The check runs once per ring: the
+    cache is keyed by the type of each entry too, so ("padic", 7.0, 3) is
+    never taken for ("padic", 7, 3)."""
+    if type(ring) is not tuple:
+        raise QExpError("unsupported coefficient ring %r" % (ring,))
+    return _stored_entries(*ring)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _stored_entries(*ring) -> _Stored:
     if ring == RATIONAL:
         return _Stored(Fraction(0), Fraction, lambda v: v, operator.add, operator.mul,
                        lambda s: Fraction(*_fraction_key(s)), _frac_str)
+    if not (len(ring) == 3 and ring[0] == "padic" and all(type(x) is int for x in ring[1:])
+            and ring[2] >= 1 and isprime(ring[1])):
+        raise QExpError("unsupported coefficient ring %r" % (list(ring),))
     p, m = ring[1], ring[2]
     ctx = (p, m, p**m)
     return _Stored(
@@ -463,7 +472,7 @@ def siegel_zeta_minus1(D: int) -> Fraction:
     while x * x < D:
         for s in ((x,) if x == 0 else (x, -x)):
             if (D - s * s) % 4 == 0:
-                total += int(divisor_sigma((D - s * s) // 4, 1))
+                total += divisor_sigma((D - s * s) // 4, 1)
         x += 1
     return Fraction(total, 60)
 
@@ -775,21 +784,13 @@ def to_json(exp) -> dict:
     raise QExpError("unknown expansion type")
 
 
-def _ring_from_json(written):
-    """The ring written as ["rational"], or as ["padic", p, m] with int p
-    prime and int m >= 1; QExpError for anything else."""
-    ring = tuple(written) if isinstance(written, (list, tuple)) else None
-    if ring == RATIONAL or (
-        ring and len(ring) == 3 and ring[0] == "padic"
-        and all(type(x) is int for x in ring[1:]) and ring[2] >= 1 and isprime(ring[1])
-    ):
-        return ring
-    raise QExpError("unsupported coefficient ring %r" % (written,))
-
-
 def from_json(obj: dict, field: RealQuadraticField = None):
-    ring = _ring_from_json(obj["ring"])
-    stored = _stored(ring)
+    written = obj["ring"]
+    ring = tuple(written) if isinstance(written, list) else written
+    try:
+        stored = _stored(ring)
+    except TypeError:  # an unhashable entry
+        raise QExpError("unsupported coefficient ring %r" % (written,)) from None
     if obj["type"] == "elliptic":
         character = None
         if obj.get("character") is not None:

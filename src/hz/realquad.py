@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import sympy
-
-from .padic import int_valuation, lift_root
+from .padic import divisors, factorize, lift_root, n_order
 
 
 class RealQuadError(ArithmeticError):
@@ -40,7 +38,7 @@ class RealQuadraticField:
     def __init__(self, d: int, h_plus=None, height_bound: int = 10**4):
         if d <= 1:
             raise NotSquarefree("need d > 1")
-        if any(e > 1 for e in sympy.factorint(d).values()):
+        if any(e > 1 for _, e in factorize(d)):
             raise NotSquarefree("d = %d is not squarefree" % d)
         self.d = d
         if d % 4 == 1:
@@ -338,22 +336,6 @@ def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
     return PrimeIdealData(F, p, m, "split", (r1, r2))
 
 
-def factorize(n: int):
-    """The prime factorization of n > 0 as (q, e) pairs with q increasing,
-    by trial division."""
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            e = int_valuation(n, q)
-            out.append((q, e))
-            n //= q**e
-        q += 1 if q == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # indefinite binary quadratic forms: reduction, cycles, narrow class number
 
@@ -438,7 +420,7 @@ def _all_reduced_forms(D: int):
         if prod4 % 4:
             continue
         prod = prod4 // 4
-        for a in sympy.divisors(-prod):
+        for a in divisors(-prod):
             for aa in (a, -a):
                 c = prod // aa
                 if _is_reduced(aa, b, c, D):
@@ -554,7 +536,7 @@ def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadEle
         # the first prime is the one of the smaller root at precision 1
         prime_data = split_prime(F, p, 1)
     a = prime_data.residue(u, 1) % p
-    return int(sympy.ntheory.n_order(a, p))
+    return n_order(a, p)
 
 
 # ---------------------------------------------------------------------------

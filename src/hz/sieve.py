@@ -18,17 +18,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import sympy
-
 from .asai import (
     asai_frobenius_eigenvalues,
     frobenius_class_quintic,
+    is_irreducible_modp,
     quintic_discriminant,
 )
+from .padic import factorize, primerange
 from .realquad import (
     NotSplit,
     RealQuadraticField,
-    factorize,
     make_field,
     narrowly_principal_split,
     split_prime,
@@ -363,8 +362,7 @@ def reverify(F: RealQuadraticField, quintic, E: EllipticCurveData,
     a = data.residue(F.totally_positive_fundamental_unit, 1) % p
     if pow(a, result.witnesses["unit_order"], p) != 1:
         return False
-    if not sympy.Poly(list(quintic), sympy.Symbol("x"),
-                      modulus=p).is_irreducible:
+    if not is_irreducible_modp(list(reversed(quintic)), p):
         return False
     if p == 5 or result.witnesses["a_p"] % p == 0:
         return False
@@ -389,7 +387,7 @@ def find_admissible(F: RealQuadraticField, quintic, E: EllipticCurveData,
     counts = Counter()
     cycle_types = Counter()
     checked = excluded = 0
-    for p in sympy.primerange(start, stop):
+    for p in primerange(start, stop):
         try:
             result = check_assumptions(F, quintic, E, p, height_bound)
         except ExcludedPrime:

@@ -9,6 +9,7 @@ import pytest
 import sympy
 from sympy.abc import x
 
+import hz.asai
 from hz.asai import (
     AsaiError,
     AsaiRep,
@@ -597,6 +598,6 @@ class TestDistinctDegreeFrobenius:
         def fail(*args, **kwargs):
             raise AssertionError("discriminant recomputed")
 
-        monkeypatch.setattr(sympy, "discriminant", fail)
+        monkeypatch.setattr(hz.asai, "_resultant", fail)
         assert quintic_discriminant(tuple(coeffs)) == expected
         frobenius_class_quintic(coeffs, 13)

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,12 @@ class TestEuler:
         code, _, err = run(capsys, ["euler", "--alphas", "2,3",
                                     "--froots", "2,21", "-p", "7"])
         assert code == EXIT_ERROR
+
+    def test_zero_root_is_named(self, capsys):
+        code, out, err = run(capsys, ["euler", "--alphas", "0,0,0,0",
+                                      "--froots", "2,21", "-p", "7", "-m", "4"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the Euler report divides by a1, which is 0 modulo 7^4\n"
 
 
 class TestSieve:
@@ -270,6 +280,10 @@ class TestQExpOp:
     (TestEuler.ARGS[:-1] + ["4"], "-p", 4),
     (TestEuler.ARGS[:-1] + ["1"], "-p", 1),
     (["qexp-op", "--op", "hecke", "--ell", "4"], "--ell", 4),
+    (["qexp-op", "--op", "u", "-p", "0"], "-p", 0),
+    (["qexp-op", "--op", "v", "-p", "0"], "-p", 0),
+    (["qexp-op", "--op", "deplete", "-p", "0"], "-p", 0),
+    (["qexp-op", "--op", "deplete", "-p", "9"], "-p", 9),
 ])
 def test_prime_arguments_are_checked(capsys, tmp_path, argv, flag, value):
     if argv[0] == "qexp-op":
@@ -280,3 +294,34 @@ def test_prime_arguments_are_checked(capsys, tmp_path, argv, flag, value):
     code, out, err = run(capsys, argv)
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: %s must be a prime, got %d\n" % (flag, value)
+
+
+def test_commands_never_import_sympy(tmp_path):
+    """One process runs every command that used to call sympy, and sympy
+    is still not imported when it ends."""
+    lvalue_input, _ = TestLValue().make_input(tmp_path, 123)
+    expansion = tmp_path / "f.json"
+    expansion.write_text(json.dumps(to_json(
+        EllipticQExp(2, 1, 12, list(range(13)), RATIONAL))))
+    argvs = [
+        ["sieve", "--pmax", "900", "--verify"],
+        ["lvalue", "--input", lvalue_input, "--verify"],
+        ["diag-restrict", "--d", "5", "--eisenstein", "2", "--trace-bound", "12",
+         "--verify"],
+        ["asai", "--p", "7", "--verify"],
+        TestEuler.ARGS + ["--verify"],
+        ["qexp-op", "--input", str(expansion), "--op", "deplete", "-p", "3", "--verify"],
+    ]
+    script = ("import contextlib, io, json, sys\n"
+              "from hz.cli import main\n"
+              "codes = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        codes.append(main(argv))\n"
+              "print(json.dumps([codes, 'sympy' in sys.modules]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(done.stdout) == [[EXIT_OK] * len(argvs), False], done.stderr

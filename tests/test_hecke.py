@@ -435,6 +435,19 @@ class TestEulerReport:
         assert rep.nonzero["localization_factor"]
         assert rep.nonzero["comparison_factor"]
 
+    @pytest.mark.parametrize("alphas, froots, m, name", [
+        ((2, 3, 4, 5), (0, 21), 4, "alpha"),
+        ((2, 3, 4, 5), (2, 7**4), 4, "beta"),
+        ((0, 0, 0, 0), (2, 21), 4, "a1"),
+        ((2, 3, 7**5, 5), (2, 21), 4, "a2"),
+        ((2, 3, 4, 5), (2, 21), 1, "beta"),
+        ((2, 3, 4, 5), (2, 21), 2, "beta\\^2"),
+        ((49, 3, 49, 5), (2, 21), 5, "a1\\*a2\\*p"),
+    ])
+    def test_zero_divisor_is_named(self, alphas, froots, m, name):
+        with pytest.raises(HeckeError, match="divides by %s, which is 0 modulo 7\\^%d" % (name, m)):
+            euler_report(alphas, froots, ell=1, alpha_exp=1, p=7, m=m)
+
 
 class TestLValuePipeline:
     def test_zero_input(self):

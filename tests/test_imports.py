@@ -1,7 +1,8 @@
-"""Every module-level import in src/hz is used by its module, and every
-name in a module's `__all__` is bound at module level (stdlib only; the
-repository has no linter, so this test keeps the imports and exports
-clean)."""
+"""Every module-level import in src/hz is used by its module, every
+name in a module's `__all__` is bound at module level, and no module
+imports sympy at any depth, since sympy is only the tests' oracle (stdlib
+only; the repository has no linter, so this test keeps the imports and
+exports clean)."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,52 @@ def unbound_exports(source):
             bound.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
     return sorted(name for name in _exports(tree) if name not in bound)
+
+
+def sympy_imports(source):
+    """(line, module) of every import of sympy or a submodule of it,
+    module level or inside a function, including `__import__` and
+    `importlib.import_module` with a literal name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [node.args[0].value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if str(name).split(".")[0] == "sympy"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_sympy_import(path):
+    assert sympy_imports(path.read_text()) == []
+
+
+def test_sympy_detector_sees_every_depth():
+    source = ("import os, sympy as sp\n"
+              "'a string that names sympy'\n"
+              "import sympyish\n"
+              "from .sympy import local\n"
+              "def f():\n"
+              "    from sympy.ntheory import n_order\n"
+              "    class C:\n"
+              "        def g(self):\n"
+              "            import sympy.abc\n"
+              "    return __import__('sympy')\n"
+              "import importlib\n"
+              "importlib.import_module('sympy.polys')\n")
+    assert sympy_imports(source) == [
+        (1, "sympy"), (6, "sympy.ntheory"), (9, "sympy.abc"), (10, "sympy"),
+        (12, "sympy.polys")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

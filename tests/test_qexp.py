@@ -1,6 +1,7 @@
 import contextlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import hz.realquad
 from sympy.functions.combinatorial.numbers import divisor_sigma
 
 from hz import qexp
-from hz.padic import PadicNumber, as_padic, teichmuller
+from hz.padic import PadicNumber, as_padic, factorize, teichmuller
 from hz.qexp import (
     RATIONAL,
     BoundTooSmall,
@@ -345,16 +346,22 @@ class TestIdealDivisorSigma:
                 assert ideal_divisor_sigma(F, z, power) == sigma_by_lifting(F, z, power)
 
     def test_cold_eisenstein_build_is_sympy_free(self, monkeypatch):
+        """A cold build cannot import sympy, lifts no prime, and factors
+        each coefficient's norm once, by trial division."""
         def refuse(*args, **kwargs):
             raise AssertionError("called while building an Eisenstein series")
 
         fields = [(make_field(d), k) for d, k in ((5, 2), (13, 4))]
-        monkeypatch.setattr(sympy, "factorint", refuse)
+        factored = []
+        monkeypatch.setitem(sys.modules, "sympy", None)  # every sympy import fails
+        monkeypatch.setattr(qexp, "factorize", lambda n: factored.append(n) or factorize(n))
         for module in (hz.realquad, qexp):
             monkeypatch.setattr(module, "split_prime", refuse)
         with fresh_domains():
             for F, k in fields:
+                factored.clear()
                 eisenstein_hilbert(F, k, 20)
+                assert len(factored) == len(hilbert_domain(F, 20))
 
 
 def sigma_by_lifting(F, z, power):
@@ -642,6 +649,29 @@ class TestJsonRoundTrip:
                     eisenstein_hilbert(F5, 2, 3)):
             with pytest.raises(QExpError, match="unsupported coefficient ring"):
                 from_json(dict(to_json(exp), ring=ring), F5)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [("padic", 7), ("bogus",), ("padic", 0, 3), ("padic", 4, 3), ("padic", -7, 3),
+         ("padic", 7, 0), ("padic", 7.0, 3), ("padic", 7, True), ["padic", 7, 3], "rational",
+         None],
+        ids=repr,
+    )
+    def test_constructors_check_the_ring(self, ring):
+        """The public constructors share from_json's check, and an equal
+        ring of another type is refused although ("padic", 7, 1) and
+        ("padic", 7, 3) are in use."""
+        EllipticQExp.zero(2, 1, 2, padic_ring(7, 1))
+        EllipticQExp.zero(2, 1, 2, padic_ring(7, 3))
+        coeffs = {(xi.x, xi.y): 1 for xi in hilbert_domain(F5, 3)}
+        with pytest.raises(QExpError, match="unsupported coefficient ring"):
+            EllipticQExp(2, 1, 2, [1, 2, 4], ring)
+        with pytest.raises(QExpError, match="unsupported coefficient ring"):
+            EllipticQExp.zero(2, 1, 2, ring)
+        with pytest.raises(QExpError, match="unsupported coefficient ring"):
+            HilbertQExp(F5, (2, 2), 3, 0, coeffs, ring)
+        with pytest.raises(QExpError, match="unsupported coefficient ring"):
+            HilbertQExp.zero(F5, (2, 2), 3, ring)
 
 
 def mixed_value(rng):

@@ -8,6 +8,8 @@ import random
 import pytest
 import sympy
 
+import hz.asai
+import hz.sieve
 from hz.realquad import NotSplit, make_field, narrowly_principal_split, split_prime
 from hz.sieve import (
     BadReduction,
@@ -349,7 +351,6 @@ class TestBabyStepGiantStep:
 
     def test_reverify_uses_the_exhaustive_count(self, desk, monkeypatch):
         result = check_assumptions(desk, DESK_QUINTIC, CURVE_11A1, 853)
-        import hz.sieve
 
         def fail(*args):
             raise AssertionError("reverify reran the BSGS count")
@@ -361,22 +362,27 @@ class TestBabyStepGiantStep:
 
 class TestSympyFreeLoop:
     def test_no_polynomial_factoring_in_the_sieve(self, desk, monkeypatch):
-        """The per-prime loop factors and discriminates the quintic with
-        plain integers: sympy may compute the discriminant once at most."""
-        def once(name, fn):
-            calls = []
+        """The per-prime loop reads the cycle type off one distinct-degree
+        factorization per prime: the quintic's discriminant is computed
+        once, and the Berlekamp test kept for `reverify` never runs."""
+        calls = []
 
+        def counted(fn):
             def wrapper(*args, **kwargs):
-                calls.append(1)
-                if len(calls) > 1:
-                    raise AssertionError("%s called per prime" % name)
+                calls.append(fn.__name__)
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sympy.Poly, "factor_list",
-                            once("factor_list", sympy.Poly.factor_list))
-        monkeypatch.setattr(sympy, "discriminant",
-                            once("discriminant", sympy.discriminant))
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran the Berlekamp test")
+
+        hz.asai._discriminant.cache_clear()
+        monkeypatch.setattr(hz.asai, "_resultant", counted(hz.asai._resultant))
+        monkeypatch.setattr(hz.sieve, "frobenius_class_quintic",
+                            counted(hz.sieve.frobenius_class_quintic))
+        monkeypatch.setattr(hz.sieve, "is_irreducible_modp", refuse)
         run = find_admissible(desk, DESK_QUINTIC, CURVE_11A1, 10000, 10500)
         assert run.checked == len(list(sympy.primerange(10000, 10500)))
+        assert calls.count("_resultant") == 1
+        assert calls.count("frobenius_class_quintic") == run.checked
         assert sum(run.cycle_types.values()) == run.checked
