@@ -15,9 +15,10 @@ monomials in opaque character tokens.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 from .padic import (
     PadicNumber,
@@ -74,41 +75,33 @@ def _gg_add(a, b):
 _GG_ZERO = (0, 0, 0, 0)
 
 
-def _mat2_mul(a, b):
-    # entries at denominator ENTRY_SCALE; product entries at ENTRY_SCALE**2
-    return tuple(
-        tuple(
-            _gg_add(_gg_mul(a[i][0], b[0][j]), _gg_mul(a[i][1], b[1][j]))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
+def _regular(t):
+    """Matrix of multiplication by the ring element t on (x, y, u, v)
+    coordinates: row c holds the coefficients of coordinate c of t*s."""
+    x, y, u, v = t
+    return ((x, 5 * y, -u, -5 * v),
+            (y, x, -v, -u),
+            (u, 5 * v, x, 5 * y),
+            (v, u, y, x))
 
 
-def _mat4_mul(a, b):
-    # entries at denominator ENTRY_SCALE**2; product at ENTRY_SCALE**4
-    out = []
-    for i in range(4):
-        row = a[i]
-        out_row = []
-        for j in range(4):
-            acc = _GG_ZERO
-            for k in range(4):
-                acc = _gg_add(acc, _gg_mul(row[k], b[k][j]))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def _scaled(m, c):
-    return tuple(tuple(tuple(c * t for t in e) for e in row) for row in m)
-
-
-def _check_multiplicative(rep, elements, matrices, mul, scale, generators):
+def _check_multiplicative(rep, elements, matrices, scale, generators):
     """Raise NotHomomorphism unless the matrices (entries at denominator
     scale) send the identity to the unit matrix and satisfy M(a)M(b) = M(ab)
     for every b and every a in generators (default: all elements), whose
-    closure must be all elements."""
+    closure must be all elements.
+
+    For each a the products M(a)M(b) over all b are one block product
+    (Kronecker substitution): coordinate c of row k of every M(b) is
+    packed into one integer, with signed base-2^W digits at positions
+    (index of b) * dim + column, so M(a) acts on the packed rows through
+    the regular matrices of its entries, in 16 dim^2 products of a small
+    by a big integer.  The targets scale M(ab) are packed alike, in the
+    order of b.  A product digit is at most 12 dim max|entry|^2 and a
+    target digit scale max|entry| in absolute value; W keeps both below
+    2^(W-1), where signed digits are unique, so equal integers mean equal
+    entries, and the lowest set bit of a difference lies in its lowest
+    differing digit, which names the first failing b."""
     if set(matrices) != set(elements):
         raise NotHomomorphism("matrix table does not cover its domain")
     unit, dim = (scale, 0, 0, 0), len(matrices[rep.identity])
@@ -118,15 +111,43 @@ def _check_multiplicative(rep, elements, matrices, mul, scale, generators):
         raise NotHomomorphism("identity is not assigned the unit matrix")
     if generators is None:
         generators = elements
-    elif rep.closure(generators) != set(elements):
+    if rep.closure(generators) != set(elements):
         raise NotHomomorphism("the generators do not generate the domain")
+    table = [matrices[g] for g in elements]
+    lines = list(chain.from_iterable(table))
+    entries = list(chain.from_iterable(lines))
+    if set(map(len, table)) | set(map(len, lines)) != {dim} or set(
+            map(len, entries)) != {4}:
+        raise NotHomomorphism("the matrices are not all %d x %d" % (dim, dim))
+    flat = list(chain.from_iterable(entries))
+    top = max(max(flat), -min(flat))
+    size = (max(12 * dim * top * top, scale * top).bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    digits = [(t + half).to_bytes(size, "little") for t in flat]
+    block = 4 * dim * dim  # one matrix, in (row, column, coordinate) order
+    # rows[4 r + c][n]: coordinate c of row r of the n-th matrix
+    rows = [list(map(b"".join, zip(*(digits[(r * dim + j) * 4 + c::block]
+                                     for j in range(dim)))))
+            for r in range(dim) for c in range(4)]
+    offset = int.from_bytes(
+        half.to_bytes(size, "little") * (len(elements) * dim), "little")
+
+    def pack(chunks):
+        return int.from_bytes(b"".join(chunks), "little") - offset
+
+    sources = [pack(chunks) for chunks in rows]
+    index = {g: n for n, g in enumerate(elements)}
     for a in generators:
-        ma = matrices[a]
-        for b in elements:
-            if mul(ma, matrices[b]) != _scaled(
-                    matrices[rep.multiply(a, b)], scale):
-                raise NotHomomorphism(
-                    "matrix table fails at the pair (%r, %r)" % (a, b))
+        regular = [[_regular(e) for e in row] for row in matrices[a]]
+        targets = [index[rep.products[a, b]] for b in elements]
+        diffs = [sum(map(operator.mul, [r for reg in regular[t // 4]
+                                        for r in reg[t % 4]], sources))
+                 - scale * pack(map(chunks.__getitem__, targets))
+                 for t, chunks in enumerate(rows)]
+        low = min(((d & -d).bit_length() for d in diffs if d), default=0)
+        if low:
+            raise NotHomomorphism("matrix table fails at the pair (%r, %r)" % (
+                a, elements[(low - 1) // (8 * size) // dim]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +174,7 @@ class FiniteRep2:
         self.in_subgroup = in_subgroup
         self.theta = theta
         self.matrices = matrices
+        self.products = {}  # (s, h) -> sh, for every product a walk made
 
     def subgroup_elements(self):
         return [g for g in self.elements if self.in_subgroup(g)]
@@ -176,22 +198,39 @@ class FiniteRep2:
     def closure(self, generators):
         """Everything reached from the identity by repeated left
         multiplication with the generators."""
-        reached = frontier = {self.identity}
+        return self._extend({self.identity}, [], generators)
+
+    def _extend(self, reached, generators, added):
+        """Close `reached`, closed under left multiplication by the
+        generators, under the added generators too: the added ones act on
+        all of it, then every generator on each newly reached element.
+        Each product sh is recorded in self.products and made only once."""
+        products, multiply = self.products, self.multiply
+        frontier, acting = reached, added
+        generators = [*generators, *added]
         while frontier:
-            frontier = {self.multiply(s, h) for h in frontier
-                        for s in generators} - reached
+            found = set()
+            for s in acting:
+                for h in frontier:
+                    sh = products.get((s, h))
+                    if sh is None:
+                        sh = products[s, h] = multiply(s, h)
+                    found.add(sh)
+            frontier = found - reached
             reached = reached | frontier
+            acting = generators
         return reached
 
     def generating_set(self, elements):
         """Greedy generators of the subgroup formed by the elements: from
         the end of the list (the nontrivial coset, in the cover), each
-        element not yet reached joins, until the closure is all of them."""
+        element not yet reached joins, and the closure grows by it, until
+        it is all of them."""
         generators, reached = [], {self.identity}
         for g in reversed(elements):
             if g not in reached:
+                reached = self._extend(reached, generators, [g])
                 generators.append(g)
-                reached = self.closure(generators)
         if reached != set(elements):
             raise AsaiError("the elements do not form a subgroup")
         return generators
@@ -204,14 +243,25 @@ class FiniteRep2:
         makes the second check a proof (|S| n products instead of n^2)
         for an associative law.  The icosian law
         (q1, s1)(q2, s2) = (q1 sigma^s1(q2), s1 xor s2) is one, because
-        sigma is a ring automorphism of order 2; tables from rep_from_json
-        are not checked for associativity and keep the exhaustive check."""
+        sigma is a ring automorphism of order 2, and rep_from_json refuses
+        a table that is not a group law."""
         _check_multiplicative(self, self.subgroup_elements(), self.matrices,
-                              _mat2_mul, ENTRY_SCALE, generators)
+                              ENTRY_SCALE, generators)
 
 
 BASIS_LABELS = ("e1*e1'", "e1*e2'", "e2*e1'", "e2*e2'")
-_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # index pairs in basis order
+
+
+def _kron(m1, m2):
+    """Kronecker product of two 2x2 matrices over the ring, in the basis
+    order: entry (2a + b, 2c + d) is m1[a][c] m2[b][d]."""
+    (p, q), (r, s) = m1
+    (w, x), (y, z) = m2
+    mul = _gg_mul
+    return ((mul(p, w), mul(p, x), mul(q, w), mul(q, x)),
+            (mul(p, y), mul(p, z), mul(q, y), mul(q, z)),
+            (mul(r, w), mul(r, x), mul(s, w), mul(s, x)),
+            (mul(r, y), mul(r, z), mul(s, y), mul(s, z)))
 
 
 class AsaiRep:
@@ -249,7 +299,7 @@ class AsaiRep:
         generators S of the whole group, by the closure and generator
         argument of FiniteRep2.verify_homomorphism (|S| n products)."""
         _check_multiplicative(self.rep, self.rep.elements, self.matrices,
-                              _mat4_mul, ENTRY_SCALE ** 2, generators)
+                              ENTRY_SCALE ** 2, generators)
 
 
 def tensor_induce(rho, theta=None, generators=None):
@@ -266,50 +316,49 @@ def tensor_induce(rho, theta=None, generators=None):
     matrices = {}
     for g in rho.elements:
         if rho.in_subgroup(g):
-            m1 = rho.matrices[g]
-            m2 = rho.matrices[
-                rho.multiply(theta_inv, rho.multiply(g, theta))]
-            slots = _SLOTS
+            matrices[g] = _kron(rho.matrices[g], rho.matrices[
+                rho.multiply(theta_inv, rho.multiply(g, theta))])
         else:
-            m1 = rho.matrices[rho.multiply(g, theta)]
-            m2 = rho.matrices[rho.multiply(theta_inv, g)]
-            # the two tensor slots are exchanged off the subgroup
-            slots = [(d, c) for c, d in _SLOTS]
-        matrices[g] = tuple(
-            tuple(_gg_mul(m1[a][c], m2[b][d]) for c, d in slots)
-            for a, b in _SLOTS)
+            # the two tensor slots are exchanged off the subgroup: entry
+            # (2a + b, 2c + d) is m1[a][d] m2[b][c], so the middle columns
+            # of the Kronecker product swap
+            matrices[g] = tuple(
+                (r0, r2, r1, r3) for r0, r1, r2, r3 in _kron(
+                    rho.matrices[rho.multiply(g, theta)],
+                    rho.matrices[rho.multiply(theta_inv, g)]))
     return AsaiRep(rho, matrices)
 
 
 # ---------------------------------------------------------------------------
 # the binary icosahedral model of the double cover of S5
 
-def _z5_mul(a, b):
-    return (a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _quat_mul(p, q):
     """Product of quaternions whose coordinates are (x, y) integer pairs
     denoting (x + y*sqrt5)/4."""
-    a, b, c, d = p
-    e, f, g, h = q
-    comps = (
-        ((1, a, e), (-1, b, f), (-1, c, g), (-1, d, h)),
-        ((1, a, f), (1, b, e), (1, c, h), (-1, d, g)),
-        ((1, a, g), (-1, b, h), (1, c, e), (1, d, f)),
-        ((1, a, h), (1, b, g), (-1, c, f), (1, d, e)),
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = p
+    (e0, e1), (f0, f1), (g0, g1), (h0, h1) = q
+    out = (
+        a0 * e0 - b0 * f0 - c0 * g0 - d0 * h0
+        + 5 * (a1 * e1 - b1 * f1 - c1 * g1 - d1 * h1),
+        a0 * e1 + a1 * e0 - b0 * f1 - b1 * f0 - c0 * g1 - c1 * g0
+        - d0 * h1 - d1 * h0,
+        a0 * f0 + b0 * e0 + c0 * h0 - d0 * g0
+        + 5 * (a1 * f1 + b1 * e1 + c1 * h1 - d1 * g1),
+        a0 * f1 + a1 * f0 + b0 * e1 + b1 * e0 + c0 * h1 + c1 * h0
+        - d0 * g1 - d1 * g0,
+        a0 * g0 - b0 * h0 + c0 * e0 + d0 * f0
+        + 5 * (a1 * g1 - b1 * h1 + c1 * e1 + d1 * f1),
+        a0 * g1 + a1 * g0 - b0 * h1 - b1 * h0 + c0 * e1 + c1 * e0
+        + d0 * f1 + d1 * f0,
+        a0 * h0 + b0 * g0 - c0 * f0 + d0 * e0
+        + 5 * (a1 * h1 + b1 * g1 - c1 * f1 + d1 * e1),
+        a0 * h1 + a1 * h0 + b0 * g1 + b1 * g0 - c0 * f1 - c1 * f0
+        + d0 * e1 + d1 * e0,
     )
-    out = []
-    for terms in comps:
-        sx = sy = 0
-        for sign, u, v in terms:
-            px, py = _z5_mul(u, v)
-            sx += sign * px
-            sy += sign * py
-        if sx % 4 or sy % 4:
-            raise AsaiError("quaternion product left the lattice")
-        out.append((sx // 4, sy // 4))
-    return tuple(out)
+    if functools.reduce(operator.or_, out) & 3:
+        raise AsaiError("quaternion product left the lattice")
+    return ((out[0] >> 2, out[1] >> 2), (out[2] >> 2, out[3] >> 2),
+            (out[4] >> 2, out[5] >> 2), (out[6] >> 2, out[7] >> 2))
 
 
 def _quat_neg(q):
@@ -408,7 +457,8 @@ def cover_center():
 def rep_from_json(data):
     """Build a FiniteRep2 from JSON data: element names, a multiplication
     table, the subgroup member list, the coset representative, and matrix
-    entries as integer 4-tuples at denominator ENTRY_SCALE."""
+    entries as integer 4-tuples at denominator ENTRY_SCALE.  The table must
+    be a group law, so that a generator check proves a homomorphism."""
     def key(e):
         return tuple(e) if isinstance(e, list) else e
 
@@ -419,9 +469,14 @@ def rep_from_json(data):
     subgroup = {key(e) for e in data["subgroup"]}
     matrices = {}
     for name, rows in data["matrices"]:
-        matrices[key(name)] = tuple(
+        matrices[key(name)] = m = tuple(
             tuple(tuple(entry) for entry in row) for row in rows)
-    return FiniteRep2(
+        if len(m) != 2 or any(len(row) != 2 or any(
+                len(e) != 4 or not all(isinstance(t, int) for t in e)
+                for e in row) for row in m):
+            raise AsaiError("the matrix of %r is not 2 x 2 over integer "
+                            "4-tuples" % (key(name),))
+    rep = FiniteRep2(
         elements=elements,
         multiply=lambda a, b: table[(a, b)],
         identity=key(data["identity"]),
@@ -429,6 +484,35 @@ def rep_from_json(data):
         theta=key(data["theta"]),
         matrices=matrices,
     )
+    _check_group_law(rep, table)
+    return rep
+
+
+def _check_group_law(rep, table):
+    """Raise AsaiError unless the table is a group law on rep.elements: a
+    product for every pair, inside the elements, the identity acting as one
+    on both sides, and Light's associativity test (x s) y = x (s y) for s
+    in a generating set S and all x, y.  The s that pass hold e and are
+    closed under products ((x (ab)) y = ((x a) b) y = (x a)(b y) =
+    x (a (b y)) = x ((ab) y)), and every element is reached from e by left
+    multiplication with S, so all elements pass: |S| n^2 lookups prove
+    associativity."""
+    elements, e = rep.elements, rep.identity
+    names = set(elements)
+    if len(names) != len(elements) or e not in names or any(
+            (a, b) not in table or table[a, b] not in names
+            for a in elements for b in elements):
+        raise AsaiError("the table is not a law on the elements")
+    if any(table[e, g] != g or table[g, e] != g for g in elements):
+        raise AsaiError("the identity does not act as one")
+    for s in rep.generating_set(elements):
+        for x in elements:
+            xs = table[x, s]
+            for y in elements:
+                if table[xs, y] != table[x, table[s, y]]:
+                    raise AsaiError(
+                        "the table is not associative at (%r, %r, %r)"
+                        % (x, s, y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for tensor induction, the quintic Frobenius calculus, Hodge-Tate
 tables, and the symbolic filtration characters."""
 
+import functools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,10 +22,13 @@ from hz.asai import (
     RamifiedPrime,
     S5FrobeniusClass,
     ThetaInSubgroup,
+    _gg_add,
     _gg_mul,
     _icosian_units,
     _quat_mul,
     _quat_neg,
+    _regular,
+    _rho_matrix,
     _sigma,
     _QUAT_ONE,
     asai_frobenius_eigenvalues,
@@ -39,6 +44,7 @@ from hz.asai import (
     s5_double_cover_rep,
     tensor_induce,
 )
+from hz.cli import main
 
 QUINTIC = [1, 0, 0, 0, -1, -1]
 
@@ -58,6 +64,30 @@ def gg_to_sympy(t, scale):
     return ((t[0] + t[1] * s5) + (t[2] + t[3] * s5) * sympy.I) / scale
 
 
+def mat_mul(a, b):
+    # naive oracle: the schoolbook product, one _gg_mul per scalar product;
+    # entries at denominator s times entries at s give entries at s**2
+    n = len(b)
+    return tuple(
+        tuple(functools.reduce(_gg_add, (_gg_mul(row[k], b[k][j])
+                                         for k in range(n)))
+              for j in range(len(b[0])))
+        for row in a)
+
+
+def scan_verdict(rep, elements, matrices, scale, generators=None):
+    # naive oracle for the generator check: the message of the first pair
+    # (a, b), in generator order and then element order, with
+    # M(a)M(b) != M(ab), or None
+    for a in elements if generators is None else generators:
+        for b in elements:
+            target = tuple(tuple(tuple(scale * t for t in e) for e in row)
+                           for row in matrices[rep.multiply(a, b)])
+            if mat_mul(matrices[a], matrices[b]) != target:
+                return "matrix table fails at the pair (%r, %r)" % (a, b)
+    return None
+
+
 class TestCoefficientRing:
     def test_product_matches_symbolic_arithmetic(self):
         rng = random.Random(11)
@@ -75,6 +105,14 @@ class TestCoefficientRing:
                        for _ in range(3))
             assert _gg_mul(_gg_mul(a, b), c) == _gg_mul(a, _gg_mul(b, c))
 
+    def test_regular_matrix_applies_the_product(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            a, b = (tuple(rng.randrange(-50, 51) for _ in range(4))
+                    for _ in range(2))
+            assert tuple(sum(r * t for r, t in zip(row, b))
+                         for row in _regular(a)) == _gg_mul(a, b)
+
 
 class TestIcosians:
     def test_count_and_closure(self):
@@ -84,6 +122,22 @@ class TestIcosians:
         for q in units:
             for r in units:
                 assert _quat_mul(q, r) in uset
+
+    def test_product_matches_symbolic_quaternions(self):
+        # even coordinates keep the product in the lattice
+        def to_sympy(q):
+            s5 = sympy.sqrt(5)
+            return sympy.Quaternion(*((x + y * s5) / 4 for x, y in q))
+
+        rng = random.Random(14)
+        for _ in range(20):
+            p, q = (tuple((2 * rng.randrange(-5, 6), 2 * rng.randrange(-5, 6))
+                          for _ in range(4)) for _ in range(2))
+            got = to_sympy(_quat_mul(p, q))
+            want = to_sympy(p) * to_sympy(q)
+            for g, w in zip((got.a, got.b, got.c, got.d),
+                            (want.a, want.b, want.c, want.d)):
+                assert sympy.expand(g - w) == 0
 
     def test_unit_norms(self):
         for q in _icosian_units():
@@ -224,13 +278,12 @@ class TestTensorInduction:
                                                         induced):
         # brute-force oracle: multiply the induced matrices along a word
         # and compare the trace with the table value at the word's product
-        from hz.asai import _mat4_mul
         rng = random.Random(7)
         scale = ENTRY_SCALE ** 2
         for _ in range(30):
             a, b, c = (rng.choice(cover.elements) for _ in range(3))
-            prod = _mat4_mul(_mat4_mul(induced.matrix(a), induced.matrix(b)),
-                             induced.matrix(c))
+            prod = mat_mul(mat_mul(induced.matrix(a), induced.matrix(b)),
+                           induced.matrix(c))
             acc = (0, 0, 0, 0)
             for i in range(4):
                 e = prod[i][i]
@@ -269,6 +322,60 @@ class TestJsonIngestion:
         assert induced.character(1) == -2
         assert induced.character(3) == -2
 
+    # a law on {0, 1, 2, 3} with identity 0 that is not associative:
+    # (1 * 2) * 3 = 1 * 3 = 2 but 1 * (2 * 3) = 1 * 0 = 1
+    LOOP = {(1, 1): 1, (1, 2): 1, (1, 3): 2, (2, 1): 2, (2, 2): 1,
+            (2, 3): 0, (3, 1): 3, (3, 2): 0, (3, 3): 0}
+    LOOP_SIGNS = (1, 1, -1, -1)
+
+    def loop_data(self):
+        # the loop times the group of order 2, as x + 4 s
+        def law(x, y):
+            return x if y == 0 else y if x == 0 else self.LOOP[x, y]
+
+        one, zero = (ENTRY_SCALE, 0, 0, 0), (0, 0, 0, 0)
+        return {
+            "elements": list(range(8)),
+            "identity": 0,
+            "theta": 4,
+            "subgroup": [0, 1, 2, 3],
+            "table": [[a, b, law(a % 4, b % 4) + 4 * ((a // 4) ^ (b // 4))]
+                      for a in range(8) for b in range(8)],
+            "matrices": [
+                [g, [[tuple(s * t for t in one), zero],
+                     [zero, tuple(s * t for t in one)]]]
+                for g, s in enumerate(self.LOOP_SIGNS)],
+        }
+
+    def test_non_associative_table_is_refused(self):
+        data = self.loop_data()
+        with pytest.raises(AsaiError, match="not associative"):
+            rep_from_json(data)
+        # the reason: on this law the generator check accepts a table the
+        # exhaustive check rejects
+        table = {(a, b): c for a, b, c in data["table"]}
+        loop = FiniteRep2(
+            range(8), lambda a, b: table[a, b], 0, lambda g: g < 4, 4,
+            {g: tuple(tuple(tuple(t) for t in row) for row in m)
+             for g, m in data["matrices"]})
+        loop.verify_homomorphism([3, 2])
+        with pytest.raises(NotHomomorphism, match=r"pair \(1, 2\)"):
+            loop.verify_homomorphism()
+
+    def test_table_without_identity_or_products_is_refused(self):
+        data = self.loop_data()
+        data["table"] = [row for row in data["table"] if row[:2] != [5, 6]]
+        with pytest.raises(AsaiError, match="not a law"):
+            rep_from_json(data)
+        data = self.loop_data()
+        data["identity"] = 1
+        with pytest.raises(AsaiError, match="identity"):
+            rep_from_json(data)
+        data = self.loop_data()
+        data["matrices"][1][1][0][0] = [4, 0, 0]
+        with pytest.raises(AsaiError, match="matrix of 1"):
+            rep_from_json(data)
+
 
 def search_inverse(rep, g):
     # oracle: scan every element for the right inverse
@@ -283,6 +390,12 @@ def corrupt_outside(matrices, keep):
     victim, donor = [k for k in bad if k not in keep][:2]
     bad[victim] = bad[donor]
     return bad
+
+
+# _quat_mul calls of one `hz asai --verify`: 3 + 3 generators acting on
+# 120 + 240 elements, 480 to conjugate in tensor_induce, 1 for the
+# inverse of the coset representative
+QUAT_MULS_PER_VERIFY = 1561
 
 
 class TestGeneratorProof:
@@ -349,6 +462,210 @@ class TestGeneratorProof:
         with pytest.raises(NotHomomorphism):
             tensor_induce(broken, generators=broken.generating_set(
                 broken.subgroup_elements()))
+
+
+    def test_one_cayley_pass_and_no_scalar_products_in_the_check(
+            self, monkeypatch, capsys):
+        """One `hz asai --verify` call walks the Cayley graph once: each
+        product the proof needs is made once, and the checks multiply
+        packed blocks, never single ring entries."""
+        calls = Counter()
+        in_check = []
+        quat_mul, gg_mul = hz.asai._quat_mul, hz.asai._gg_mul
+        check = hz.asai._check_multiplicative
+
+        def counted_quat_mul(p, q):
+            calls["_quat_mul"] += 1
+            return quat_mul(p, q)
+
+        def counted_gg_mul(a, b):
+            calls["_gg_mul in a check" if in_check else "_gg_mul"] += 1
+            return gg_mul(a, b)
+
+        def marked_check(*args):
+            in_check.append(True)
+            try:
+                return check(*args)
+            finally:
+                in_check.pop()
+
+        monkeypatch.setattr(hz.asai, "_quat_mul", counted_quat_mul)
+        monkeypatch.setattr(hz.asai, "_gg_mul", counted_gg_mul)
+        monkeypatch.setattr(hz.asai, "_check_multiplicative", marked_check)
+        assert main(["asai", "--p", "101", "--verify"]) == 0
+        capsys.readouterr()
+        assert calls["_gg_mul in a check"] == 0
+        assert calls["_gg_mul"] == 240 * 16  # the induced table itself
+        assert calls["_quat_mul"] <= QUAT_MULS_PER_VERIFY
+
+
+def icosian_order(q):
+    h, n = q, 1
+    while h != _QUAT_ONE:
+        h, n = _quat_mul(h, q), n + 1
+    return n
+
+
+def cyclic_rep(order):
+    # the cyclic group of twice the order from JSON, its even subgroup sent
+    # to the powers of an icosian of that order by the 2x2 icosian matrices
+    q = next(u for u in _icosian_units() if icosian_order(u) == order)
+    powers = [_QUAT_ONE]
+    while len(powers) < order:
+        powers.append(_quat_mul(powers[-1], q))
+    n = 2 * order
+    return rep_from_json({
+        "elements": list(range(n)),
+        "identity": 0,
+        "theta": 1,
+        "subgroup": list(range(0, n, 2)),
+        "table": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
+        "matrices": [[2 * k, _rho_matrix(p)] for k, p in enumerate(powers)],
+    })
+
+
+class PackedCase:
+    """A homomorphic table of dimension 2 (on the subgroup) or 4 (induced)
+    of a JSON cyclic group, and the packed check of any other table on the
+    same domain."""
+
+    def __init__(self, dim):
+        self.rep = rep = cyclic_rep(10)
+        if dim == 2:
+            self.elements = rep.subgroup_elements()
+            self.matrices, self.scale = rep.matrices, ENTRY_SCALE
+        else:
+            self.elements = rep.elements
+            self.matrices = tensor_induce(rep).matrices
+            self.scale = ENTRY_SCALE ** 2
+        self.dim = dim
+        self.generators = rep.generating_set(self.elements)
+
+    def verdict(self, matrices, generators):
+        rep = self.rep
+        if self.dim == 2:
+            check = FiniteRep2(rep.elements, rep.multiply, rep.identity,
+                               rep.in_subgroup, rep.theta, matrices)
+        else:
+            check = AsaiRep(rep, matrices)
+        try:
+            check.verify_homomorphism(generators)
+        except NotHomomorphism as exc:
+            return str(exc)
+        return None
+
+    def assert_matches_scan(self, matrices):
+        """The packed verdicts, exhaustive and on generators, are the naive
+        scan's; returns the exhaustive one."""
+        verdicts = []
+        for generators in (None, self.generators):
+            got = self.verdict(matrices, generators)
+            assert got == scan_verdict(self.rep, self.elements, matrices,
+                                       self.scale, generators)
+            verdicts.append(got)
+        return verdicts[0]
+
+
+def with_entry(matrices, g, i, j, c, value):
+    # a copy of the table with coordinate c of entry (i, j) of M(g) replaced
+    m = [[list(e) for e in row] for row in matrices[g]]
+    m[i][j][c] = value
+    bad = dict(matrices)
+    bad[g] = tuple(tuple(tuple(e) for e in row) for row in m)
+    return bad
+
+
+@pytest.fixture(scope="module", params=[2, 4], ids=["dim2", "dim4"])
+def packed_case(request):
+    return PackedCase(request.param)
+
+
+class TestPackedCheck:
+    def test_homomorphic_table_passes(self, packed_case):
+        assert packed_case.assert_matches_scan(packed_case.matrices) is None
+
+    def test_random_entries_match_the_scan(self, packed_case):
+        rng = random.Random(15)
+        case = packed_case
+        others = [g for g in case.elements if g != case.rep.identity]
+        failed = 0
+        for _ in range(12):
+            bad = dict(case.matrices)
+            for g in rng.sample(others, rng.randrange(1, 4)):
+                bad[g] = tuple(
+                    tuple(tuple(rng.randrange(-2 ** 20, 2 ** 20 + 1)
+                                for _ in range(4)) for _ in range(case.dim))
+                    for _ in range(case.dim))
+            failed += case.assert_matches_scan(bad) is not None
+        assert failed == 12
+
+    def test_every_single_coordinate_perturbation_is_caught(self,
+                                                            packed_case):
+        case = packed_case
+        for g in (case.generators[0], case.elements[-1]):
+            for i in range(case.dim):
+                for j in range(case.dim):
+                    for c in range(4):
+                        value = case.matrices[g][i][j][c] + 1
+                        bad = with_entry(case.matrices, g, i, j, c, value)
+                        assert case.assert_matches_scan(bad) is not None
+
+    def test_product_digit_at_the_bound(self, packed_case):
+        # M(a) has one row of entries (t, t, t, -t) and M(b) one column of
+        # (t, t, -t, t): the corner of M(a)M(b) is (12 dim t^2, 0, 0, 0),
+        # at the bound.  Against its target it differs by a multiple of
+        # 2^w, for w the width a wrong bound would choose:
+        # t = 2^T and target 0 for a bound too small for the widths W - 8,
+        # and t just below sqrt(2^W / 12 dim), target 12 dim t^2 - 2^W
+        # for a bound without the sign bit.  Either error carries the
+        # difference into the next element's digits and names a later pair
+        case = packed_case
+        dim, e = case.dim, case.rep.identity
+        a, b = case.elements[3], case.elements[1]
+        zero_row = ((0, 0, 0, 0),) * dim
+        cases = [(2 ** power, 0)
+                 for power in ((2, 6, 10) if dim == 4 else (3, 7, 11))]
+        for width in range(8, 100, 8):
+            t = math.isqrt((2 ** width - 1) // (12 * dim))
+            if 12 * dim * t * t + case.scale * t >= 2 ** width:
+                cases.append((t, (12 * dim * t * t - 2 ** width)
+                              // case.scale))
+        assert len(cases) > 3
+        for t, target in cases:
+            bad = {g: m if g == e else (zero_row,) * dim
+                   for g, m in case.matrices.items()}
+            bad[a] = (((t, t, t, -t),) * dim,) + (zero_row,) * (dim - 1)
+            bad[b] = (zero_row[1:] + ((t, t, -t, t),),) * dim
+            bad[case.rep.multiply(a, b)] = (
+                (zero_row[1:] + ((target, 0, 0, 0),),)
+                + (zero_row,) * (dim - 1))
+            got = case.verdict(bad, [a])
+            assert got == scan_verdict(case.rep, case.elements, bad,
+                                       case.scale, [a])
+            assert got == "matrix table fails at the pair (%r, %r)" % (a, b)
+            assert case.assert_matches_scan(bad) is not None
+
+    def test_conjugated_tables_with_large_entries(self, packed_case):
+        # P M(g) P^-1 with P = 1 + N E_{0, dim-1} is again a homomorphism,
+        # with entries of size about N^2; a unit change in the largest
+        # coordinate then breaks it
+        case = packed_case
+        one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
+        for n in (3, 2 ** 10 - 1, 2 ** 21 + 1, 2 ** 40, 2 ** 70 - 3):
+            p, p_inv = ([[one if i == j else zero for j in range(case.dim)]
+                         for i in range(case.dim)] for _ in range(2))
+            p[0][-1], p_inv[0][-1] = (n, 0, 0, 0), (-n, 0, 0, 0)
+            conj = {h: mat_mul(mat_mul(p, m), p_inv)
+                    for h, m in case.matrices.items()}
+            assert case.assert_matches_scan(conj) is None
+            g = case.elements[-1]
+            _, i, j, c = max((abs(t), i, j, c)
+                             for i, row in enumerate(conj[g])
+                             for j, e in enumerate(row)
+                             for c, t in enumerate(e))
+            for step in (1, -1):
+                bad = with_entry(conj, g, i, j, c, conj[g][i][j][c] + step)
+                assert case.assert_matches_scan(bad) is not None
 
 
 class TestFrobeniusClass:
