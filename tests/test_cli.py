@@ -12,7 +12,7 @@ import pipeline_fixtures as fx
 from hz.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
 from hz.hecke import eigensystem_to_json
 from hz.padic import PadicNumber
-from hz.qexp import RATIONAL, EllipticQExp, eisenstein_hilbert, to_json
+from hz.qexp import RATIONAL, EllipticQExp, eisenstein_hilbert, padic_ring, to_json
 from hz.realquad import make_field
 from fractions import Fraction
 
@@ -325,3 +325,63 @@ def test_commands_never_import_sympy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, check=True)
     assert json.loads(done.stdout) == [[EXIT_OK] * len(argvs), False], done.stderr
+
+
+# -- golden stdout ----------------------------------------------------------------
+# The exact stdout and exit code of one small argv per subcommand, recorded
+# in golden_stdout.json.  A refactor must leave every byte of it unchanged.
+
+GOLDEN = Path(__file__).with_name("golden_stdout.json")
+QEXP_OPS = {
+    "u": ["-p", "2", "--verify"],
+    "v": ["-p", "3"],
+    "deplete": ["-p", "5", "--verify"],
+    "twist": ["-p", "5", "--j", "1"],
+    "derive": ["--verify"],
+    "hecke": ["--ell", "2"],
+}
+
+
+def golden_argvs(tmp_path):
+    """Name -> argv of each pinned command, with the input files it reads
+    written under tmp_path: the pipeline fixture's lvalue record, and one
+    p-adic (5^4) and one rational elliptic expansion whose coefficients
+    include zeros, non-units and negative valuations."""
+    lvalue_input, _ = TestLValue().make_input(tmp_path, 123)
+    coeffs = [Fraction(n * n - 3 * n + 5, 5 ** (n % 3)) for n in range(13)]
+    argvs = {
+        "sieve": ["sieve", "--pmax", "3000", "--verify"],
+        "sieve-table": ["sieve", "--pmax", "3000", "--verify", "--format", "table"],
+        "diag-restrict-5": ["diag-restrict", "--d", "5", "--eisenstein", "2",
+                            "--trace-bound", "12", "--verify"],
+        "diag-restrict-13": ["diag-restrict", "--d", "13", "--eisenstein", "4",
+                             "--trace-bound", "8", "--verify"],
+        "lvalue": ["lvalue", "--input", lvalue_input, "--verify"],
+        "euler": ["euler", "-p", "7", "--alphas", "1,2,3,4", "--froots", "3,7",
+                  "--verify"],
+        "asai": ["asai", "--p", "853", "--verify"],
+        "ht-table": ["ht-table", "--weight", "3"],
+    }
+    for ring in (RATIONAL, padic_ring(5, 4)):
+        kind = "rational" if ring is RATIONAL else "padic"
+        path = tmp_path / ("%s.json" % kind)
+        path.write_text(json.dumps(to_json(EllipticQExp(2, 1, 12, coeffs, ring))))
+        for op, flags in QEXP_OPS.items():
+            argvs["qexp-op-%s-%s" % (op, kind)] = [
+                "qexp-op", "--input", str(path), "--op", op] + flags
+    return argvs
+
+
+def test_golden_stdout(capsys, tmp_path):
+    pinned = json.loads(GOLDEN.read_text())
+    argvs = golden_argvs(tmp_path)
+    assert sorted(argvs) == sorted(pinned)
+    for name, argv in argvs.items():
+        code, out, _ = run(capsys, argv)
+        assert [code, out] == pinned[name], name
+
+
+def test_golden_padic_repr():
+    """The 7^2 digit is invented (the difference is known only mod 7^2);
+    pinned so that a change to it is deliberate."""
+    assert repr(PadicNumber(7, 2, 8) - PadicNumber(7, 2, 1)) == "1*7^1 + O(7^3)"
