@@ -16,8 +16,8 @@ from typing import Optional
 
 from .padic import (
     NotOrdinary,
+    PadicContext,
     PadicNumber,
-    PolynomialExact,
     as_padic,
     bezout_projector,
     factorize,
@@ -108,8 +108,7 @@ def stabilize(system: EigenSystem, p: int, m: int):
         raise HeckeError("level already divisible by %d" % p)
     a = Fraction(system.a(p))
     b = Fraction(system.chi(p)) * p ** (system.weight - 1)
-    poly = PolynomialExact([b, -a, Fraction(1)])
-    alpha = hensel_unit_root(poly, p, m)
+    alpha = hensel_unit_root(a, b, p, m)
     beta = PadicNumber.from_fraction(b, p, m) / alpha
     stabilized = EigenSystem(
         label=system.label + "-ordinary",
@@ -127,7 +126,7 @@ def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
     """The stabilization transformer f(q) - beta f(q^p); an eigenvector of
     U_p with the complementary root as eigenvalue."""
     shifted = v_operator(f, p, storage_cap=f.bound)
-    return f + shifted.scale(as_padic(beta, *f.ring[1:]) * (-1))
+    return f + shifted.scale(as_padic(beta, f.ring.p, f.ring.m) * (-1))
 
 
 def _unit_roots(a: int, b: int, p: int, m: int):
@@ -254,14 +253,13 @@ class HeckeSpace:
         if not basis:
             raise HeckeError("empty basis")
         ring = basis[0].ring
-        if ring[0] != "padic":
+        if not isinstance(ring, PadicContext):
             raise HeckeError("Hecke spaces need p-adic coefficients")
-        if any(f.ring != ring for f in basis):
+        if any(f.ring is not ring for f in basis):
             raise HeckeError("mixed coefficient rings in basis")
         self.basis = list(basis)
         self.ring = ring
-        self.p = ring[1]
-        self.m = ring[2]
+        self.zero = ring.load(ring.zero)
         self.dimension = len(basis)
         self.bound = min(f.bound for f in basis)
         if self.bound < 2 * self.dimension:
@@ -271,35 +269,28 @@ class HeckeSpace:
             for n in range(1, self.dimension + 1)
         ]
         # certify invertibility of the leading block
-        zero = [PadicNumber.zero(self.p, self.m)] * self.dimension
-        _solve_linear(self._block, zero, "HeckeSpace certification")
+        _solve_linear(self._block, [self.zero] * self.dimension, "HeckeSpace certification")
         self._matrices = {}
 
     def coordinates(self, phi: EllipticQExp):
         """Coordinates of phi in the basis, solved from the leading block
         and certified on the next dim coefficients."""
         d = self.dimension
-        if phi.ring != self.ring:
+        if phi.ring is not self.ring:
             raise HeckeError("mixed coefficient rings")
         if phi.bound < 2 * d:
             raise HeckeError("expansion bound below the certification window")
         b = [phi[n] for n in range(1, d + 1)]
         x = _solve_linear(self._block, b, "coordinates")
         for n in range(d + 1, 2 * d + 1):
-            recon = sum(
-                (x[j] * self.basis[j][n] for j in range(d)),
-                PadicNumber.zero(self.p, self.m),
-            )
+            recon = sum((x[j] * self.basis[j][n] for j in range(d)), self.zero)
             if not (recon - phi[n]).is_zero():
                 raise NotInSpan("residual nonzero at coefficient %d" % n)
         return x
 
     def combine(self, x) -> EllipticQExp:
         out = [
-            sum(
-                (x[j] * self.basis[j][n] for j in range(self.dimension)),
-                PadicNumber.zero(self.p, self.m),
-            )
+            sum((x[j] * self.basis[j][n] for j in range(self.dimension)), self.zero)
             for n in range(self.bound + 1)
         ]
         f0 = self.basis[0]
@@ -344,7 +335,8 @@ def e_ord(space: HeckeSpace, phi: EllipticQExp) -> EllipticQExp:
     """Ordinary projection of an expansion in the span: the unit-root-space
     component of the U_p action."""
     x = space.coordinates(phi)
-    E = bezout_projector(space.operator_matrix(("U", space.p)), space.p, space.m)
+    p, m = space.ring.p, space.ring.m
+    E = bezout_projector(space.operator_matrix(("U", p)), p, m)
     return space.combine(_mat_vec(E, x))
 
 
@@ -355,15 +347,15 @@ def isotypic_project(space: HeckeSpace, phi: EllipticQExp, target: EigenSystem, 
     where lambda1 is the first coefficient of the component (the
     coefficient of the normalized target eigenform)."""
     x = space.coordinates(phi)
-    d = space.dimension
+    d, p, m = space.dimension, space.ring.p, space.ring.m
     for ell, a_other in annihilation:
         M = space.operator_matrix(("T", ell))
-        diff = as_padic(Fraction(target.a(ell)) - Fraction(a_other), space.p, space.m)
+        diff = as_padic(Fraction(target.a(ell)) - Fraction(a_other), p, m)
         if diff.valuation() != 0:
             raise NotSeparated(
                 "eigenvalues at %d not separated at precision" % ell
             )
-        a_o = as_padic(a_other, space.p, space.m)
+        a_o = as_padic(a_other, p, m)
         y = _mat_vec(M, x)
         x = [(y[i] - a_o * x[i]) / diff for i in range(d)]
     component = space.combine(x)
@@ -377,9 +369,9 @@ def ordinary_projection_of_derivative(h: EllipticQExp) -> EllipticQExp:
     operator identity U_p (q d/dq) = p (q d/dq) U_p: iterating U_p makes a
     derivative divisible by arbitrarily large powers of p, so the ordinary
     projector kills it."""
-    if h.ring[0] != "padic":
+    if not isinstance(h.ring, PadicContext):
         raise HeckeError("certification needs p-adic coefficients")
-    p = h.ring[1]
+    p = h.ring.p
     if not h[0].is_zero():
         raise NotDerivative("nonzero constant term")
     for n in range(1, h.bound + 1):
@@ -521,7 +513,7 @@ def lvalue_weight2(
         raise WildCharacterUnsupported(
             "nontrivial wild characters need Gauss sums outside numeric scope"
         )
-    p = prime_data.p
+    p, m = prime_data.p, space.ring.m
     depleted = hilbert_deplete(g, prime_data, "both")
     inverted = theta_d_inverse(depleted, 1, prime_data)
     twisted = twist_star(inverted, trivial_character(p), prime_data, which=1)
@@ -530,7 +522,7 @@ def lvalue_weight2(
     ordinary = e_ord(space, tame)
     _, lambda1 = isotypic_project(space, ordinary, fstar, annihilation)
     alpha_f, beta_f = fstar_roots
-    E = PadicNumber.one(p, space.m) - as_padic(beta_f, p, space.m) / as_padic(alpha_f, p, space.m)
+    E = PadicNumber.one(p, m) - as_padic(beta_f, p, m) / as_padic(alpha_f, p, m)
     return lambda1 / E
 
 

@@ -1,22 +1,25 @@
-"""Fixed-precision p-adic numbers, exact polynomials, the unit-root
-splitting machinery behind the ordinary projector, and the small-integer
-number theory (primality, prime ranges, factoring, orders) of the other
-layers.
+"""Fixed-precision p-adic numbers, the unit-root splitting machinery
+behind the ordinary projector, and the small-integer number theory
+(primality, prime ranges, factoring, orders) of the other layers.
 
-Precision model: a computation fixes (p, m) once and works modulo p^m.
-Anything that would need more precision raises PrecisionExhausted instead
-of silently degrading.  Values of negative valuation are stored as a unit
-residue together with an explicit integer valuation.
+Precision model: a computation fixes its coefficient ring, the
+`PadicContext` that `padic_ring(p, m)` returns (one object per (p, m),
+checked once when it is made), and works modulo p^m.  Anything that would
+need more precision raises PrecisionExhausted instead of silently
+degrading.  Values of negative valuation are stored as a unit residue
+together with an explicit integer valuation.
 
-The precision rules live in one set of integer functions on (unit, val)
-pairs, `pair_normalize` and the `pair_*` operations built on it.
-`PadicNumber` and the coefficient vectors of `hz.qexp` both call them, so
-the two agree digit for digit.
+The precision rules live in the context's methods on normal-form
+(unit, val) int pairs: `normalize` and the `add`, `neg`, `mul`,
+`mul_residue` and `div_unit` built on it.  `PadicNumber` and the
+coefficient vectors of `hz.qexp` both call them, so the two agree digit
+for digit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -163,100 +166,137 @@ def primitive_root(p: int) -> int:
     return g
 
 
-# -- (unit, val) pairs -------------------------------------------------------
-# A value at precision m in the context (p, m), with pm = p^m, is the pair
-# (unit, val) for unit * p^val in normal form: unit reduced mod p^m with p
-# stripped, and (0, 0) when the unit is 0 or val >= m.  The functions take
-# and return normal-form pairs.
+# -- the coefficient ring --------------------------------------------------
+# A value at precision m is stored as the pair (unit, val) for unit * p^val
+# in normal form: unit reduced mod p^m with p stripped, and (0, 0) when the
+# unit is 0 or val >= m.  The ring's methods take and return normal-form
+# pairs, so the precision rules exist only there.
 
 
-def pair_normalize(p: int, m: int, pm: int, unit: int, val: int):
-    """The normal form of unit * p^val."""
-    unit %= pm
-    if not unit:
-        return (0, 0)
-    while not unit % p:
-        unit //= p
-        val += 1
-    return (0, 0) if val >= m else (unit, val)
+class PadicContext:
+    """The coefficient ring of p-adic numbers known modulo p^m.  There is
+    one per (p, m), made by `padic_ring`, so rings compare by identity.
+    It holds p, m and p^m, the arithmetic and JSON codec of normal-form
+    pairs, and it is the `ring` of each PadicNumber and expansion over it."""
+
+    __slots__ = ("p", "m", "pm")
+    zero = (0, 0)
+    dump = staticmethod(list)  # the JSON form of a pair: [unit, val]
+
+    def __init__(self, p: int, m: int):
+        if not (type(p) is int and type(m) is int and isprime(p)):
+            raise PadicError("unsupported coefficient ring %r" % (["padic", p, m],))
+        if m < 1:
+            raise PrecisionExhausted("precision m must be >= 1")
+        self.p, self.m, self.pm = p, m, p**m
+
+    def __repr__(self):
+        return "padic_ring(%d, %d)" % (self.p, self.m)
+
+    def to_json(self):
+        return ["padic", self.p, self.m]
+
+    def normalize(self, unit: int, val: int):
+        """The normal form of unit * p^val."""
+        unit %= self.pm
+        if not unit:
+            return (0, 0)
+        p = self.p
+        while not unit % p:
+            unit //= p
+            val += 1
+        return (0, 0) if val >= self.m else (unit, val)
+
+    def add(self, a, b):
+        (ua, va), (ub, vb) = a, b
+        if not ua:
+            return b
+        if not ub:
+            return a
+        if va <= vb:
+            return self.normalize(ua + ub * self.p ** (vb - va), va)
+        return self.normalize(ua * self.p ** (va - vb) + ub, vb)
+
+    def neg(self, a):
+        return self.normalize(-a[0], a[1])
+
+    def mul(self, a, b):
+        if not (a[0] and b[0]):
+            return (0, 0)
+        return self.normalize(a[0] * b[0], a[1] + b[1])
+
+    def mul_residue(self, a, r: int):
+        """a times the integer r, r taken in normal form first: reduced mod
+        p^m with p stripped into the valuation."""
+        r %= self.pm
+        if not (a[0] and r):
+            return (0, 0)
+        p, val = self.p, a[1]
+        while not r % p:
+            r //= p
+            val += 1
+        return self.normalize(a[0] * r, val)
+
+    def div_unit(self, a, r: int):
+        """a divided by the integer r, a unit mod p whenever a is nonzero."""
+        if not a[0]:
+            return (0, 0)
+        return self.normalize(a[0] * pow(r, -1, self.pm), a[1])
+
+    def store(self, value):
+        """value as a normal-form pair: a PadicNumber of this ring as it is,
+        an int or a rational by reduction; raises PadicError on a
+        PadicNumber of another ring."""
+        if isinstance(value, PadicNumber):
+            if value.ring is not self:
+                raise PadicError("mixed p-adic contexts")
+            return value.unit, value.val
+        if isinstance(value, int):
+            return self.normalize(value, 0)
+        q = Fraction(value)
+        den, p = q.denominator, self.p
+        vd = int_valuation(den, p) if den % p == 0 else 0
+        return self.normalize(q.numerator * pow(den // p**vd, -1, self.pm), -vd)
+
+    def load(self, a) -> "PadicNumber":
+        """The PadicNumber of the normal-form pair a."""
+        x = object.__new__(PadicNumber)
+        x.ring = self
+        x.unit, x.val = a
+        return x
+
+    def parse(self, obj):
+        """The normal form of a pair as `dump` writes it: a list of two
+        ints; ValueError on anything else."""
+        if type(obj) is list and len(obj) == 2:
+            unit, val = obj
+            if type(unit) is int and type(val) is int:
+                return self.normalize(unit, val)
+        raise ValueError("p-adic value %r is not a pair of ints" % (obj,))
 
 
-def pair_add(p: int, m: int, pm: int, a, b):
-    (ua, va), (ub, vb) = a, b
-    if not ua:
-        return b
-    if not ub:
-        return a
-    if va <= vb:
-        return pair_normalize(p, m, pm, ua + ub * p ** (vb - va), va)
-    return pair_normalize(p, m, pm, ua * p ** (va - vb) + ub, vb)
-
-
-def pair_neg(p: int, m: int, pm: int, a):
-    return pair_normalize(p, m, pm, -a[0], a[1])
-
-
-def pair_mul(p: int, m: int, pm: int, a, b):
-    if not (a[0] and b[0]):
-        return (0, 0)
-    return pair_normalize(p, m, pm, a[0] * b[0], a[1] + b[1])
-
-
-def pair_mul_residue(p: int, m: int, pm: int, a, r: int):
-    """a times the integer r, r taken in normal form first: reduced mod
-    p^m with p stripped into the valuation."""
-    r %= pm
-    if not (a[0] and r):
-        return (0, 0)
-    val = a[1]
-    while not r % p:
-        r //= p
-        val += 1
-    return pair_normalize(p, m, pm, a[0] * r, val)
-
-
-def pair_div_unit(p: int, m: int, pm: int, a, r: int):
-    """a divided by the integer r, a unit mod p whenever a is nonzero."""
-    if not a[0]:
-        return (0, 0)
-    return pair_normalize(p, m, pm, a[0] * pow(r, -1, pm), a[1])
-
-
-def as_pair(value, p: int, m: int):
-    """value in the context (p, m) as a normal-form pair: a PadicNumber of
-    that context as it is, an int or a rational by reduction; raises
-    PadicError on a PadicNumber of another context."""
-    if isinstance(value, PadicNumber):
-        if value.p != p or value.m != m:
-            raise PadicError("mixed p-adic contexts")
-        return value.unit, value.val
-    if m < 1:
-        raise PrecisionExhausted("precision m must be >= 1")
-    pm = p**m
-    if isinstance(value, int):
-        return pair_normalize(p, m, pm, value, 0)
-    q = Fraction(value)
-    den = q.denominator
-    vd = int_valuation(den, p) if den % p == 0 else 0
-    return pair_normalize(p, m, pm, q.numerator * pow(den // p**vd, -1, pm), -vd)
+@lru_cache(maxsize=None, typed=True)
+def padic_ring(p: int, m: int, /) -> PadicContext:
+    """The ring of p-adic numbers modulo p^m, one object per (p, m): int p
+    prime and int m >= 1, else PadicError (PrecisionExhausted for m < 1).
+    Typed, so padic_ring(7.0, 3) is refused, not taken for (7, 3)."""
+    return PadicContext(p, m)
 
 
 class PadicNumber:
     """An element of Q_p known to m significant p-adic digits.
 
-    value = unit * p^val with (unit, val) a normal-form pair.  Unhashable:
-    equality mod p^m with ints is not transitive (1 == 50 at 7^2), so no
-    hash can agree with it.
+    value = unit * p^val with (unit, val) a normal-form pair of `ring`.
+    Unhashable: equality mod p^m with ints is not transitive (1 == 50 at
+    7^2), so no hash can agree with it.
     """
 
-    __slots__ = ("p", "m", "unit", "val")
+    __slots__ = ("ring", "unit", "val")
     __hash__ = None
 
     def __init__(self, p: int, m: int, unit: int, val: int = 0):
-        if m < 1:
-            raise PrecisionExhausted("precision m must be >= 1")
-        self.p, self.m = p, m
-        self.unit, self.val = pair_normalize(p, m, p**m, unit, val)
+        ring = self.ring = padic_ring(p, m)
+        self.unit, self.val = ring.normalize(unit, val)
 
     # -- constructors ------------------------------------------------------
 
@@ -266,7 +306,8 @@ class PadicNumber:
 
     @classmethod
     def from_fraction(cls, q, p: int, m: int) -> "PadicNumber":
-        return cls(p, m, *as_pair(Fraction(q), p, m))
+        ring = padic_ring(p, m)
+        return ring.load(ring.store(Fraction(q)))
 
     @classmethod
     def zero(cls, p: int, m: int) -> "PadicNumber":
@@ -294,100 +335,92 @@ class PadicNumber:
             raise PrecisionExhausted(
                 "residue mod p^m undefined at negative valuation %d" % self.val
             )
-        return (self.unit * self.p**self.val) % self.p**self.m
+        ring = self.ring
+        return self.unit * ring.p**self.val % ring.pm
 
     def lift(self):
         """Smallest non-negative representative times p^val, as a Fraction."""
         if self.unit == 0:
             return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.p) ** self.val
+        return Fraction(self.unit) * Fraction(self.ring.p) ** self.val
 
     # -- ring operations ---------------------------------------------------
 
+    def _coerce(self, other) -> "PadicNumber":
+        """other in this number's ring; see `PadicContext.store`."""
+        ring = self.ring
+        return ring.load(ring.store(other))
+
     def _binary(self, op, other):
-        """PadicNumber of the pair operation op on this number and other,
-        other coerced into this context."""
-        p, m = self.p, self.m
-        b = as_pair(other, p, m)
-        return PadicNumber(p, m, *op(p, m, p**m, (self.unit, self.val), b))
+        """The ring operation op on this number and other, other coerced
+        into this number's ring."""
+        ring = self.ring
+        return ring.load(op(ring, (self.unit, self.val), ring.store(other)))
 
     def __add__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self._binary(pair_add, other)
+        return self._binary(PadicContext.add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p, m = self.p, self.m
-        return PadicNumber(p, m, *pair_neg(p, m, p**m, (self.unit, self.val)))
+        ring = self.ring
+        return ring.load(ring.neg((self.unit, self.val)))
 
     def __sub__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        return self + (-o)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        return -(self - o)
+        return -(self - self._coerce(other))
 
     def __mul__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self._binary(pair_mul, other)
+        return self._binary(PadicContext.mul, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PadicNumber":
         if self.unit == 0:
             raise ZeroDivisionError("p-adic inverse of zero")
-        return PadicNumber(
-            self.p, self.m, pow(self.unit, -1, self.p**self.m), -self.val
-        )
+        ring = self.ring
+        return ring.load(ring.normalize(pow(self.unit, -1, ring.pm), -self.val))
 
     def __truediv__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        return self * o.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        return o * self.inverse()
+        return self._coerce(other) * self.inverse()
 
     def __pow__(self, e: int):
+        ring = self.ring
         if e == 0:
-            return PadicNumber.one(self.p, self.m)
+            return ring.load((1, 0))
         if e < 0:
             return self.inverse() ** (-e)
         if self.unit == 0:
-            return PadicNumber.zero(self.p, self.m)
-        return PadicNumber(
-            self.p, self.m, pow(self.unit, e, self.p**self.m), self.val * e
-        )
+            return ring.load(ring.zero)
+        return ring.load(ring.normalize(pow(self.unit, e, ring.pm), self.val * e))
 
     def __eq__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        o = as_padic(other, self.p, self.m)
-        d = self - o
-        return d.unit == 0
+        return (self - self._coerce(other)).unit == 0
 
     def __repr__(self):
+        p, m = self.ring.p, self.ring.m
         if self.unit == 0:
-            return "O(%d^%d)" % (self.p, self.m)
-        return "%d*%d^%d + O(%d^%d)" % (
-            self.unit,
-            self.p,
-            self.val,
-            self.p,
-            self.m + self.val,
-        )
+            return "O(%d^%d)" % (p, m)
+        return "%d*%d^%d + O(%d^%d)" % (self.unit, p, self.val, p, m + self.val)
 
 
 # the operands a PadicNumber operator coerces; others get NotImplemented
@@ -395,18 +428,11 @@ _OPERANDS = (PadicNumber, int, Fraction)
 
 
 def as_padic(value, p: int, m: int) -> PadicNumber:
-    """value in the context (p, m) as a PadicNumber; see `as_pair`."""
-    if isinstance(value, PadicNumber) and value.p == p and value.m == m:
+    """value in the ring (p, m) as a PadicNumber; see `PadicContext.store`."""
+    ring = padic_ring(p, m)
+    if isinstance(value, PadicNumber) and value.ring is ring:
         return value
-    return PadicNumber(p, m, *as_pair(value, p, m))
-
-
-def is_zero_coeff(value) -> bool:
-    """Zero test for a coefficient: a PadicNumber at its precision, any other
-    value exactly."""
-    if isinstance(value, PadicNumber):
-        return value.is_zero()
-    return value == 0
+    return ring.load(ring.store(value))
 
 
 def teichmuller(n: int, p: int, m: int) -> PadicNumber:
@@ -421,72 +447,14 @@ def teichmuller(n: int, p: int, m: int) -> PadicNumber:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomials
-
-
-class PolynomialExact:
-    """Dense polynomial, coefficients low-to-high, over Fraction or
-    PadicNumber entries (one ring per polynomial)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and is_zero_coeff(coeffs[-1]):
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [Fraction(0)]
-        self.coeffs = coeffs
-
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and is_zero_coeff(self.coeffs[0]):
-            return -1
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, PolynomialExact):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = [None] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                t = ca * cb
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return PolynomialExact(out)
-
-    def __repr__(self):
-        return "PolynomialExact(%r)" % (self.coeffs,)
-
-
-# ---------------------------------------------------------------------------
 # Hensel lifting
 
 
-def hensel_unit_root(poly: PolynomialExact, p: int, m: int) -> PadicNumber:
-    """Unit root of X^2 - a X + b in the ordinary case v_p(a) = 0,
-    v_p(b) >= 1, to precision p^m.  The root is congruent to a mod p."""
-    if m < 1:
-        raise PrecisionExhausted("precision m must be >= 1")
-    if poly.degree() != 2:
-        raise PadicError("expected a degree-2 polynomial")
-    b, neg_a, lead = (as_padic(c, p, m) for c in poly.coeffs)
-    if not lead == PadicNumber.one(p, m):
-        raise PadicError("expected a monic polynomial")
-    a = -neg_a
+def hensel_unit_root(a, b, p: int, m: int) -> PadicNumber:
+    """Unit root of X^2 - a X + b (a and b ints, rationals or PadicNumbers)
+    in the ordinary case v_p(a) = 0, v_p(b) >= 1, to precision p^m.  The
+    root is congruent to a mod p."""
+    a, b = as_padic(a, p, m), as_padic(b, p, m)
     if a.is_zero() or a.val > 0:
         raise NotOrdinary("v_p of the linear coefficient is positive")
     if not (b.is_zero() or b.val >= 1):
@@ -621,6 +589,8 @@ def _split_int_poly(f_int, p, m):
     the roots of valuation 0 and nonunit the roots of positive valuation."""
     pm = p**m
     f_int = [c % pm for c in f_int]
+    if f_int[-1] != 1:
+        raise PadicError("the polynomial to split must be monic")
     fbar = [c % p for c in f_int]
     if all(c == 0 for c in fbar):
         raise PrecisionExhausted("polynomial is 0 mod p; polygon unresolved")
@@ -648,22 +618,6 @@ def _split_int_poly(f_int, p, m):
             "the polynomial mod %d^%d" % (len(g) - 1, len(h) - 1, p, m)
         )
     return g, h, s, t
-
-
-def newton_polygon_split(charpoly: PolynomialExact, p: int, m: int):
-    """Factor a monic integral p-adic polynomial as unit_part * nonunit_part
-    mod p^m, where unit_part carries the valuation-0 roots."""
-    ints = []
-    for c in charpoly.coeffs:
-        cp = as_padic(c, p, m)
-        if cp.val < 0:
-            raise PadicError("charpoly must have integral coefficients")
-        ints.append(cp.residue)
-    if ints[-1] != 1:
-        raise PadicError("charpoly must be monic")
-    g, h, _, _ = _split_int_poly(ints, p, m)
-    mk = lambda lst: PolynomialExact([PadicNumber(p, m, c) for c in lst])
-    return mk(g), mk(h)
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,22 @@ enumerated on demand as larger bounds are asked for.  An expansion stores
 one coefficient per element (explicit zeros included) in a list aligned to
 a prefix of its field's domain, so a trace bound is a prefix length and the
 residue maps at a split prime are per-domain vectors aligned the same way.
-Over a p-adic ring the list holds `hz.padic` (unit, val) int pairs, so the
-bulk operators run on plain integers; `coefficient` returns a PadicNumber."""
+The coefficient ring is an object: RATIONAL, or the `hz.padic.PadicContext`
+that `padic_ring(p, m)` returns.  Expansions hold values in the ring's
+stored form (Fractions, or normal-form (unit, val) int pairs), and the
+operators call the ring's own arithmetic on them, so the bulk work runs on
+plain integers; `coefficient` returns a ring value (a PadicNumber)."""
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import reduce
 
 from .padic import (
-    PadicNumber, as_pair, divisor_sigma, factorize, int_valuation, isprime, pair_add,
-    pair_div_unit, pair_mul, pair_mul_residue, pair_normalize, teichmuller,
+    PadicContext, PadicError, PadicNumber, divisor_sigma, factorize, int_valuation, padic_ring,
+    teichmuller,
 )
 from .realquad import (
     PrimeIdealData,
@@ -80,47 +82,47 @@ class NotNarrowlyPrincipal(QExpError):
     pass
 
 
-RATIONAL = ("rational",)
-
-
-def padic_ring(p: int, m: int):
-    return ("padic", p, m)
-
-
 def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-_Stored = namedtuple("_Stored", "zero store load add mul parse dump")
+class _Rationals:
+    """The exact coefficient ring: values stored as Fractions, with the
+    protocol of a `PadicContext` (zero, store, load, add, mul and the JSON
+    codec parse and dump)."""
+
+    zero = Fraction(0)
+    store = staticmethod(Fraction)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    dump = staticmethod(_frac_str)
+
+    def __repr__(self):
+        return "RATIONAL"
+
+    def to_json(self):
+        return ["rational"]
+
+    def load(self, value):
+        return value
+
+    def parse(self, text):
+        """The Fraction `dump` writes as "n/d"; ValueError on anything else."""
+        try:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        except (AttributeError, ValueError, ZeroDivisionError):
+            raise ValueError("rational value %r is not \"n/d\" with d != 0" % (text,)) from None
 
 
-def _stored(ring) -> _Stored:
-    """How expansions store `ring`'s values (Fractions, or normal-form
-    (unit, val) pairs), with their arithmetic and their JSON codec.  The
-    ring is RATIONAL or ("padic", p, m) with int p prime and int m >= 1;
-    anything else raises QExpError.  The check runs once per ring: the
-    cache is keyed by the type of each entry too, so ("padic", 7.0, 3) is
-    never taken for ("padic", 7, 3)."""
-    if type(ring) is not tuple:
-        raise QExpError("unsupported coefficient ring %r" % (ring,))
-    return _stored_entries(*ring)
+RATIONAL = _Rationals()
 
 
-@lru_cache(maxsize=None, typed=True)
-def _stored_entries(*ring) -> _Stored:
-    if ring == RATIONAL:
-        return _Stored(Fraction(0), Fraction, lambda v: v, operator.add, operator.mul,
-                       lambda s: Fraction(*_fraction_key(s)), _frac_str)
-    if not (len(ring) == 3 and ring[0] == "padic" and all(type(x) is int for x in ring[1:])
-            and ring[2] >= 1 and isprime(ring[1])):
-        raise QExpError("unsupported coefficient ring %r" % (list(ring),))
-    p, m = ring[1], ring[2]
-    ctx = (p, m, p**m)
-    return _Stored(
-        (0, 0), partial(as_pair, p=p, m=m), lambda a: PadicNumber(p, m, *a),
-        partial(pair_add, *ctx), partial(pair_mul, *ctx),
-        lambda obj: pair_normalize(*ctx, obj[0], obj[1]), list,
-    )
+def _checked(ring):
+    """ring, if it is a coefficient ring: RATIONAL or a p-adic context."""
+    if ring is RATIONAL or type(ring) is PadicContext:
+        return ring
+    raise QExpError("unsupported coefficient ring %r" % (ring,))
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +131,12 @@ def _stored_entries(*ring) -> _Stored:
 
 class EllipticQExp:
     """Truncated expansion sum a_n q^n, 0 <= n <= bound.  `coeffs` holds the
-    ring's stored form (see `_stored`); `f[n]` returns a ring value."""
+    ring's stored form; `f[n]` returns a ring value."""
 
     __slots__ = ("weight", "level", "character", "bound", "coeffs", "ring")
 
     def __init__(self, weight, level, bound, coeffs, ring=RATIONAL, character=None):
-        store = _stored(ring).store
+        store = _checked(ring).store
         self._set(weight, level, bound, [store(c) for c in coeffs], ring, character)
 
     @classmethod
@@ -161,24 +163,24 @@ class EllipticQExp:
 
     @classmethod
     def zero(cls, weight, level, bound, ring=RATIONAL):
-        return cls._make(weight, level, bound, [_stored(ring).zero] * (bound + 1), ring)
+        return cls._make(weight, level, bound, [_checked(ring).zero] * (bound + 1), ring)
 
     def __getitem__(self, n: int):
         if not 0 <= n <= self.bound:
             raise BoundTooSmall(
                 "coefficient %d beyond known bound %d" % (n, self.bound)
             )
-        return _stored(self.ring).load(self.coeffs[n])
+        return self.ring.load(self.coeffs[n])
 
     def _chi(self, n: int):
         """chi(n) in the stored form."""
         value = 1 if self.character is None else self.character.get(n % self.level)
         if value is None:
             raise CharacterDomainMismatch("character undefined at %d" % (n % self.level))
-        return _stored(self.ring).store(value)
+        return self.ring.store(value)
 
     def chi(self, n: int):
-        return _stored(self.ring).load(self._chi(n))
+        return self.ring.load(self._chi(n))
 
     def truncate(self, bound: int) -> "EllipticQExp":
         if bound > self.bound:
@@ -190,9 +192,9 @@ class EllipticQExp:
     def __add__(self, other):
         if not isinstance(other, EllipticQExp):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise QExpError("mixed coefficient rings")
-        add = _stored(self.ring).add
+        add = self.ring.add
         # zip stops at the smaller bound
         return self._derive([add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -200,15 +202,14 @@ class EllipticQExp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "EllipticQExp":
-        ring = _stored(self.ring)
-        c, mul = ring.store(c), ring.mul
+        c, mul = self.ring.store(c), self.ring.mul
         return self._derive([mul(c, a) for a in self.coeffs])
 
     def eq_at_precision(self, other) -> bool:
         return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        zero = _stored(self.ring).zero
+        zero = self.ring.zero
         return all(v == zero for v in self.coeffs)
 
     def __repr__(self):
@@ -228,7 +229,7 @@ def u_operator(f: EllipticQExp, p: int) -> EllipticQExp:
 
 def v_operator(f: EllipticQExp, p: int, storage_cap: int = 10**6) -> EllipticQExp:
     newbound = min(f.bound * p, storage_cap)
-    out = [_stored(f.ring).zero] * (newbound + 1)
+    out = [f.ring.zero] * (newbound + 1)
     for n in range(f.bound + 1):
         if p * n <= newbound:
             out[p * n] = f.coeffs[n]
@@ -238,7 +239,7 @@ def v_operator(f: EllipticQExp, p: int, storage_cap: int = 10**6) -> EllipticQEx
 def deplete(f: EllipticQExp, p: int) -> EllipticQExp:
     """f - V(U(f)): kills every coefficient with index divisible by p.
     The constant term is killed too (it is the p*0-th coefficient)."""
-    zero = _stored(f.ring).zero
+    zero = f.ring.zero
     return f._derive([zero if n % p == 0 else c for n, c in enumerate(f.coeffs)])
 
 
@@ -248,14 +249,13 @@ def elliptic_twist(
     """Twist by chi * omega^j * |.|^norm_power at p: for n prime to p,
     a_n -> chi(n mod p) * omega(n)^j * n^norm_power * a_n (omega the
     Teichmuller character); coefficients with p | n are killed."""
-    if f.ring == RATIONAL:
+    ring = f.ring
+    if ring is RATIONAL:
         raise ExactRingUnsupported("twisting requires p-adic coefficients")
-    rp, rm = f.ring[1], f.ring[2]
     if p is None:
-        p = rp
-    if p != rp:
+        p = ring.p
+    if p != ring.p:
         raise QExpError("twist prime must match the coefficient ring")
-    ring = _stored(f.ring)
     out = []
     for n, c in enumerate(f.coeffs):
         if n % p == 0:
@@ -266,9 +266,9 @@ def elliptic_twist(
                 raise CharacterDomainMismatch("character undefined at %d" % (n % p))
             c = ring.mul(c, ring.store(chi[n % p]))
         if j % (p - 1) != 0:
-            c = ring.mul(c, ring.store(teichmuller(n, rp, rm) ** (j % (p - 1))))
+            c = ring.mul(c, ring.store(teichmuller(n, p, ring.m) ** (j % (p - 1))))
         if norm_power:
-            c = ring.mul(c, ring.store(PadicNumber(rp, rm, n) ** norm_power))
+            c = ring.mul(c, ring.store(PadicNumber(p, ring.m, n) ** norm_power))
         out.append(c)
     return f._derive(out)
 
@@ -281,7 +281,7 @@ def hecke_T(f: EllipticQExp, ell: int) -> EllipticQExp:
     newbound = f.bound // ell
     if newbound < 1:
         raise BoundTooSmall("bound %d too small for T_%d" % (f.bound, ell))
-    ring = _stored(f.ring)
+    ring = f.ring
     scale = ring.mul(f._chi(ell), ring.store(ell ** (f.weight - 1)))
     out = f.coeffs[::ell]  # a_{ell n} for n <= newbound
     for n in range(0, newbound + 1, ell):
@@ -291,7 +291,7 @@ def hecke_T(f: EllipticQExp, ell: int) -> EllipticQExp:
 
 def q_derivative(f: EllipticQExp) -> EllipticQExp:
     """q d/dq: a_n -> n a_n (weight bookkeeping left to the caller)."""
-    ring = _stored(f.ring)
+    ring = f.ring
     return f._derive([ring.mul(ring.store(n), c) for n, c in enumerate(f.coeffs)])
 
 
@@ -362,14 +362,14 @@ class HilbertQExp:
     """Expansion over the identity component: constant term a0 plus one
     coefficient per domain element up to the trace bound, in a list
     aligned to the field's `HilbertDomain`.  a0 and the list hold the
-    ring's stored form (see `_stored`); `coefficient` returns a ring value."""
+    ring's stored form; `coefficient` returns a ring value."""
 
     __slots__ = ("F", "weights", "trace_bound", "a0", "coeffs", "ring", "character")
 
     def __init__(self, F, weights, trace_bound, a0, coeffs, ring=RATIONAL, character=None):
         """`coeffs` maps (x, y) coordinates to values and must cover the
         whole domain up to the trace bound."""
-        dom, store = _domain(F), _stored(ring).store
+        dom, store = _domain(F), _checked(ring).store
         values = []
         for xi in dom.elements[: dom.size(trace_bound)]:
             try:
@@ -402,7 +402,7 @@ class HilbertQExp:
 
     @classmethod
     def zero(cls, F, weights, trace_bound, ring=RATIONAL):
-        z = _stored(ring).zero
+        z = _checked(ring).zero
         return cls._make(F, weights, trace_bound, z, [z] * _domain(F).size(trace_bound), ring)
 
     def _position(self, xi: QuadElement) -> int:
@@ -413,7 +413,7 @@ class HilbertQExp:
         return i
 
     def coefficient(self, xi: QuadElement):
-        return _stored(self.ring).load(self.coeffs[self._position(xi)])
+        return self.ring.load(self.coeffs[self._position(xi)])
 
     def domain(self):
         return hilbert_domain(self.F, self.trace_bound)
@@ -427,9 +427,9 @@ class HilbertQExp:
     def __add__(self, other):
         if not isinstance(other, HilbertQExp):
             return NotImplemented
-        if self.ring != other.ring or self.F.d != other.F.d:
+        if self.ring is not other.ring or self.F.d != other.F.d:
             raise QExpError("incompatible expansions")
-        add = _stored(self.ring).add
+        add = self.ring.add
         # both lists are prefixes of one domain: zip stops at the smaller bound
         return self._derive(
             [add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
@@ -441,15 +441,14 @@ class HilbertQExp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "HilbertQExp":
-        ring = _stored(self.ring)
-        c, mul = ring.store(c), ring.mul
+        c, mul = self.ring.store(c), self.ring.mul
         return self._derive([mul(c, v) for v in self.coeffs], mul(c, self.a0))
 
     def eq_at_precision(self, other) -> bool:
         return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        zero = _stored(self.ring).zero
+        zero = self.ring.zero
         return self.a0 == zero and all(v == zero for v in self.coeffs)
 
     def __repr__(self):
@@ -564,7 +563,7 @@ def eisenstein_normalization_constant(F: RealQuadraticField) -> Fraction:
 def diagonal_restrict(g: HilbertQExp) -> EllipticQExp:
     """b_n = sum of a(xi) over totally positive xi in the inverse different
     with trace n; b_0 = a0; the output has weight k1 + k2."""
-    T, offsets, ring = g.trace_bound, _domain(g.F).offsets, _stored(g.ring)
+    T, offsets, ring = g.trace_bound, _domain(g.F).offsets, g.ring
     sums = [g.a0] + [
         reduce(ring.add, g.coeffs[offsets[n] : offsets[n + 1]], ring.zero)
         for n in range(1, T + 1)
@@ -576,30 +575,26 @@ def diagonal_restrict(g: HilbertQExp) -> EllipticQExp:
 # Hilbert operator calculus at a split prime
 
 
-def _prime_context(g: HilbertQExp, prime_data: PrimeIdealData):
+def _prime_context(g: HilbertQExp, prime_data: PrimeIdealData, padic_use: str = None):
+    """g's domain, for an operator at the split prime prime_data of g's
+    field.  An operator on p-adic coefficients names its use, and g's ring
+    must then be the one of prime_data's p and m."""
+    if padic_use and g.ring is RATIONAL:
+        raise ExactRingUnsupported("%s p-adic coefficients" % padic_use)
     if prime_data.splitting_type != "split":
         raise QExpError("operator requires a split prime")
     if g.F.d != prime_data.F.d:
         raise QExpError("prime data belongs to a different field")
-    return _domain(g.F)
-
-
-def _padic_context(g: HilbertQExp, prime_data: PrimeIdealData, what: str):
-    """The domain, p, m and p^m for an operator on p-adic coefficients."""
-    if g.ring == RATIONAL:
-        raise ExactRingUnsupported("%s p-adic coefficients" % what)
-    dom = _prime_context(g, prime_data)
-    p, m = prime_data.p, prime_data.m
-    if (p, m) != (g.ring[1], g.ring[2]):
+    if padic_use and (g.ring.p, g.ring.m) != (prime_data.p, prime_data.m):
         raise QExpError("prime data precision must match the coefficient ring")
-    return dom, p, m, p**m
+    return _domain(g.F)
 
 
 def hilbert_deplete(g: HilbertQExp, prime_data: PrimeIdealData, which) -> HilbertQExp:
     """Remove coefficients whose ideal (xi)*different is divisible by the
     chosen prime(s); `which` is 1, 2 or "both".  Constant term dies."""
     dom = _prime_context(g, prime_data)
-    p, zero = prime_data.p, _stored(g.ring).zero
+    p, zero = prime_data.p, g.ring.zero
     coeffs = g.coeffs
     for w in (1, 2) if which == "both" else (which,):
         res = dom.residues(prime_data, w, g.trace_bound)
@@ -646,7 +641,7 @@ def hilbert_v(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> Hi
     # inverse different exactly when xi's residue there vanishes too (sqrtD
     # is a unit at a split p)
     which = 1 if prime_data.residue(pi, 1) % p == 0 else 2
-    zero = _stored(g.ring).zero
+    zero = g.ring.zero
     # output bound: every xi <= T2 with pi | xi must have Tr(xi/pi) <= T;
     # the domain is in trace order, so the first failure fixes T2
     T2, coeffs = T, []
@@ -675,7 +670,7 @@ def twist_star(
     p = prime_data.p
     if prime_data.m < 1:
         raise CharacterDomainMismatch("residue precision below the conductor")
-    ring = _stored(g.ring)
+    ring = g.ring
 
     def twist(v, r):
         r %= p
@@ -697,18 +692,19 @@ def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Theta operator at embedding i: multiply a(xi) by the image of xi
     under the residue map at prime i; raises the weight by 2 in slot i.
     p-adic coefficients only."""
-    dom, p, m, pm = _padic_context(g, prime_data, "theta operators act on")
+    dom = _prime_context(g, prime_data, "theta operators act on")
     w = list(g.weights)
     w[i - 1] += 2
     res = dom.residues(prime_data, i, g.trace_bound)
-    coeffs = [pair_mul_residue(p, m, pm, v, r) for v, r in zip(g.coeffs, res)]
-    return g._derive(coeffs, (0, 0), weights=w)
+    mul_residue = g.ring.mul_residue
+    coeffs = [mul_residue(v, r) for v, r in zip(g.coeffs, res)]
+    return g._derive(coeffs, g.ring.zero, weights=w)
 
 
 def theta_d_inverse(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Inverse theta operator; defined only on expansions depleted at the
     prime i (every surviving coefficient sits at a unit residue)."""
-    dom, p, m, pm = _padic_context(g, prime_data, "theta operators act on")
+    dom, p = _prime_context(g, prime_data, "theta operators act on"), prime_data.p
     # a stored pair is zero exactly when its unit is
     if g.a0[0]:
         raise NotDepleted("nonzero constant term")
@@ -717,8 +713,9 @@ def theta_d_inverse(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> Hilbe
         raise NotDepleted("nonzero coefficient at a non-unit index")
     w = list(g.weights)
     w[i - 1] -= 2
-    coeffs = [pair_div_unit(p, m, pm, v, r) for v, r in zip(g.coeffs, res)]
-    return g._derive(coeffs, (0, 0), weights=w)
+    div_unit = g.ring.div_unit
+    coeffs = [div_unit(v, r) for v, r in zip(g.coeffs, res)]
+    return g._derive(coeffs, g.ring.zero, weights=w)
 
 
 def conjugate_ratio_partner(
@@ -729,15 +726,13 @@ def conjugate_ratio_partner(
     The pair then satisfies theta_1(partner) - theta_2(g1) = 0, and the
     diagonal restriction of their sum is a q-derivative (so its ordinary
     projection vanishes)."""
-    dom, p, m, pm = _padic_context(g1, prime_data, "partner construction needs")
+    dom, p = _prime_context(g1, prime_data, "partner construction needs"), prime_data.p
     res1, res2 = (dom.residues(prime_data, w, g1.trace_bound) for w in (1, 2))
     if any(v[0] and r1 % p == 0 for v, r1 in zip(g1.coeffs, res1)):
         raise NotDepleted("nonzero coefficient at a non-unit first residue")
-    coeffs = [
-        pair_div_unit(p, m, pm, pair_mul_residue(p, m, pm, v, r2), r1)
-        for v, r1, r2 in zip(g1.coeffs, res1, res2)
-    ]
-    return g1._derive(coeffs, (0, 0), weights=(g1.weights[1], g1.weights[0]))
+    div_unit, mul_residue = g1.ring.div_unit, g1.ring.mul_residue
+    coeffs = [div_unit(mul_residue(v, r2), r1) for v, r1, r2 in zip(g1.coeffs, res1, res2)]
+    return g1._derive(coeffs, g1.ring.zero, weights=(g1.weights[1], g1.weights[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -754,18 +749,18 @@ def _fraction_key(s: str):
 
 
 def to_json(exp) -> dict:
-    ring, stored = list(exp.ring), _stored(exp.ring)
+    ring = exp.ring
     if isinstance(exp, EllipticQExp):
         return {
             "type": "elliptic",
             "weight": exp.weight,
             "level": exp.level,
             "bound": exp.bound,
-            "ring": ring,
+            "ring": ring.to_json(),
             "character": None
             if exp.character is None
-            else sorted([int(k), stored.dump(stored.store(v))] for k, v in exp.character.items()),
-            "coeffs": [stored.dump(c) for c in exp.coeffs],
+            else sorted([int(k), ring.dump(ring.store(v))] for k, v in exp.character.items()),
+            "coeffs": [ring.dump(c) for c in exp.coeffs],
         }
     if isinstance(exp, HilbertQExp):
         return {
@@ -774,45 +769,72 @@ def to_json(exp) -> dict:
             "h_plus": exp.F.h_plus,
             "weights": list(exp.weights),
             "trace_bound": exp.trace_bound,
-            "ring": ring,
-            "a0": stored.dump(exp.a0),
+            "ring": ring.to_json(),
+            "a0": ring.dump(exp.a0),
             "entries": [
-                [[_frac_str(xi.x), _frac_str(xi.y)], stored.dump(v)]
+                [[_frac_str(xi.x), _frac_str(xi.y)], ring.dump(v)]
                 for xi, v in zip(_domain(exp.F).elements, exp.coeffs)
             ],
         }
     raise QExpError("unknown expansion type")
 
 
+def _ring_from_json(written):
+    """The coefficient ring that a record's "ring" entry names."""
+    if written == ["rational"]:
+        return RATIONAL
+    if type(written) is list and len(written) == 3 and written[0] == "padic":
+        try:
+            return padic_ring(written[1], written[2])
+        except (PadicError, TypeError):  # TypeError: an unhashable entry
+            pass
+    raise QExpError("unsupported coefficient ring %r" % (written,))
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def from_json(obj: dict, field: RealQuadraticField = None):
-    written = obj["ring"]
-    ring = tuple(written) if isinstance(written, list) else written
+    """The expansion that a `to_json` record describes.  QExpError when the
+    record is not one: not an object, an unknown ring, a value that the
+    ring's `parse` refuses, or a weight, level or bound that is not an int."""
+    if not isinstance(obj, dict):
+        raise QExpError("an expansion record is a JSON object, not a %s" % type(obj).__name__)
+    ring = _ring_from_json(obj["ring"])
+    parse = ring.parse
     try:
-        stored = _stored(ring)
-    except TypeError:  # an unhashable entry
-        raise QExpError("unsupported coefficient ring %r" % (written,)) from None
-    if obj["type"] == "elliptic":
-        character = None
-        if obj.get("character") is not None:
-            character = {int(k): stored.load(stored.parse(v)) for k, v in obj["character"]}
-        coeffs = [stored.parse(c) for c in obj["coeffs"]]
-        return EllipticQExp._make(
-            obj["weight"], obj["level"], obj["bound"], coeffs, ring, character
-        )
-    if obj["type"] == "hilbert":
-        if field is None:
-            field = make_field(obj["d"], h_plus=obj.get("h_plus"))
-        dom = _domain(field)
-        n = dom.size(obj["trace_bound"])
-        coeffs = [None] * n
-        # entries may come in any order; those beyond the bound are ignored
-        for (xs, ys), v in obj["entries"]:
-            i = dom.index.get(_fraction_key(xs) + _fraction_key(ys), n)
-            if i < n:
-                coeffs[i] = stored.parse(v)
-        for xi, c in zip(dom.elements, coeffs):
-            if c is None:
-                raise QExpError("dense storage violated: missing coefficient at %r" % (xi,))
-        a0 = stored.parse(obj["a0"])
-        return HilbertQExp._make(field, obj["weights"], obj["trace_bound"], a0, coeffs, ring)
+        if obj["type"] == "elliptic":
+            character = None
+            if obj.get("character") is not None:
+                character = {_int(k, "a character key"): ring.load(parse(v))
+                             for k, v in obj["character"]}
+            coeffs = [parse(c) for c in obj["coeffs"]]
+            return EllipticQExp._make(
+                _int(obj["weight"], "weight"), _int(obj["level"], "level"),
+                _int(obj["bound"], "bound"), coeffs, ring, character,
+            )
+        if obj["type"] == "hilbert":
+            weights = [_int(w, "a weight") for w in obj["weights"]]
+            if len(weights) != 2:
+                raise ValueError("weights must be two integers, got %r" % (weights,))
+            T = _int(obj["trace_bound"], "trace_bound")
+            if field is None:
+                field = make_field(obj["d"], h_plus=obj.get("h_plus"))
+            dom = _domain(field)
+            n = dom.size(T)
+            coeffs = [None] * n
+            # entries may come in any order; those beyond the bound are ignored
+            for (xs, ys), v in obj["entries"]:
+                i = dom.index.get(_fraction_key(xs) + _fraction_key(ys), n)
+                if i < n:
+                    coeffs[i] = parse(v)
+            for xi, c in zip(dom.elements, coeffs):
+                if c is None:
+                    raise QExpError("dense storage violated: missing coefficient at %r" % (xi,))
+            return HilbertQExp._make(field, weights, T, parse(obj["a0"]), coeffs, ring)
+    except (TypeError, ValueError) as exc:
+        raise QExpError("malformed expansion record: %s" % exc) from None
     raise QExpError("unknown expansion type %r" % obj.get("type"))

@@ -53,7 +53,7 @@ def report(n, text):
 
 
 def random_hilbert(rng, F, T, ring, weights=(2, 0)):
-    p, m = ring[1], ring[2]
+    p, m = ring.p, ring.m
     coeffs = {
         (xi.x, xi.y): PadicNumber.from_int(rng.randrange(p ** m), p, m)
         for xi in hilbert_domain(F, T)

@@ -273,6 +273,41 @@ class TestQExpOp:
         assert err.startswith("error: unsupported coefficient ring")
 
 
+def _malformed(ring, **changes):
+    """A stored elliptic expansion record over ring with `changes` applied;
+    a change to "coeffs" replaces coefficient 1."""
+    record = to_json(EllipticQExp(2, 1, 4, [0, 1, 2, 3, 4], ring))
+    if "coeffs" in changes:
+        record["coeffs"][1] = changes.pop("coeffs")
+    record.update(changes)
+    return record
+
+
+@pytest.mark.parametrize("record, op", [
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1.5, 0]), "derive", id="padic-float-unit"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1, 0.5]), "derive", id="padic-float-val"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[True, 0]), "derive", id="padic-bool-unit"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1]), "derive", id="padic-short-pair"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs="1/1"), "derive", id="padic-string"),
+    pytest.param(_malformed(RATIONAL, coeffs=[1, 0]), "derive", id="rational-pair"),
+    pytest.param(_malformed(RATIONAL, coeffs="x"), "derive", id="rational-word"),
+    pytest.param(_malformed(RATIONAL, coeffs="1/0"), "derive", id="rational-zero-den"),
+    pytest.param(_malformed(RATIONAL, coeffs="1"), "derive", id="rational-no-den"),
+    pytest.param(_malformed(RATIONAL, character=[[1]]), "derive", id="character-short"),
+    pytest.param(_malformed(RATIONAL, weight="2"), "hecke", id="weight-string"),
+    pytest.param(_malformed(RATIONAL, bound=4.0), "derive", id="bound-float"),
+    pytest.param([1, 2], "derive", id="not-an-object"),
+])
+def test_malformed_records_are_input_errors(capsys, tmp_path, record, op):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["qexp-op", "--input", str(path), "--op", op,
+                                  "--ell", "2"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["asai", "--p", "4"], "--p", 4),
     (["asai", "--p", "0"], "--p", 0),

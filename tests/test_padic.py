@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hz.padic
 from hz.padic import (
     NotOrdinary,
     PadicError,
     PadicNumber,
-    PolynomialExact,
     PrecisionExhausted,
     _gcd_poly_modp,
     _padd,
@@ -17,19 +17,11 @@ from hz.padic import (
     _split_int_poly,
     _xgcd_poly_modp,
     as_padic,
-    as_pair,
     bezout_projector,
     hensel_unit_root,
-    is_zero_coeff,
     lift_root,
-    newton_polygon_split,
     ordinary_iterate_oracle,
-    pair_add,
-    pair_div_unit,
-    pair_mul,
-    pair_mul_residue,
-    pair_neg,
-    pair_normalize,
+    padic_ring,
     teichmuller,
 )
 
@@ -157,9 +149,9 @@ def exact(pair, p):
 
 
 class TestPairKit:
-    """The (unit, val) functions against the digit reference: each result
-    is the normal form of the exact result on its inputs' representatives,
-    read from the lowest digit that the inputs carry."""
+    """The ring's (unit, val) methods against the digit reference: each
+    result is the normal form of the exact result on its inputs'
+    representatives, read from the lowest digit that the inputs carry."""
 
     @given(
         st.sampled_from([2, 3, 5, 7, 11]),
@@ -171,37 +163,66 @@ class TestPairKit:
     )
     @settings(max_examples=200)
     def test_against_digit_reference(self, p, m, raw_a, raw_b, r, den):
-        pm = p**m
+        ring = padic_ring(p, m)
 
         def ref(x, floor):
             return digits_normal_form(x, floor, p, m)
 
-        a, b = (pair_normalize(p, m, pm, u, v) for u, v in (raw_a, raw_b))
+        a, b = (ring.normalize(u, v) for u, v in (raw_a, raw_b))
         for (u, v), pair in ((raw_a, a), (raw_b, b)):
             assert pair == ref(exact((u, v), p), v)
         (ua, va), (ub, vb) = a, b
         # coercion: an int from the digit p^0, a rational from its
         # denominator's valuation
-        assert as_pair(r, p, m) == ref(r, 0)
+        assert ring.store(r) == ref(r, 0)
         q = Fraction(r, den)
         vd = next(k for k in range(40) if q.denominator % p ** (k + 1))
-        assert as_pair(q, p, m) == ref(q, -vd)
+        assert ring.store(q) == ref(q, -vd)
 
-        assert pair_neg(p, m, pm, a) == ((0, 0) if not ua else ref(-exact(a, p), va))
+        assert ring.neg(a) == ((0, 0) if not ua else ref(-exact(a, p), va))
         if ua and ub:
-            assert pair_add(p, m, pm, a, b) == ref(exact(a, p) + exact(b, p), min(va, vb))
-            assert pair_mul(p, m, pm, a, b) == ref(exact(a, p) * exact(b, p), va + vb)
+            assert ring.add(a, b) == ref(exact(a, p) + exact(b, p), min(va, vb))
+            assert ring.mul(a, b) == ref(exact(a, p) * exact(b, p), va + vb)
         else:
-            assert pair_add(p, m, pm, a, b) == (b if not ua else a)
-            assert pair_mul(p, m, pm, a, b) == (0, 0)
+            assert ring.add(a, b) == (b if not ua else a)
+            assert ring.mul(a, b) == (0, 0)
         # the residue is put in normal form first: its p-factors move into
         # the valuation before the product is read
         rr = ref(r, 0)
         product = (0, 0) if not (ua and rr[0]) else ref(exact(a, p) * exact(rr, p), va + rr[1])
-        assert pair_mul_residue(p, m, pm, a, r) == product
+        assert ring.mul_residue(a, r) == product
         if r % p:
             quotient = (0, 0) if not ua else ref(exact(a, p) / r, va)
-            assert pair_div_unit(p, m, pm, a, r) == quotient
+            assert ring.div_unit(a, r) == quotient
+
+
+class TestPadicContext:
+    def test_one_object_per_ring(self):
+        assert padic_ring(7, 3) is padic_ring(7, 3)
+        assert PadicNumber(7, 3, 1).ring is padic_ring(7, 3)
+        assert padic_ring(7, 3) is not padic_ring(7, 2)
+
+    def test_checked_once_when_made(self, monkeypatch):
+        for p, m in ((4, 3), (0, 3), (-7, 3), (7.0, 3), (7, 3.0), (7, True)):
+            with pytest.raises(PadicError, match="unsupported coefficient ring"):
+                padic_ring(p, m)
+        with pytest.raises(PrecisionExhausted):
+            padic_ring(7, 0)
+        # no other test uses 10007, so its context is made here, once
+        calls = []
+        monkeypatch.setattr(hz.padic, "isprime", lambda n: calls.append(n) or True)
+        x = PadicNumber(10007, 3, 5)
+        for _ in range(3):
+            x = x * x + padic_ring(10007, 3).load((1, 0))
+        assert as_padic(x, 10007, 3) is x
+        assert calls == [10007]
+
+    def test_other_context_is_mixed(self):
+        x, y = PadicNumber(7, 3, 1), PadicNumber(7, 2, 1)
+        for op in (lambda: x + y, lambda: x * y, lambda: x - y, lambda: x / y,
+                   lambda: x == y, lambda: padic_ring(7, 3).store(y)):
+            with pytest.raises(PadicError, match="mixed p-adic contexts"):
+                op()
 
 
 class TestHenselUnitRoot:
@@ -210,8 +231,7 @@ class TestHenselUnitRoot:
         # The unit root is congruent to 2 mod 3 and its lift mod 81 is the
         # unique residue there with poly(alpha) = 0: direct substitution
         # over the integers pins it to 65.
-        poly = PolynomialExact([Fraction(3), Fraction(1), Fraction(1)])
-        alpha = hensel_unit_root(poly, 3, 4)
+        alpha = hensel_unit_root(-1, 3, 3, 4)
         assert alpha.residue % 3 == 2
         r = alpha.residue
         assert (r * r + r + 3) % 81 == 0
@@ -221,35 +241,33 @@ class TestHenselUnitRoot:
         assert alpha + beta == PadicNumber.from_int(-1, 3, 4)
 
     def test_degenerate_b_zero(self):
-        poly = PolynomialExact([Fraction(0), Fraction(-1), Fraction(1)])
+        # X^2 - X
         for p in (3, 7, 11):
-            assert hensel_unit_root(poly, p, 5) == PadicNumber.one(p, 5)
+            assert hensel_unit_root(Fraction(1), Fraction(0), p, 5) == PadicNumber.one(p, 5)
 
     def test_factorable_p2(self):
         # X^2 - 5X + 6 = (X-2)(X-3): unit root at p=2 is 3
-        poly = PolynomialExact([Fraction(6), Fraction(-5), Fraction(1)])
-        alpha = hensel_unit_root(poly, 2, 5)
+        alpha = hensel_unit_root(5, 6, 2, 5)
         assert alpha.residue == 3
         beta = PadicNumber.from_int(6, 2, 5) / alpha
         assert alpha + beta == P(5, 2, 5)
         assert alpha * beta == P(6, 2, 5)
 
     def test_root_of_poly(self):
-        poly = PolynomialExact([Fraction(10), Fraction(3), Fraction(1)])
+        # X^2 + 3X + 10
         p, m = 5, 6
-        alpha = hensel_unit_root(poly, p, m)
-        val = poly(alpha)
+        alpha = hensel_unit_root(-3, 10, p, m)
+        val = alpha * alpha + 3 * alpha + 10
         assert val.is_zero()
 
     def test_not_ordinary(self):
-        poly = PolynomialExact([Fraction(3), Fraction(-3), Fraction(1)])
+        # X^2 - 3X + 3
         with pytest.raises(NotOrdinary):
-            hensel_unit_root(poly, 3, 4)
+            hensel_unit_root(3, 3, 3, 4)
 
     def test_precision_floor(self):
-        poly = PolynomialExact([Fraction(3), Fraction(1), Fraction(1)])
         with pytest.raises(PrecisionExhausted):
-            hensel_unit_root(poly, 3, 0)
+            hensel_unit_root(-1, 3, 3, 0)
 
 
 class TestCoercion:
@@ -269,8 +287,14 @@ class TestCoercion:
             EllipticQExp(2, 1, 0, [P(1, 5, 6)], padic_ring(7, 6))
 
     def test_zero_test(self):
-        assert is_zero_coeff(P(5**6)) and not is_zero_coeff(P(5**5))
-        assert is_zero_coeff(Fraction(0)) and not is_zero_coeff(Fraction(1, 5))
+        """Each ring answers the zero test on its stored form: a p-adic
+        value at its precision, a rational exactly."""
+        from hz.qexp import RATIONAL
+
+        ring = padic_ring(5, 6)
+        assert ring.store(P(5**6)) == ring.store(5**7) == ring.zero
+        assert ring.store(P(5**5)) != ring.zero
+        assert RATIONAL.store(0) == RATIONAL.zero != RATIONAL.store(Fraction(1, 5))
 
 
 class TestLiftRoot:
@@ -345,57 +369,60 @@ class TestSplitIntPoly:
             _split_int_poly(f, p, m)
 
 
-def _poly_from_roots(roots, p, m):
-    coeffs = [Fraction(1)]
+def _poly_from_roots(roots, pm):
+    """The monic integer polynomial with the given roots, low-to-high mod pm."""
+    coeffs = [1]
     for r in roots:
-        coeffs = [Fraction(0)] + coeffs
+        coeffs = [0] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= r * coeffs[i + 1]
-    return PolynomialExact([PadicNumber.from_int(int(c), p, m) for c in coeffs])
+    return [c % pm for c in coeffs]
+
+
+def _at(f, x, pm):
+    return sum(c * x**i for i, c in enumerate(f)) % pm
 
 
 class TestNewtonPolygonSplit:
+    """`_split_int_poly` separates the roots of valuation 0 from those of
+    positive valuation, as the slopes of the Newton polygon do."""
+
     def test_trivial_split(self):
         p, m = 5, 6
-        f = _poly_from_roots([1, p], p, m)
-        u, v = newton_polygon_split(f, p, m)
-        assert u.degree() == 1 and v.degree() == 1
-        one = PadicNumber.one(p, m)
-        assert u(one).is_zero()
-        assert v(PadicNumber.from_int(p, p, m)).is_zero()
+        pm = p**m
+        u, v, _, _ = _split_int_poly(_poly_from_roots([1, p], pm), p, m)
+        assert len(u) == len(v) == 2
+        assert _at(u, 1, pm) == 0
+        assert _at(v, p, pm) == 0
 
     def test_all_nonunit(self):
         p, m = 5, 6
-        f = PolynomialExact([PadicNumber.zero(p, m)] * 2 + [PadicNumber.one(p, m)])
-        u, v = newton_polygon_split(f, p, m)
-        assert u.degree() == 0
-        assert v.degree() == 2
+        u, v, _, _ = _split_int_poly([0, 0, 1], p, m)
+        assert u == [1]
+        assert len(v) - 1 == 2
 
     def test_rejects_non_monic(self):
         p, m = 5, 6
-        f = PolynomialExact([PadicNumber.from_int(c, p, m) for c in (5, 1, 2)])
         with pytest.raises(PadicError, match="monic"):
-            newton_polygon_split(f, p, m)
+            _split_int_poly([5, 1, 2], p, m)
 
     def test_random_cubics_against_root_valuations(self):
         rng = random.Random(7)
         p, m = 7, 6
+        pm = p**m
         for _ in range(20):
             unit_root = rng.randrange(1, p) + p * rng.randrange(p ** (m - 1))
             r2 = p * rng.randrange(1, p ** (m - 1))
             r3 = p * rng.randrange(1, p ** (m - 1))
-            f = _poly_from_roots([unit_root, r2, r3], p, m)
-            u, v = newton_polygon_split(f, p, m)
-            assert u.degree() == 1
-            assert v.degree() == 2
-            assert u(PadicNumber.from_int(unit_root, p, m)).is_zero()
-            assert v(PadicNumber.from_int(r2, p, m)).is_zero()
-            assert v(PadicNumber.from_int(r3, p, m)).is_zero()
+            f = _poly_from_roots([unit_root, r2, r3], pm)
+            u, v, _, _ = _split_int_poly(f, p, m)
+            assert len(u) - 1 == 1
+            assert len(v) - 1 == 2
+            assert _at(u, unit_root, pm) == 0
+            assert _at(v, r2, pm) == 0
+            assert _at(v, r3, pm) == 0
             # factors multiply back
-            prod = u * v
-            assert all(
-                (a - b).is_zero() for a, b in zip(prod.coeffs, f.coeffs)
-            )
+            assert _pmul(u, v, pm) == f
 
 
 def _pn_mat(entries, p, m):

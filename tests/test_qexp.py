@@ -67,7 +67,7 @@ def random_elliptic(rng, bound=100, ring=RATIONAL, weight=4):
     if ring == RATIONAL:
         coeffs = [Fraction(rng.randrange(-50, 50)) for _ in range(bound + 1)]
     else:
-        p, m = ring[1], ring[2]
+        p, m = ring.p, ring.m
         coeffs = [
             PadicNumber.from_int(rng.randrange(p**m), p, m) for _ in range(bound + 1)
         ]
@@ -75,7 +75,7 @@ def random_elliptic(rng, bound=100, ring=RATIONAL, weight=4):
 
 
 def random_hilbert(rng, F=F5, T=30, ring=R11, weights=(2, 0)):
-    p, m = ring[1], ring[2]
+    p, m = ring.p, ring.m
     coeffs = {
         (xi.x, xi.y): PadicNumber.from_int(rng.randrange(p**m), p, m)
         for xi in hilbert_domain(F, T)
