@@ -463,6 +463,44 @@ class TestGeneratorProof:
             tensor_induce(broken, generators=broken.generating_set(
                 broken.subgroup_elements()))
 
+    # the failing pair is named by its elements' names, whatever the
+    # encoding of the elements inside the check
+    PAIR = "matrix table fails at the pair ((%r, 0), (%r, 0))"
+    MINUS_ONE = ((-4, 0), (0, 0), (0, 0), (0, 0))
+    HALVES = ((2, 0), (2, 0), (2, 0), (2, 0))
+
+    def corrupted_cover(self, cover):
+        # the corruption of test_corrupted_table_is_rejected
+        bad = dict(cover.matrices)
+        key = next(k for k in bad if k != cover.identity)
+        bad[key] = bad[cover.identity]
+        return FiniteRep2(cover.elements, cover.multiply, cover.identity,
+                          cover.in_subgroup, cover.theta, bad)
+
+    @staticmethod
+    def failure(check, generators=None):
+        with pytest.raises(NotHomomorphism) as exc:
+            check.verify_homomorphism(generators)
+        return str(exc.value)
+
+    def test_corrupted_cover_message_exhaustive(self, cover):
+        assert self.failure(self.corrupted_cover(cover)) == self.PAIR % (
+            self.MINUS_ONE, tuple((-2, 0) for _ in range(4)))
+
+    def test_corrupted_cover_message_on_generators(self, cover):
+        broken = self.corrupted_cover(cover)
+        assert self.failure(broken, broken.generating_set(
+            broken.subgroup_elements())) == self.PAIR % (
+                self.HALVES, self.MINUS_ONE)
+
+    def test_corrupted_induced_message_on_generators(self, cover, induced):
+        bad = dict(induced.matrices)
+        bad[cover.elements[-1]] = bad[cover.identity]
+        assert self.failure(AsaiRep(cover, bad), cover.generating_set(
+            cover.elements)) == (
+                "matrix table fails at the pair ((%r, 1), (%r, 0))"
+                % (_QUAT_ONE, self.MINUS_ONE))
+
 
     def test_one_cayley_pass_and_no_scalar_products_in_the_check(
             self, monkeypatch, capsys):
