@@ -94,14 +94,16 @@ def _check_multiplicative(rep, elements, matrices, scale, generators):
     For each a the products M(a)M(b) over all b are one block product
     (Kronecker substitution): coordinate c of row k of every M(b) is
     packed into one integer, with signed base-2^W digits at positions
-    (index of b) * dim + column, so M(a) acts on the packed rows through
-    the regular matrices of its entries, in 16 dim^2 products of a small
-    by a big integer.  The targets scale M(ab) are packed alike, in the
-    order of b.  A product digit is at most 12 dim max|entry|^2 and a
+    (place of b in elements) * dim + column, so M(a) acts on the packed
+    rows through the regular matrices of its entries, in 16 dim^2 products
+    of a small by a big integer.  The targets scale M(ab) are packed
+    alike, in the order of b, with ab read from the product record.  A
+    product digit is at most 12 dim max|entry|^2 and a
     target digit scale max|entry| in absolute value; W keeps both below
     2^(W-1), where signed digits are unique, so equal integers mean equal
     entries, and the lowest set bit of a difference lies in its lowest
-    differing digit, which names the first failing b."""
+    differing digit, which names the first failing b.  The failing pair is
+    reported by the names of its elements."""
     if set(matrices) != set(elements):
         raise NotHomomorphism("matrix table does not cover its domain")
     unit, dim = (scale, 0, 0, 0), len(matrices[rep.identity])
@@ -136,18 +138,20 @@ def _check_multiplicative(rep, elements, matrices, scale, generators):
         return int.from_bytes(b"".join(chunks), "little") - offset
 
     sources = [pack(chunks) for chunks in rows]
-    index = {g: n for n, g in enumerate(elements)}
+    position = {g: n for n, g in enumerate(elements)}
     for a in generators:
         regular = [[_regular(e) for e in row] for row in matrices[a]]
-        targets = [index[rep.products[a, b]] for b in elements]
+        targets = list(map(position.__getitem__,
+                           map(rep.products[a].__getitem__, elements)))
         diffs = [sum(map(operator.mul, [r for reg in regular[t // 4]
                                         for r in reg[t % 4]], sources))
                  - scale * pack(map(chunks.__getitem__, targets))
                  for t, chunks in enumerate(rows)]
         low = min(((d & -d).bit_length() for d in diffs if d), default=0)
         if low:
+            b = elements[(low - 1) // (8 * size) // dim]
             raise NotHomomorphism("matrix table fails at the pair (%r, %r)" % (
-                a, elements[(low - 1) // (8 * size) // dim]))
+                rep.keys[a], rep.keys[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +161,40 @@ class FiniteRep2:
     """A finite group together with an index-2 subgroup, a coset
     representative, and a 2x2 matrix assignment on the subgroup.
 
-    elements: list of hashable element keys.
+    The elements are the indices range(n) into keys, and everything but
+    the names speaks in indices.
+    keys: the element names, in which an element is reported.
     multiply: callable (g, h) -> gh.
-    identity: the identity key.
+    identity: the identity.
     in_subgroup: callable g -> bool; must cut out exactly half the elements.
     theta: coset representative outside the subgroup.
     matrices: dict mapping subgroup elements to 2x2 nested tuples whose
         entries are integer 4-tuples at denominator ENTRY_SCALE.
+    products: the record of every product sh made, in int rows:
+        products[s][h] is sh, or None where it is not made yet, and row s
+        is None until s first acts.
     """
 
-    def __init__(self, elements, multiply, identity, in_subgroup, theta,
+    def __init__(self, keys, multiply, identity, in_subgroup, theta,
                  matrices):
-        self.elements = list(elements)
+        self.keys = list(keys)
+        self.elements = range(len(self.keys))
         self.multiply = multiply
         self.identity = identity
         self.in_subgroup = in_subgroup
         self.theta = theta
         self.matrices = matrices
-        self.products = {}  # (s, h) -> sh, for every product a walk made
+        self.products = [None] * len(self.keys)
+
+    def product(self, s, h):
+        """sh, from the record, or made once into it."""
+        row = self.products[s]
+        if row is None:
+            row = self.products[s] = [None] * len(self.keys)
+        sh = row[h]
+        if sh is None:
+            sh = row[h] = self.multiply(s, h)
+        return sh
 
     def subgroup_elements(self):
         return [g for g in self.elements if self.in_subgroup(g)]
@@ -184,7 +204,7 @@ class FiniteRep2:
         h = g
         for _ in self.elements:
             yield h
-            h = self.multiply(h, g)
+            h = self.product(h, g)
         raise AsaiError("element order exceeds the group order")
 
     def inverse(self, g):
@@ -205,17 +225,13 @@ class FiniteRep2:
         generators, under the added generators too: the added ones act on
         all of it, then every generator on each newly reached element.
         Each product sh is recorded in self.products and made only once."""
-        products, multiply = self.products, self.multiply
+        product = self.product
         frontier, acting = reached, added
         generators = [*generators, *added]
         while frontier:
             found = set()
             for s in acting:
-                for h in frontier:
-                    sh = products.get((s, h))
-                    if sh is None:
-                        sh = products[s, h] = multiply(s, h)
-                    found.add(sh)
+                found.update(product(s, h) for h in frontier)
             frontier = found - reached
             reached = reached | frontier
             acting = generators
@@ -306,26 +322,27 @@ def tensor_induce(rho, theta=None, generators=None):
     """Tensor induction of a 2-dimensional subgroup representation to the
     full group, in the basis e_i (x) e_j' with the second slot moved through
     the coset representative.  The subgroup table is verified first, on
-    the given subgroup generators when there are any."""
+    the given subgroup generators when there are any.  The conjugates by
+    the representative come from the product record, or go into it."""
     if theta is None:
         theta = rho.theta
     if rho.in_subgroup(theta):
         raise ThetaInSubgroup("coset representative lies in the subgroup")
     rho.verify_homomorphism(generators)
     theta_inv = rho.inverse(theta)
+    product, local = rho.product, rho.matrices
     matrices = {}
     for g in rho.elements:
+        g_theta = product(g, theta)
         if rho.in_subgroup(g):
-            matrices[g] = _kron(rho.matrices[g], rho.matrices[
-                rho.multiply(theta_inv, rho.multiply(g, theta))])
+            matrices[g] = _kron(local[g], local[product(theta_inv, g_theta)])
         else:
             # the two tensor slots are exchanged off the subgroup: entry
             # (2a + b, 2c + d) is m1[a][d] m2[b][c], so the middle columns
             # of the Kronecker product swap
             matrices[g] = tuple(
                 (r0, r2, r1, r3) for r0, r1, r2, r3 in _kron(
-                    rho.matrices[rho.multiply(g, theta)],
-                    rho.matrices[rho.multiply(theta_inv, g)]))
+                    local[g_theta], local[product(theta_inv, g)]))
     return AsaiRep(rho, matrices)
 
 
@@ -425,94 +442,113 @@ def s5_double_cover_rep():
     """A 240-element double cover of S5 realized on pairs (icosian, bit),
     with the nontrivial bit acting through the outer swap; the extension by
     the swap is split, which makes the induced character equal to the
-    permutation character on 5 points minus its trivial summand."""
+    permutation character on 5 points minus its trivial summand.  Element
+    g is keys[g]: the icosian at place g mod 120 of the sorted units, and
+    the bit g >= 120.  The product of the icosians at places k and l is
+    made at most once, into its place in icosian[k][l]: (k, s)(l, t) is
+    (icosian[k][sigma^s(l)], s xor t)."""
     icosians = _icosian_units()
-    iset = set(icosians)
-    for q in icosians:
-        if _sigma(q) not in iset:
-            raise AsaiError("outer swap does not preserve the icosians")
-    elements = [(q, s) for s in (0, 1) for q in icosians]
+    n = len(icosians)
+    position = {q: k for k, q in enumerate(icosians)}
+    sigma = [position.get(_sigma(q)) for q in icosians]
+    if None in sigma:
+        raise AsaiError("outer swap does not preserve the icosians")
+    icosian = [[None] * n for _ in icosians]
 
     def multiply(g, h):
-        q1, s1 = g
-        q2, s2 = h
-        return (_quat_mul(q1, _sigma(q2) if s1 else q2), s1 ^ s2)
+        s, k = divmod(g, n)
+        t, l = divmod(h, n)
+        if s:
+            l = sigma[l]
+        row = icosian[k]
+        kl = row[l]
+        if kl is None:
+            kl = row[l] = position[_quat_mul(icosians[k], icosians[l])]
+        return kl + n * (s ^ t)
 
-    matrices = {(q, 0): _rho_matrix(q) for q in icosians}
+    one = position[_QUAT_ONE]
     return FiniteRep2(
-        elements=elements,
+        keys=[(q, s) for s in (0, 1) for q in icosians],
         multiply=multiply,
-        identity=(_QUAT_ONE, 0),
-        in_subgroup=lambda g: g[1] == 0,
-        theta=(_QUAT_ONE, 1),
-        matrices=matrices,
+        identity=one,
+        in_subgroup=lambda g: g < n,
+        theta=one + n,
+        matrices={k: _rho_matrix(q) for k, q in enumerate(icosians)},
     )
 
 
 def cover_center():
-    """The two central elements of the double cover, for quotient orders."""
-    return {(_QUAT_ONE, 0), (_quat_neg(_QUAT_ONE), 0)}
+    """The two central elements of the double cover, for quotient orders:
+    the places of 1 and -1 among the sorted icosians."""
+    icosians = _icosian_units()
+    return {icosians.index(_QUAT_ONE), icosians.index(_quat_neg(_QUAT_ONE))}
 
 
 def rep_from_json(data):
     """Build a FiniteRep2 from JSON data: element names, a multiplication
     table, the subgroup member list, the coset representative, and matrix
-    entries as integer 4-tuples at denominator ENTRY_SCALE.  The table must
-    be a group law, so that a generator check proves a homomorphism."""
+    entries as integer 4-tuples at denominator ENTRY_SCALE.  The names are
+    numbered here, in the order of the element list, and kept as the keys
+    (a list name as a tuple).  The table must be a group law, so that a
+    generator check proves a homomorphism."""
     def key(e):
         return tuple(e) if isinstance(e, list) else e
 
-    elements = [key(e) for e in data["elements"]]
-    table = {}
-    for a, b, c in data["table"]:
-        table[(key(a), key(b))] = key(c)
-    subgroup = {key(e) for e in data["subgroup"]}
+    keys = [key(e) for e in data["elements"]]
+    index = {k: g for g, k in enumerate(keys)}
+
+    def number(name):
+        if key(name) not in index:
+            raise AsaiError("%r is not an element" % (key(name),))
+        return index[key(name)]
+
     matrices = {}
     for name, rows in data["matrices"]:
-        matrices[key(name)] = m = tuple(
-            tuple(tuple(entry) for entry in row) for row in rows)
+        m = tuple(tuple(tuple(entry) for entry in row) for row in rows)
         if len(m) != 2 or any(len(row) != 2 or any(
                 len(e) != 4 or not all(isinstance(t, int) for t in e)
                 for e in row) for row in m):
             raise AsaiError("the matrix of %r is not 2 x 2 over integer "
                             "4-tuples" % (key(name),))
+        matrices[number(name)] = m
+    law = [[None] * len(keys) for _ in keys]
+    for a, b, c in data["table"]:
+        law[number(a)][number(b)] = number(c)
+    subgroup = {number(e) for e in data["subgroup"]}
     rep = FiniteRep2(
-        elements=elements,
-        multiply=lambda a, b: table[(a, b)],
-        identity=key(data["identity"]),
-        in_subgroup=lambda g: g in subgroup,
-        theta=key(data["theta"]),
+        keys=keys,
+        multiply=lambda a, b: law[a][b],
+        identity=number(data["identity"]),
+        in_subgroup=subgroup.__contains__,
+        theta=number(data["theta"]),
         matrices=matrices,
     )
-    _check_group_law(rep, table)
+    _check_group_law(rep, law)
     return rep
 
 
-def _check_group_law(rep, table):
-    """Raise AsaiError unless the table is a group law on rep.elements: a
-    product for every pair, inside the elements, the identity acting as one
-    on both sides, and Light's associativity test (x s) y = x (s y) for s
-    in a generating set S and all x, y.  The s that pass hold e and are
-    closed under products ((x (ab)) y = ((x a) b) y = (x a)(b y) =
-    x (a (b y)) = x ((ab) y)), and every element is reached from e by left
-    multiplication with S, so all elements pass: |S| n^2 lookups prove
-    associativity."""
-    elements, e = rep.elements, rep.identity
-    names = set(elements)
-    if len(names) != len(elements) or e not in names or any(
-            (a, b) not in table or table[a, b] not in names
-            for a in elements for b in elements):
+def _check_group_law(rep, law):
+    """Raise AsaiError unless the int rows law[a][b] are a group law on
+    rep.elements: distinct names, a product for every pair, the identity
+    acting as one on both sides, and Light's associativity test
+    (x s) y = x (s y) for s in a generating set S and all x, y.  The s that
+    pass hold e and are closed under products ((x (ab)) y = ((x a) b) y =
+    (x a)(b y) = x (a (b y)) = x ((ab) y)), and every element is reached
+    from e by left multiplication with S, so all elements pass: |S| n^2
+    lookups prove associativity."""
+    elements, e, keys = rep.elements, rep.identity, rep.keys
+    if len(set(keys)) != len(keys) or any(None in row for row in law):
         raise AsaiError("the table is not a law on the elements")
-    if any(table[e, g] != g or table[g, e] != g for g in elements):
+    if any(law[e][g] != g or law[g][e] != g for g in elements):
         raise AsaiError("the identity does not act as one")
     for s in rep.generating_set(elements):
         for x in elements:
-            xs = table[x, s]
+            xs = law[x][s]
             for y in elements:
-                if table[xs, y] != table[x, table[s, y]]:
+                if law[xs][y] != law[x][law[s][y]]:
                     raise AsaiError(
                         "the table is not associative at (%r, %r, %r)"
-                        % (x, s, y))
+                        % (keys[x], keys[s], keys[y]))
 
 
 # ---------------------------------------------------------------------------

@@ -835,6 +835,6 @@ def from_json(obj: dict, field: RealQuadraticField = None):
                 if c is None:
                     raise QExpError("dense storage violated: missing coefficient at %r" % (xi,))
             return HilbertQExp._make(field, weights, T, parse(obj["a0"]), coeffs, ring)
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise QExpError("malformed expansion record: %s" % exc) from None
     raise QExpError("unknown expansion type %r" % obj.get("type"))

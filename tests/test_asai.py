@@ -294,24 +294,61 @@ class TestTensorInduction:
 
 
 class TestJsonIngestion:
-    def build_c4(self):
-        # cyclic group of order 4 with the order-2 subgroup; the subgroup
-        # representation sends the involution to minus the identity
+    def c4_data(self, names=(0, 1, 2, 3)):
+        # cyclic group of order 4 with the order-2 subgroup, the power k of
+        # the generator named names[k]; the subgroup representation sends
+        # the involution to minus the identity
         one = (ENTRY_SCALE, 0, 0, 0)
         zero = (0, 0, 0, 0)
         neg = (-ENTRY_SCALE, 0, 0, 0)
-        return rep_from_json({
-            "elements": [0, 1, 2, 3],
-            "identity": 0,
-            "theta": 1,
-            "subgroup": [0, 2],
-            "table": [[a, b, (a + b) % 4] for a in range(4)
-                      for b in range(4)],
+        return {
+            "elements": list(names),
+            "identity": names[0],
+            "theta": names[1],
+            "subgroup": [names[0], names[2]],
+            "table": [[names[a], names[b], names[(a + b) % 4]]
+                      for a in range(4) for b in range(4)],
             "matrices": [
-                [0, [[one, zero], [zero, one]]],
-                [2, [[neg, zero], [zero, neg]]],
+                [names[0], [[one, zero], [zero, one]]],
+                [names[2], [[neg, zero], [zero, neg]]],
             ],
-        })
+        }
+
+    def build_c4(self):
+        return rep_from_json(self.c4_data())
+
+    NAMES = [["e", "a", "a2", "a3"], [[0, 0], [0, 1], [1, 0], [1, 1]]]
+
+    @pytest.mark.parametrize("names", NAMES, ids=["strings", "lists"])
+    def test_named_elements_are_numbered(self, names):
+        rep = rep_from_json(self.c4_data(names))
+        assert rep.keys == [k if isinstance(k, str) else tuple(k)
+                            for k in names]
+        assert list(rep.elements) == [0, 1, 2, 3]
+        assert (rep.identity, rep.theta) == (0, 1)
+        assert rep.subgroup_elements() == [0, 2]
+        induced = tensor_induce(
+            rep, generators=rep.generating_set(rep.subgroup_elements()))
+        induced.verify_homomorphism(rep.generating_set(rep.elements))
+        induced.verify_homomorphism()
+        assert [induced.character(g) for g in rep.elements] == [4, -2, 4, -2]
+
+    @pytest.mark.parametrize("names", NAMES, ids=["strings", "lists"])
+    def test_failing_pair_is_named_by_json_names(self, names):
+        # M(a2) = i: its square is -1, not M(e) = 1
+        data = self.c4_data(names)
+        data["matrices"][1][1] = [[[0, 0, ENTRY_SCALE, 0], [0, 0, 0, 0]],
+                                  [[0, 0, 0, 0], [0, 0, ENTRY_SCALE, 0]]]
+        rep = rep_from_json(data)
+        a2 = rep.keys[2]
+        message = "matrix table fails at the pair (%r, %r)" % (a2, a2)
+        with pytest.raises(NotHomomorphism) as exc:
+            rep.verify_homomorphism()
+        assert str(exc.value) == message
+        with pytest.raises(NotHomomorphism) as exc:
+            tensor_induce(rep, generators=rep.generating_set(
+                rep.subgroup_elements()))
+        assert str(exc.value) == message
 
     def test_small_group_induction(self):
         rep = self.build_c4()
@@ -392,10 +429,13 @@ def corrupt_outside(matrices, keep):
     return bad
 
 
-# _quat_mul calls of one `hz asai --verify`: 3 + 3 generators acting on
-# 120 + 240 elements, 480 to conjugate in tensor_induce, 1 for the
-# inverse of the coset representative
-QUAT_MULS_PER_VERIFY = 1561
+# _quat_mul calls of one `hz asai --verify`, each a distinct product of two
+# icosians: 360 for the 3 subgroup generators acting on the 120 icosians,
+# 1 for theta^2 in the inverse of theta = (1, 1), and tensor_induce's
+# conjugates g theta = (q 1, .) for the 116 other q and theta^-1 x =
+# (1 sigma(q), .) for the 119 other q; the full group's generators (theta
+# and two of the subgroup's icosians with the bit set) then make none
+QUAT_MULS_PER_VERIFY = 596
 
 
 class TestGeneratorProof:
@@ -474,7 +514,7 @@ class TestGeneratorProof:
         bad = dict(cover.matrices)
         key = next(k for k in bad if k != cover.identity)
         bad[key] = bad[cover.identity]
-        return FiniteRep2(cover.elements, cover.multiply, cover.identity,
+        return FiniteRep2(cover.keys, cover.multiply, cover.identity,
                           cover.in_subgroup, cover.theta, bad)
 
     @staticmethod
@@ -509,11 +549,12 @@ class TestGeneratorProof:
         packed blocks, never single ring entries."""
         calls = Counter()
         in_check = []
+        quat_products = []
         quat_mul, gg_mul = hz.asai._quat_mul, hz.asai._gg_mul
         check = hz.asai._check_multiplicative
 
         def counted_quat_mul(p, q):
-            calls["_quat_mul"] += 1
+            quat_products.append((p, q))
             return quat_mul(p, q)
 
         def counted_gg_mul(a, b):
@@ -534,7 +575,8 @@ class TestGeneratorProof:
         capsys.readouterr()
         assert calls["_gg_mul in a check"] == 0
         assert calls["_gg_mul"] == 240 * 16  # the induced table itself
-        assert calls["_quat_mul"] <= QUAT_MULS_PER_VERIFY
+        assert len(quat_products) <= QUAT_MULS_PER_VERIFY
+        assert len(set(quat_products)) == len(quat_products)
 
 
 def icosian_order(q):

@@ -308,6 +308,21 @@ def test_malformed_records_are_input_errors(capsys, tmp_path, record, op):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", [[1, "1/1"], [None, "1/1"], [1.5, "0/1"],
+                                 ["1/0", "1/1"]],
+                         ids=["int", "null", "float", "zero-den"])
+def test_malformed_hilbert_keys_are_input_errors(capsys, tmp_path, key):
+    record = to_json(eisenstein_hilbert(make_field(5), 2, 2))
+    record["entries"][0][0] = key
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["qexp-op", "--input", str(path),
+                                  "--op", "derive"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["asai", "--p", "4"], "--p", 4),
     (["asai", "--p", "0"], "--p", 0),
