@@ -138,11 +138,11 @@ def _check_multiplicative(rep, elements, matrices, scale, generators):
         return int.from_bytes(b"".join(chunks), "little") - offset
 
     sources = [pack(chunks) for chunks in rows]
-    position = {g: n for n, g in enumerate(elements)}
+    index = {g: n for n, g in enumerate(elements)}
     for a in generators:
         regular = [[_regular(e) for e in row] for row in matrices[a]]
-        targets = list(map(position.__getitem__,
-                           map(rep.products[a].__getitem__, elements)))
+        ab = rep.products[a]
+        targets = [index[ab[b]] for b in elements]
         diffs = [sum(map(operator.mul, [r for reg in regular[t // 4]
                                         for r in reg[t % 4]], sources))
                  - scale * pack(map(chunks.__getitem__, targets))
@@ -443,24 +443,24 @@ def s5_double_cover_rep():
     with the nontrivial bit acting through the outer swap; the extension by
     the swap is split, which makes the induced character equal to the
     permutation character on 5 points minus its trivial summand.  Element
-    g is keys[g]: the icosian at place g mod 120 of the sorted units, and
-    the bit g >= 120.  The product of the icosians at places k and l is
-    made at most once, into its place in icosian[k][l]: (k, s)(l, t) is
-    (icosian[k][sigma^s(l)], s xor t)."""
+    g = k + 120 s is keys[g] = (the icosian at place k of the sorted
+    units, s).  times[k][l], the place of the product of the icosians at
+    places k and l, is made at most once, and (k, s)(l, t) is
+    (times[k][sigma^s(l)], s xor t): the icosian part ignores t."""
     icosians = _icosian_units()
     n = len(icosians)
     position = {q: k for k, q in enumerate(icosians)}
     sigma = [position.get(_sigma(q)) for q in icosians]
     if None in sigma:
         raise AsaiError("outer swap does not preserve the icosians")
-    icosian = [[None] * n for _ in icosians]
+    times = [[None] * n for _ in icosians]
 
     def multiply(g, h):
         s, k = divmod(g, n)
         t, l = divmod(h, n)
         if s:
             l = sigma[l]
-        row = icosian[k]
+        row = times[k]
         kl = row[l]
         if kl is None:
             kl = row[l] = position[_quat_mul(icosians[k], icosians[l])]

@@ -349,6 +349,9 @@ class TestJsonIngestion:
             tensor_induce(rep, generators=rep.generating_set(
                 rep.subgroup_elements()))
         assert str(exc.value) == message
+        data["theta"] = "b"
+        with pytest.raises(AsaiError, match="^'b' is not an element$"):
+            rep_from_json(data)
 
     def test_small_group_induction(self):
         rep = self.build_c4()
