@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -435,3 +436,20 @@ def test_golden_padic_repr():
     """The 7^2 digit is invented (the difference is known only mod 7^2);
     pinned so that a change to it is deliberate."""
     assert repr(PadicNumber(7, 2, 8) - PadicNumber(7, 2, 1)) == "1*7^1 + O(7^3)"
+
+
+# the 40 diag-restrict argvs of the benchmark's pipeline workload: for each
+# (d, k, lo), trace bounds lo .. lo + 9
+DIAG_SLOTS = ((5, 2, 20), (2, 4, 31), (13, 2, 40), (3, 4, 40))
+DIAG_SLOTS_SHA256 = "107805b33e16dfe6db4250814bec15d0a5e5e3828f713dd3b595c1b1aca6088c"
+
+
+def test_diag_restrict_slots_digest(capsys):
+    """One sha256 over the exit code and stdout of every slot, in order."""
+    digest = hashlib.sha256()
+    for d, k, lo in DIAG_SLOTS:
+        for T in range(lo, lo + 10):
+            code, out, _ = run(capsys, ["diag-restrict", "--d", str(d), "--eisenstein", str(k),
+                                        "--trace-bound", str(T), "--verify"])
+            digest.update(b"%d\n%s\n" % (code, out.encode()))
+    assert digest.hexdigest() == DIAG_SLOTS_SHA256
