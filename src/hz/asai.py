@@ -322,18 +322,20 @@ def tensor_induce(rho, theta=None, generators=None):
     """Tensor induction of a 2-dimensional subgroup representation to the
     full group, in the basis e_i (x) e_j' with the second slot moved through
     the coset representative.  The subgroup table is verified first, on
-    the given subgroup generators when there are any.  The conjugates by
-    the representative come from the product record, or go into it."""
+    the given subgroup generators when there are any.  The products by
+    theta^-1 go into the product record's one row for it; each g theta is
+    made by the group law, not recorded, since a row of the record for g
+    would hold only that one product."""
     if theta is None:
         theta = rho.theta
     if rho.in_subgroup(theta):
         raise ThetaInSubgroup("coset representative lies in the subgroup")
     rho.verify_homomorphism(generators)
     theta_inv = rho.inverse(theta)
-    product, local = rho.product, rho.matrices
+    product, multiply, local = rho.product, rho.multiply, rho.matrices
     matrices = {}
     for g in rho.elements:
-        g_theta = product(g, theta)
+        g_theta = multiply(g, theta)
         if rho.in_subgroup(g):
             matrices[g] = _kron(local[g], local[product(theta_inv, g_theta)])
         else:

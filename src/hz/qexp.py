@@ -16,9 +16,10 @@ a prefix of its field's domain, so a trace bound is a prefix length and the
 residue maps at a split prime are per-domain vectors aligned the same way.
 The coefficient ring is an object: RATIONAL, or the `hz.padic.PadicContext`
 that `padic_ring(p, m)` returns.  Expansions hold values in the ring's
-stored form (Fractions, or normal-form (unit, val) int pairs), and the
-operators call the ring's own arithmetic on them, so the bulk work runs on
-plain integers; `coefficient` returns a ring value (a PadicNumber)."""
+stored form (a rational is an int when integral and a Fraction otherwise;
+a p-adic value is a normal-form (unit, val) int pair), and the operators
+call the ring's own arithmetic on them, so the bulk work runs on plain
+integers; `coefficient` returns a ring value (a PadicNumber)."""
 
 from __future__ import annotations
 
@@ -86,13 +87,22 @@ def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-class _Rationals:
-    """The exact coefficient ring: values stored as Fractions, with the
-    protocol of a `PadicContext` (zero, store, load, add, mul and the JSON
-    codec parse and dump)."""
+def _rational(value):
+    """value as an int when it is integral, else as a Fraction."""
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
-    zero = Fraction(0)
-    store = staticmethod(Fraction)
+
+class _Rationals:
+    """The exact coefficient ring, with the protocol of a `PadicContext`
+    (zero, store, load, add, mul and the JSON codec parse and dump).
+    `store` and `parse` give an int for an integral value and a Fraction
+    otherwise; arithmetic may give either, and values compare by value.
+    `/` on two ints makes a float, so a quotient of stored values always
+    has a Fraction on one side."""
+
+    zero = 0
+    store = staticmethod(_rational)
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
     dump = staticmethod(_frac_str)
@@ -107,10 +117,10 @@ class _Rationals:
         return value
 
     def parse(self, text):
-        """The Fraction `dump` writes as "n/d"; ValueError on anything else."""
+        """The value `dump` writes as "n/d"; ValueError on anything else."""
         try:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
+            return _rational(Fraction(int(num), int(den)))
         except (AttributeError, ValueError, ZeroDivisionError):
             raise ValueError("rational value %r is not \"n/d\" with d != 0" % (text,)) from None
 
@@ -478,7 +488,7 @@ def siegel_zeta_minus1(D: int) -> Fraction:
 
 # leading Fourier coefficient of the normalized level-1 Eisenstein series
 # of weight w: E_w = 1 + c_w * sum sigma_{w-1}(n) q^n
-_EISENSTEIN_LEADING = {4: Fraction(240), 8: Fraction(480)}
+_EISENSTEIN_LEADING = {4: 240, 8: 480}
 
 
 def ideal_divisor_sigma(F: RealQuadraticField, z: QuadElement, power: int) -> int:
@@ -486,16 +496,21 @@ def ideal_divisor_sigma(F: RealQuadraticField, z: QuadElement, power: int) -> in
     ideal (z), for integral nonzero z."""
     if not z.is_integral() or z.is_zero():
         raise QExpError("ideal divisor sum needs a nonzero integral element")
-    return _divisor_sigma(F, int(z.x), int(z.y), power)
+    return _divisor_sigma(F, *_ideal_key(F, int(z.x), int(z.y)), power)
 
 
-def _divisor_sigma(F: RealQuadraticField, x: int, y: int, power: int) -> int:
-    """ideal_divisor_sigma of z = x + y*omega, from |N(z)| and gcd(x, y).
-    At a split q = p1 p2 dividing N(z) exactly e times, q^c | z exactly
-    for c = v_q(gcd(x, y)), so the exponents of p1 and p2 in (z) are c and
-    e - c in some order, and the local factor is symmetric in them."""
-    norm = abs(x * x + F.omega_trace * x * y + F.omega_norm * y * y)
-    g = math.gcd(x, y)
+def _ideal_key(F: RealQuadraticField, x: int, y: int):
+    """(|N(z)|, gcd(x, y)) for z = x + y*omega: all that the ideal divisor
+    sum of (z) reads."""
+    return abs(x * x + F.omega_trace * x * y + F.omega_norm * y * y), math.gcd(x, y)
+
+
+def _divisor_sigma(F: RealQuadraticField, norm: int, g: int, power: int) -> int:
+    """ideal_divisor_sigma of z = x + y*omega, from norm = |N(z)| and
+    g = gcd(x, y).  At a split q = p1 p2 dividing N(z) exactly e times,
+    q^c | z exactly for c = v_q(g), so the exponents of p1 and p2 in (z)
+    are c and e - c in some order, and the local factor is symmetric in
+    them."""
     total = 1
     for q, e in factorize(norm):
         kind, qk = splitting_type(F, q), q**power
@@ -539,12 +554,16 @@ def eisenstein_hilbert(F: RealQuadraticField, k: int, T: int) -> HilbertQExp:
         )
     dom = _domain(F)
     # the trace-1 coefficients calibrate a0, so they are computed even when
-    # the trace bound is zero; (xi) * different is the ideal of xi*sqrt(D)
-    sigmas = [
-        Fraction(_divisor_sigma(F, *_times_sqrt_d(F, xi), k - 1))
-        for xi in dom.elements[: dom.size(max(T, 1))]
-    ]
-    a0 = sum(sigmas[: dom.offsets[2]], Fraction(0)) / _EISENSTEIN_LEADING[2 * k]
+    # the trace bound is zero; (xi) * different is the ideal of xi*sqrt(D),
+    # and its divisor sum is computed once per distinct ideal key
+    by_key, sigmas = {}, []
+    for xi in dom.elements[: dom.size(max(T, 1))]:
+        key = _ideal_key(F, *_times_sqrt_d(F, xi))
+        sigma = by_key.get(key)
+        if sigma is None:
+            sigma = by_key[key] = _divisor_sigma(F, *key, k - 1)
+        sigmas.append(sigma)
+    a0 = RATIONAL.store(Fraction(sum(sigmas[: dom.offsets[2]]), _EISENSTEIN_LEADING[2 * k]))
     return HilbertQExp._make(F, (k, k), T, a0, sigmas[: dom.size(T)], RATIONAL)
 
 
@@ -670,15 +689,18 @@ def twist_star(
     p = prime_data.p
     if prime_data.m < 1:
         raise CharacterDomainMismatch("residue precision below the conductor")
-    ring = g.ring
+    ring, stored = g.ring, {}  # residue -> chi value in the stored form
 
     def twist(v, r):
         r %= p
         if not r:
             return ring.zero
-        if r not in chi:
-            raise CharacterDomainMismatch("character undefined at %d" % r)
-        return ring.mul(ring.store(chi[r]), v)
+        c = stored.get(r)
+        if c is None:
+            if r not in chi:
+                raise CharacterDomainMismatch("character undefined at %d" % r)
+            c = stored[r] = ring.store(chi[r])
+        return ring.mul(c, v)
 
     res = dom.residues(prime_data, which, g.trace_bound)
     return g._derive([twist(v, r) for v, r in zip(g.coeffs, res)], ring.zero)

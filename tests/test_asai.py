@@ -581,6 +581,15 @@ class TestGeneratorProof:
         assert len(quat_products) <= QUAT_MULS_PER_VERIFY
         assert len(set(quat_products)) == len(quat_products)
 
+    def test_tensor_induce_opens_one_row_of_the_record(self):
+        """The products g theta are not recorded: of the 240 rows of the
+        product record, tensor_induce opens only the one for theta^-1."""
+        cover = s5_double_cover_rep()
+        gens = cover.generating_set(cover.subgroup_elements())
+        opened = sum(row is not None for row in cover.products)
+        tensor_induce(cover, generators=gens)
+        assert sum(row is not None for row in cover.products) <= opened + 1
+
 
 def icosian_order(q):
     h, n = q, 1

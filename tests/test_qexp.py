@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -52,6 +53,7 @@ from hz.realquad import (
     split_prime,
     totally_positive_by_trace,
 )
+from hz.sieve import DESK_H_PLUS
 
 F5 = make_field(5)
 P11 = split_prime(F5, 11, 5)
@@ -285,6 +287,36 @@ class TestEisenstein:
         assert e.domain() == ()
         assert e.a0 == Fraction(2, 240)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 2869])
+    def test_coefficients_match_the_unshared_divisor_sum(self, d, k):
+        """Each coefficient is the divisor sum of its own ideal (xi)*different,
+        computed element by element; a0 is the plain Fraction sum of the
+        trace-1 ones over the leading coefficient 240 or 480."""
+        F = make_field(d, h_plus=DESK_H_PLUS if d == 2869 else None)
+        e = eisenstein_hilbert(F, k, 12)
+        domain = e.domain()
+        sigmas = [ideal_divisor_sigma(F, xi * F.different_generator, k - 1) for xi in domain]
+        assert len(e.coeffs) == len(domain)
+        assert [e.coefficient(xi) for xi in domain] == sigmas
+        ones = sum((Fraction(s) for xi, s in zip(domain, sigmas) if xi.trace() == 1), Fraction(0))
+        assert e.a0 == ones / {2: 240, 4: 480}[k]
+
+    def test_rationals_stay_exact_through_the_operators(self):
+        """Integral rationals are stored as ints, others as Fractions; no
+        operator on a rational expansion makes a float (or a bool)."""
+        assert type(RATIONAL.parse("6/3")) is int and RATIONAL.parse("6/3") == 2
+        assert RATIONAL.dump(2) == "2/1"
+        assert type(RATIONAL.store(True)) is int and type(RATIONAL.store(0.5)) is Fraction
+        e = eisenstein_hilbert(F5, 2, 24)
+        r = diagonal_restrict(e)
+        third = r.scale(Fraction(1, 3))
+        results = [r, third, q_derivative(third), hecke_T(third, 2), u_operator(third, 3),
+                   v_operator(third, 2), deplete(third, 5)]
+        values = [e.a0, *e.coeffs] + [c for f in results for c in f.coeffs]
+        assert {type(v) for v in values} == {int, Fraction}
+        assert {type(v) for v in r.coeffs[1:]} == {int}  # b_0 = a0 = 1/120
+
 
 class TestIdealDivisorSigma:
     def test_split_inert_ramified(self):
@@ -347,7 +379,9 @@ class TestIdealDivisorSigma:
 
     def test_cold_eisenstein_build_is_sympy_free(self, monkeypatch):
         """A cold build cannot import sympy, lifts no prime, and factors
-        each coefficient's norm once, by trial division."""
+        one norm, by trial division, per distinct pair (|N(z)|, gcd(x, y))
+        of z = xi*sqrt(D) = x + y*omega over the domain: the pair fixes the
+        ideal divisor sum."""
         def refuse(*args, **kwargs):
             raise AssertionError("called while building an Eisenstein series")
 
@@ -361,7 +395,12 @@ class TestIdealDivisorSigma:
             for F, k in fields:
                 factored.clear()
                 eisenstein_hilbert(F, k, 20)
-                assert len(factored) == len(hilbert_domain(F, 20))
+                pairs = set()
+                for xi in hilbert_domain(F, 20):
+                    z = xi * F.different_generator
+                    pairs.add((int(abs(z.norm())), math.gcd(int(z.x), int(z.y))))
+                assert len(pairs) < len(hilbert_domain(F, 20))
+                assert sorted(factored) == sorted(norm for norm, _ in pairs)
 
 
 def sigma_by_lifting(F, z, power):
