@@ -6,11 +6,9 @@ rationals by i and sqrt(5).  An entry is stored as a 4-tuple of integers
 (x, y, u, v) denoting ((x + y*sqrt5) + (u + v*sqrt5)*i) / ENTRY_SCALE, so
 all arithmetic is integral and equality tests are exact.
 
-Besides the matrix calculus the module provides the symbolic side of the
-ordinary filtration: root-of-unity eigenvalue labels for Frobenius acting
-through a degree-5 permutation action, Hodge-Tate weight tables, and the
-graded characters of the three-step and four-step local filtrations as
-monomials in opaque character tokens.
+Besides the matrix calculus the module provides root-of-unity eigenvalue
+labels for Frobenius acting through a degree-5 permutation action and the
+Hodge-Tate weight tables of the local filtrations.
 """
 
 import functools
@@ -21,7 +19,6 @@ from fractions import Fraction
 from itertools import chain, permutations
 
 from .padic import (
-    PadicNumber,
     _gcd_poly_modp,
     _padd,
     _pdivmod_monic,
@@ -29,8 +26,6 @@ from .padic import (
     _ppowmod,
     _psub,
     _ptrim,
-    primitive_root,
-    teichmuller,
 )
 
 
@@ -259,8 +254,7 @@ class FiniteRep2:
         makes the second check a proof (|S| n products instead of n^2)
         for an associative law.  The icosian law
         (q1, s1)(q2, s2) = (q1 sigma^s1(q2), s1 xor s2) is one, because
-        sigma is a ring automorphism of order 2, and rep_from_json refuses
-        a table that is not a group law."""
+        sigma is a ring automorphism of order 2."""
         _check_multiplicative(self, self.subgroup_elements(), self.matrices,
                               ENTRY_SCALE, generators)
 
@@ -288,9 +282,6 @@ class AsaiRep:
         self.rep = rep
         self.matrices = matrices
         self.basis_labels = BASIS_LABELS
-
-    def matrix(self, g):
-        return self.matrices[g]
 
     def character(self, g):
         """Trace of the induced matrix; the result must be a rational
@@ -486,73 +477,6 @@ def cover_center():
     return {icosians.index(_QUAT_ONE), icosians.index(_quat_neg(_QUAT_ONE))}
 
 
-def rep_from_json(data):
-    """Build a FiniteRep2 from JSON data: element names, a multiplication
-    table, the subgroup member list, the coset representative, and matrix
-    entries as integer 4-tuples at denominator ENTRY_SCALE.  The names are
-    numbered here, in the order of the element list, and kept as the keys
-    (a list name as a tuple).  The table must be a group law, so that a
-    generator check proves a homomorphism."""
-    def key(e):
-        return tuple(e) if isinstance(e, list) else e
-
-    keys = [key(e) for e in data["elements"]]
-    index = {k: g for g, k in enumerate(keys)}
-
-    def number(name):
-        if key(name) not in index:
-            raise AsaiError("%r is not an element" % (key(name),))
-        return index[key(name)]
-
-    matrices = {}
-    for name, rows in data["matrices"]:
-        m = tuple(tuple(tuple(entry) for entry in row) for row in rows)
-        if len(m) != 2 or any(len(row) != 2 or any(
-                len(e) != 4 or not all(isinstance(t, int) for t in e)
-                for e in row) for row in m):
-            raise AsaiError("the matrix of %r is not 2 x 2 over integer "
-                            "4-tuples" % (key(name),))
-        matrices[number(name)] = m
-    law = [[None] * len(keys) for _ in keys]
-    for a, b, c in data["table"]:
-        law[number(a)][number(b)] = number(c)
-    subgroup = {number(e) for e in data["subgroup"]}
-    rep = FiniteRep2(
-        keys=keys,
-        multiply=lambda a, b: law[a][b],
-        identity=number(data["identity"]),
-        in_subgroup=subgroup.__contains__,
-        theta=number(data["theta"]),
-        matrices=matrices,
-    )
-    _check_group_law(rep, law)
-    return rep
-
-
-def _check_group_law(rep, law):
-    """Raise AsaiError unless the int rows law[a][b] are a group law on
-    rep.elements: distinct names, a product for every pair, the identity
-    acting as one on both sides, and Light's associativity test
-    (x s) y = x (s y) for s in a generating set S and all x, y.  The s that
-    pass hold e and are closed under products ((x (ab)) y = ((x a) b) y =
-    (x a)(b y) = x (a (b y)) = x ((ab) y)), and every element is reached
-    from e by left multiplication with S, so all elements pass: |S| n^2
-    lookups prove associativity."""
-    elements, e, keys = rep.elements, rep.identity, rep.keys
-    if len(set(keys)) != len(keys) or any(None in row for row in law):
-        raise AsaiError("the table is not a law on the elements")
-    if any(law[e][g] != g or law[g][e] != g for g in elements):
-        raise AsaiError("the identity does not act as one")
-    for s in rep.generating_set(elements):
-        for x in elements:
-            xs = law[x][s]
-            for y in elements:
-                if law[xs][y] != law[x][law[s][y]]:
-                    raise AsaiError(
-                        "the table is not associative at (%r, %r, %r)"
-                        % (keys[x], keys[s], keys[y]))
-
-
 # ---------------------------------------------------------------------------
 # Frobenius classes of a quintic and their eigenvalue labels
 
@@ -563,14 +487,6 @@ class S5FrobeniusClass:
     def __post_init__(self):
         if sum(self.cycle_type) != 5:
             raise AsaiError("cycle type must partition 5")
-
-    @property
-    def fixed_points(self):
-        return sum(1 for c in self.cycle_type if c == 1)
-
-    @property
-    def sign(self):
-        return (-1) ** sum(c - 1 for c in self.cycle_type)
 
 
 def quintic_discriminant(coeffs):
@@ -696,10 +612,6 @@ class AsaiEigenvalues:
     def trace(self):
         return sum(1 for c in self.cycle_type if c == 1) - 1
 
-    def product(self):
-        total = sum(Fraction(j, m) for m, j in self.labels) % 1
-        return _canonical_root(total.denominator, total.numerator)
-
     def distinct_mod(self, p):
         """Whether the four labels stay pairwise distinct after reduction
         to characteristic p: the quotient of two roots of unity reduces to
@@ -713,24 +625,6 @@ class AsaiEigenvalues:
                 if order == 1:
                     return False
         return True
-
-    def evaluate_padic(self, p, precision):
-        """Teichmueller values of the labels, available when every label
-        order divides p - 1."""
-        values = []
-        for m, j in self.labels:
-            if m == 1:
-                values.append(PadicNumber(p, precision, 1, 0))
-                continue
-            if (p - 1) % m:
-                raise AsaiError("no root of order %d in the p-adic units" % m)
-            g = primitive_root(p)
-            root = teichmuller(pow(g, (p - 1) // m, p), p, precision)
-            value = PadicNumber(p, precision, 1, 0)
-            for _ in range(j):
-                value = value * root
-            values.append(value)
-        return values
 
 
 def asai_frobenius_eigenvalues(frob_class):
@@ -756,159 +650,3 @@ def ht_weight_table(ell):
         "fil2_strictly_negative": all(
             w < 0 for piece in four_step[2:] for w in piece),
     }
-
-
-# ---------------------------------------------------------------------------
-# symbolic graded characters of the local filtrations
-
-CHARACTER_TOKENS = (
-    "frob1",      # unramified, Frobenius -> chosen unit root at the 1st prime
-    "frob2",      # unramified, Frobenius -> chosen unit root at the 2nd prime
-    "neb1",       # unramified local component of the central character, 1st
-    "neb2",       # unramified local component of the central character, 2nd
-    "unit_root",  # unramified unit-root character of the elliptic factor
-    "cyc_wt",     # weight-direction cyclotomic token
-    "cyc_tame",   # tame companion of the weight token
-    "cyc_half",   # auxiliary square-root twist token
-    "cyc",        # the cyclotomic character itself
-)
-
-# the cyclotomic character factors through the two companion tokens
-_CYC_RELATION = {"cyc_tame": 1, "cyc_half": 1}
-
-
-class CharacterMonomial:
-    """Multiplicative monomial in the character tokens; exponents are
-    integers and zero exponents are dropped."""
-
-    def __init__(self, powers=None):
-        powers = dict(powers or {})
-        for token in powers:
-            if token not in CHARACTER_TOKENS:
-                raise AsaiError("unknown character token %r" % token)
-        self.powers = {t: e for t, e in powers.items() if e}
-
-    def __mul__(self, other):
-        merged = dict(self.powers)
-        for t, e in other.powers.items():
-            merged[t] = merged.get(t, 0) + e
-        return CharacterMonomial(merged)
-
-    def inverse(self):
-        return CharacterMonomial({t: -e for t, e in self.powers.items()})
-
-    def __pow__(self, n):
-        return CharacterMonomial({t: n * e for t, e in self.powers.items()})
-
-    def normalized(self):
-        """Rewrite the cyclotomic token through its two companions so that
-        equal characters compare equal."""
-        merged = {t: e for t, e in self.powers.items() if t != "cyc"}
-        n = self.powers.get("cyc", 0)
-        if n:
-            for t, e in _CYC_RELATION.items():
-                merged[t] = merged.get(t, 0) + n * e
-        return tuple(sorted((t, e) for t, e in merged.items() if e))
-
-    def __eq__(self, other):
-        return (isinstance(other, CharacterMonomial)
-                and self.normalized() == other.normalized())
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    def __repr__(self):
-        if not self.powers:
-            return "CharacterMonomial(1)"
-        parts = ["%s^%d" % (t, e) for t, e in sorted(self.powers.items())]
-        return "CharacterMonomial(%s)" % " * ".join(parts)
-
-    def evaluate(self, values):
-        """Numeric value when each token is assigned an invertible scalar."""
-        result = None
-        for t, e in self.powers.items():
-            v = values[t]
-            if e < 0:
-                v = 1 / v
-                e = -e
-            for _ in range(e):
-                result = v if result is None else result * v
-        if result is None:
-            one = next(iter(values.values()), None)
-            return 1 if one is None else one / one
-        return result
-
-
-def _mono(**powers):
-    return CharacterMonomial(powers)
-
-
-def filtration_characters(filtration, swap_primes=False):
-    """Ordered graded pieces of the local filtration as lists of character
-    monomials: "asai" gives the three-step filtration of the induced
-    representation, "self_dual" the four-step filtration of its self-dual
-    twist tensored with the elliptic factor.  swap_primes exchanges the
-    stabilization roles of the two primes."""
-    if filtration == "asai":
-        graded = [
-            [_mono(frob1=1, frob2=1)],
-            [
-                _mono(frob1=-1, frob2=1, neb1=-1, cyc_wt=1, cyc_tame=1),
-                _mono(frob1=1, frob2=-1, neb2=-1, cyc_wt=1, cyc_tame=1),
-            ],
-            [_mono(frob1=-1, frob2=-1, neb1=-1, neb2=-1, cyc_wt=2,
-                   cyc_tame=2)],
-        ]
-    elif filtration == "self_dual":
-        graded = [
-            [_mono(frob1=1, frob2=1, unit_root=1, cyc_wt=-1, cyc_tame=-1)],
-            [
-                _mono(frob1=1, frob2=1, unit_root=-1, cyc_wt=-1, cyc_half=1,
-                      neb1=1, neb2=1),
-                _mono(frob1=-1, frob2=1, unit_root=1, neb1=-1),
-                _mono(frob1=1, frob2=-1, unit_root=1, neb2=-1),
-            ],
-            [
-                _mono(frob1=-1, frob2=1, unit_root=-1, neb2=1, cyc=1),
-                _mono(frob1=1, frob2=-1, unit_root=-1, neb1=1, cyc=1),
-                _mono(frob1=-1, frob2=-1, unit_root=1, cyc_wt=1, cyc_tame=1,
-                      neb1=-1, neb2=-1),
-            ],
-            [_mono(frob1=-1, frob2=-1, unit_root=-1, cyc_wt=1, cyc_tame=2,
-                   cyc_half=1)],
-        ]
-    else:
-        raise AsaiError("unknown filtration %r" % filtration)
-    if swap_primes:
-        swap = {"frob1": "frob2", "frob2": "frob1",
-                "neb1": "neb2", "neb2": "neb1"}
-        graded = [
-            [CharacterMonomial({swap.get(t, t): e
-                                for t, e in m.powers.items()})
-             for m in piece]
-            for piece in graded
-        ]
-    return graded
-
-
-def ordinary_summand():
-    """The distinguished rank-1 summand of the middle graded piece of the
-    four-step filtration, used to cut out the ordinary local condition."""
-    return _mono(frob1=-1, frob2=-1, unit_root=1, cyc_wt=1, cyc_tame=1,
-                 neb1=-1, neb2=-1)
-
-
-def induced_determinant():
-    """Determinant character of the 4-dimensional induced representation:
-    the square of the product of the two local determinants."""
-    local = _mono(neb1=-1, neb2=-1, cyc_wt=2, cyc_tame=2)
-    return local ** 2
-
-
-def elliptic_graded_characters():
-    """Graded characters of the two-step local filtration of the elliptic
-    factor: the unramified unit-root line and the ramified quotient."""
-    return [
-        _mono(unit_root=1),
-        _mono(unit_root=-1, cyc_tame=1, cyc_half=1, neb1=1, neb2=1),
-    ]

@@ -107,6 +107,8 @@ def _prime(n, flag):
 def _load_json(path):
     if not os.path.exists(path):
         raise CliError("input file does not exist: %s" % path)
+    if not os.path.isfile(path):
+        raise CliError("input is not a regular file: %s" % path)
     with open(path) as fh:
         return json.load(fh)
 
@@ -229,13 +231,24 @@ def _space_from_record(record, p, m, bound, ring):
     return HeckeSpace(basis), target, roots
 
 
+def _int_field(record, key, default=None):
+    """record[key], or the default when the key is absent, as an int."""
+    value = record[key] if default is None else record.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CliError("%s must be an integer, got %r" % (key, value))
+
+
 def cmd_lvalue(args):
     record = _load_json(args.input)
-    p = int(record["p"])
-    m = int(record.get("m", default_precision()))
-    bound = int(record["bound"])
+    if not isinstance(record, dict):
+        raise CliError("the lvalue input must be a JSON object")
+    p = _int_field(record, "p")
+    m = _int_field(record, "m", default_precision())
+    bound = _int_field(record, "bound")
     ring = qexp.padic_ring(p, m)
-    F = make_field(int(record["d"]), h_plus=record.get("h_plus"))
+    F = make_field(_int_field(record, "d"), h_plus=record.get("h_plus"))
     prime = split_prime(F, p, m)
     g = from_json(record["hilbert"], F)
     space, target, roots = _space_from_record(record, p, m, bound, ring)

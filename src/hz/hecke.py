@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .padic import (
-    NotOrdinary,
     PadicContext,
     PadicNumber,
     as_padic,
@@ -23,7 +22,6 @@ from .padic import (
     factorize,
     hensel_unit_root,
     int_valuation,
-    lift_root,
 )
 from .qexp import (
     EllipticQExp,
@@ -85,7 +83,6 @@ class EigenSystem:
     character: Optional[dict] = None  # None = trivial
     up_eigenvalue: object = None
     field_tag: str = "elliptic"  # "elliptic" or "hilbert"
-    up_pair: tuple = None  # Hilbert: the two chosen unit roots
 
     def chi(self, ell: int):
         if self.character is None:
@@ -103,7 +100,7 @@ def stabilize(system: EigenSystem, p: int, m: int):
     to p: returns (stabilized system, alpha, beta) with alpha the unit root
     of X^2 - a_p X + chi(p) p^{k-1}."""
     if system.field_tag != "elliptic":
-        raise HeckeError("use hilbert_stabilizations for Hilbert systems")
+        raise HeckeError("only elliptic eigensystems are stabilized")
     if system.level % p == 0:
         raise HeckeError("level already divisible by %d" % p)
     a = Fraction(system.a(p))
@@ -127,51 +124,6 @@ def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
     U_p with the complementary root as eigenvalue."""
     shifted = v_operator(f, p, storage_cap=f.bound)
     return f + shifted.scale(as_padic(beta, f.ring.p, f.ring.m) * (-1))
-
-
-def _unit_roots(a: int, b: int, p: int, m: int):
-    """Both roots of X^2 - aX + b when they are distinct units mod p,
-    lifted to precision m."""
-    if a % p == 0 and b % p == 0:
-        raise NotOrdinary("no unit root")
-    roots = sorted(
-        r for r in range(p) if (r * r - a * r + b) % p == 0 and r % p != 0
-    )
-    if len(roots) != 2:
-        raise NotSeparated("need two distinct unit roots modulo %d" % p)
-    return tuple(
-        PadicNumber(p, m, lift_root(a, b, r, p, m), 0) for r in roots
-    )
-
-
-def hilbert_stabilizations(system: EigenSystem, p: int, m: int):
-    """The four ordinary stabilizations of a Hilbert system at a split
-    prime, indexed by the choice of unit root at each of the two primes.
-    Requires the eigenvalue data under keys ("p1",) etc: a at each prime
-    and the character value there, with both Hecke quadratics splitting
-    into distinct unit roots (the weight-one setting)."""
-    if system.field_tag != "hilbert":
-        raise HeckeError("expected a Hilbert eigensystem")
-    out = []
-    pairs = []
-    for tag in ("p1", "p2"):
-        a = int(system.ap[tag])
-        b = int(system.ap[tag + "_char"]) if tag + "_char" in system.ap else 1
-        pairs.append(_unit_roots(a, b, p, m))
-    for i, r1 in enumerate(pairs[0]):
-        for j, r2 in enumerate(pairs[1]):
-            out.append(
-                EigenSystem(
-                    label="%s-stab-%d%d" % (system.label, i, j),
-                    weight=system.weight,
-                    level=system.level * p,
-                    ap=dict(system.ap),
-                    character=system.character,
-                    field_tag="hilbert",
-                    up_pair=(r1, r2),
-                )
-            )
-    return out
 
 
 def expansion_from_eigensystem(
@@ -296,13 +248,6 @@ class HeckeSpace:
         f0 = self.basis[0]
         return EllipticQExp(f0.weight, f0.level, self.bound, out, self.ring)
 
-    def register_matrix(self, descriptor, matrix):
-        """Supply an operator matrix directly (e.g. diamond operators, which
-        are not computable from bare expansions); write-once."""
-        if descriptor in self._matrices:
-            raise HeckeError("descriptor %r already cached" % (descriptor,))
-        self._matrices[descriptor] = matrix
-
     def operator_matrix(self, descriptor):
         if descriptor in self._matrices:
             return self._matrices[descriptor]
@@ -315,9 +260,7 @@ class HeckeSpace:
             elif kind == "T":
                 img = hecke_T(self.basis[j], descriptor[1])
             else:
-                raise HeckeError(
-                    "operator %r must be supplied via register_matrix" % kind
-                )
+                raise HeckeError("no operator %r on basis expansions" % kind)
             if img.bound < 2 * d:
                 raise HeckeError("basis bound insufficient for %r" % (descriptor,))
             try:

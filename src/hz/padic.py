@@ -157,15 +157,6 @@ def n_order(a: int, p: int) -> int:
     return order
 
 
-def primitive_root(p: int) -> int:
-    """The smallest primitive root modulo a prime p (1 for p = 2)."""
-    cofactors = [(p - 1) // q for q, _ in factorize(p - 1)]
-    g = 1
-    while any(pow(g, c, p) == 1 for c in cofactors):
-        g += 1
-    return g
-
-
 # -- the coefficient ring --------------------------------------------------
 # A value at precision m is stored as the pair (unit, val) for unit * p^val
 # in normal form: unit reduced mod p^m with p stripped, and (0, 0) when the
@@ -337,12 +328,6 @@ class PadicNumber:
             )
         ring = self.ring
         return self.unit * ring.p**self.val % ring.pm
-
-    def lift(self):
-        """Smallest non-negative representative times p^val, as a Fraction."""
-        if self.unit == 0:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.ring.p) ** self.val
 
     # -- ring operations ---------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Truncated q-expansion algebra for elliptic and Hilbert modular forms,
-with the operator calculus: U, V, depletion, character twists, theta
-operators, and diagonal restriction.
+with the operator calculus: U and V (on elliptic expansions), depletion,
+character twists, theta operators, and diagonal restriction.
 
 Coefficient rings are exact rationals or fixed-precision p-adics.  Every
 operator tracks its output bound explicitly: coefficients beyond the bound
@@ -45,12 +45,11 @@ from .realquad import (
 # public API; split_prime is re-exported for the PrimeIdealData the operators take
 __all__ = [
     "QExpError", "BoundTooSmall", "ExactRingUnsupported", "CharacterDomainMismatch", "NotDepleted",
-    "ClassNumberUnsupported", "NotNarrowlyPrincipal", "RATIONAL", "padic_ring", "EllipticQExp",
+    "ClassNumberUnsupported", "RATIONAL", "padic_ring", "EllipticQExp",
     "u_operator", "v_operator", "deplete", "elliptic_twist",
     "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
     "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
-    "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "hilbert_u",
-    "hilbert_v", "twist_star", "trivial_character", "theta_d", "theta_d_inverse",
+    "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "twist_star", "trivial_character", "theta_d", "theta_d_inverse",
     "conjugate_ratio_partner", "to_json", "from_json", "PrimeIdealData", "split_prime",
 ]
 
@@ -76,10 +75,6 @@ class NotDepleted(QExpError):
 
 
 class ClassNumberUnsupported(QExpError):
-    pass
-
-
-class NotNarrowlyPrincipal(QExpError):
     pass
 
 
@@ -191,13 +186,6 @@ class EllipticQExp:
 
     def chi(self, n: int):
         return self.ring.load(self._chi(n))
-
-    def truncate(self, bound: int) -> "EllipticQExp":
-        if bound > self.bound:
-            raise BoundTooSmall("cannot extend a truncated expansion")
-        return self._make(
-            self.weight, self.level, bound, self.coeffs[: bound + 1], self.ring, self.character
-        )
 
     def __add__(self, other):
         if not isinstance(other, EllipticQExp):
@@ -415,24 +403,14 @@ class HilbertQExp:
         z = _checked(ring).zero
         return cls._make(F, weights, trace_bound, z, [z] * _domain(F).size(trace_bound), ring)
 
-    def _position(self, xi: QuadElement) -> int:
-        """Index of xi in the coefficient list."""
+    def coefficient(self, xi: QuadElement):
         i = _domain(self.F).index.get(_int_key(xi))
         if i is None or i >= len(self.coeffs):
             raise BoundTooSmall("coefficient at %r beyond the trace bound" % (xi,))
-        return i
-
-    def coefficient(self, xi: QuadElement):
-        return self.ring.load(self.coeffs[self._position(xi)])
+        return self.ring.load(self.coeffs[i])
 
     def domain(self):
         return hilbert_domain(self.F, self.trace_bound)
-
-    def truncate(self, T: int) -> "HilbertQExp":
-        if T > self.trace_bound:
-            raise BoundTooSmall("cannot extend a truncated expansion")
-        n = _domain(self.F).size(T)
-        return self._derive(self.coeffs[:n], self.a0, trace_bound=T)
 
     def __add__(self, other):
         if not isinstance(other, HilbertQExp):
@@ -619,64 +597,6 @@ def hilbert_deplete(g: HilbertQExp, prime_data: PrimeIdealData, which) -> Hilber
         res = dom.residues(prime_data, w, g.trace_bound)
         coeffs = [zero if r % p == 0 else v for v, r in zip(coeffs, res)]
     return g._derive(coeffs, zero)
-
-
-def _u_bound(pi: QuadElement, T: int) -> int:
-    """Largest t <= T with t * max(pi_1, pi_2) <= T, decided in integers:
-    with pi = (A + B sqrt d)/den, t fits when r = T den - t A >= 0 and
-    (t B)^2 d <= r^2.  The search starts at T den / (A + isqrt(B^2 d)),
-    which no fitting t exceeds."""
-    a, b = pi.sqrt_basis()
-    den = math.lcm(a.denominator, b.denominator)
-    A, B, d = int(a * den), int(b * den), pi.F.d
-    t = min(T, T * den // (A + math.isqrt(B * B * d)))
-    while t > 0 and (T * den < t * A or (t * B) ** 2 * d > (T * den - t * A) ** 2):
-        t -= 1
-    return t
-
-
-def hilbert_u(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> HilbertQExp:
-    """U at the prime generated by the totally positive generator pi:
-    a(xi) -> a(pi * xi).  The trace bound shrinks to the largest T2 with
-    T2 * max(pi_1, pi_2) <= T, so that every needed coefficient is known."""
-    _prime_context(g, prime_data)
-    if not (pi.is_totally_positive() and pi.norm() == prime_data.p):
-        raise NotNarrowlyPrincipal("need a totally positive generator of norm p")
-    T2 = _u_bound(pi, g.trace_bound)
-    if T2 < 1:
-        raise BoundTooSmall("trace bound too small for the U operator")
-    coeffs = [g.coeffs[g._position(pi * xi)] for xi in hilbert_domain(g.F, T2)]
-    return g._derive(coeffs, g.a0, trace_bound=T2)
-
-
-def hilbert_v(g: HilbertQExp, prime_data: PrimeIdealData, pi: QuadElement) -> HilbertQExp:
-    """V at the prime generated by pi: a(xi) -> a(xi / pi) when xi/pi stays
-    in the inverse different, else 0."""
-    dom = _prime_context(g, prime_data)
-    if not (pi.is_totally_positive() and pi.norm() == prime_data.p):
-        raise NotNarrowlyPrincipal("need a totally positive generator of norm p")
-    p, T = prime_data.p, g.trace_bound
-    # (pi) is the prime where pi's residue vanishes, and xi/pi stays in the
-    # inverse different exactly when xi's residue there vanishes too (sqrtD
-    # is a unit at a split p)
-    which = 1 if prime_data.residue(pi, 1) % p == 0 else 2
-    zero = g.ring.zero
-    # output bound: every xi <= T2 with pi | xi must have Tr(xi/pi) <= T;
-    # the domain is in trace order, so the first failure fixes T2
-    T2, coeffs = T, []
-    res = dom.residues(prime_data, which, T)
-    for xi, r in zip(dom.elements[: len(g.coeffs)], res):
-        if r % p:
-            coeffs.append(zero)
-            continue
-        eta = xi / pi
-        if eta.trace() > T:
-            T2 = int(xi.trace()) - 1
-            break
-        coeffs.append(g.coeffs[g._position(eta)])
-    if T2 < 1:
-        raise BoundTooSmall("trace bound too small for the V operator")
-    return g._derive(coeffs[: dom.size(T2)], zero, trace_bound=T2)
 
 
 def twist_star(

@@ -49,8 +49,13 @@ class RealQuadraticField:
             self.discriminant = 4 * d
             self.omega_trace = 0
             self.omega_norm = -d
-        self._set_fundamental_unit(_fundamental_unit(self, height_bound))
-        eps = self.totally_positive_fundamental_unit
+        # the totally positive fundamental unit is +-u if N(u) = 1, else u^2
+        u = self.fundamental_unit = _fundamental_unit(self, height_bound)
+        if u.norm() == 1:
+            eps = u if u.is_totally_positive() else -u
+        else:
+            eps = u * u
+        self.totally_positive_fundamental_unit = eps
         assert eps.norm() == 1 and eps.is_totally_positive()
         # sqrt(D) = 2*omega - Tr(omega): 2*sqrt(d) for d = 2,3 mod 4, sqrt(d)
         # for d = 1 mod 4
@@ -65,20 +70,8 @@ class RealQuadraticField:
     def element(self, x, y=0) -> "QuadElement":
         return QuadElement(self, Fraction(x), Fraction(y))
 
-    def one(self):
-        return self.element(1, 0)
-
     def omega(self):
         return self.element(0, 1)
-
-    def _set_fundamental_unit(self, u: "QuadElement"):
-        """Install u as the fundamental unit, with the totally positive
-        fundamental unit it generates: +-u if N(u) = 1, else u^2."""
-        self.fundamental_unit = u
-        if u.norm() == 1:
-            self.totally_positive_fundamental_unit = u if u.is_totally_positive() else -u
-        else:
-            self.totally_positive_fundamental_unit = u * u
 
     def from_sqrt_basis(self, a, b) -> "QuadElement":
         """The element a + b*sqrt(d) for exact rationals a, b."""
@@ -89,12 +82,6 @@ class RealQuadraticField:
 
     def __repr__(self):
         return "RealQuadraticField(d=%d)" % self.d
-
-    def __eq__(self, other):
-        return isinstance(other, RealQuadraticField) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("RealQuadraticField", self.d))
 
 
 class QuadElement:
@@ -167,9 +154,6 @@ class QuadElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._check(other)
         if o is None:
@@ -190,18 +174,6 @@ class QuadElement:
             raise ZeroDivisionError("division by zero in the quadratic field")
         num = self * o.conjugate()
         return QuadElement(self.F, num.x / n, num.y / n)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (self.F.one() / self) ** (-e)
-        r = self.F.one()
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
 
     def __eq__(self, other):
         o = self._check(other)
@@ -545,14 +517,3 @@ def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadEle
 
 def make_field(d: int, h_plus=None, height_bound: int = 10**4) -> RealQuadraticField:
     return RealQuadraticField(d, h_plus=h_plus, height_bound=height_bound)
-
-
-def field_from_json(record: dict) -> RealQuadraticField:
-    F = make_field(int(record["d"]), h_plus=record.get("h_plus"))
-    if "unit" in record:
-        x, y = record["unit"]
-        u = F.element(Fraction(x), Fraction(y))
-        if not u.is_integral_unit():
-            raise RealQuadError("supplied unit override is not a unit")
-        F._set_fundamental_unit(u)
-    return F

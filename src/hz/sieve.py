@@ -407,23 +407,6 @@ def find_admissible(F: RealQuadraticField, quintic, E: EllipticCurveData,
     return SieveRun(admissible, counts, cycle_types, checked, excluded)
 
 
-def intermediate_field_data(F: RealQuadraticField) -> dict:
-    """Subfield data of the square root of the totally positive fundamental
-    unit eps = a + b*sqrt(d): the norm-1 identity a^2 - 1 = b^2 d and the
-    radicands 2(a+1), 2(a-1) of the two other quadratic subfields when the
-    extension is biquadratic."""
-    eps = F.totally_positive_fundamental_unit
-    a, b = eps.sqrt_basis()
-    biquadratic = F.fundamental_unit.norm() == 1
-    return {
-        "a": a,
-        "b": b,
-        "identity": a * a - 1 == b * b * F.d,
-        "radicands": (2 * (a + 1), 2 * (a - 1)),
-        "biquadratic": biquadratic,
-    }
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,11 +1,10 @@
-"""Tests for tensor induction, the quintic Frobenius calculus, Hodge-Tate
-tables, and the symbolic filtration characters."""
+"""Tests for tensor induction, the quintic Frobenius calculus, and Hodge-Tate
+tables."""
 
 import functools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -15,7 +14,6 @@ import hz.asai
 from hz.asai import (
     AsaiError,
     AsaiRep,
-    CharacterMonomial,
     ENTRY_SCALE,
     FiniteRep2,
     NotHomomorphism,
@@ -33,14 +31,9 @@ from hz.asai import (
     _QUAT_ONE,
     asai_frobenius_eigenvalues,
     cover_center,
-    elliptic_graded_characters,
-    filtration_characters,
     frobenius_class_quintic,
     ht_weight_table,
-    induced_determinant,
-    ordinary_summand,
     quintic_discriminant,
-    rep_from_json,
     s5_double_cover_rep,
     tensor_induce,
 )
@@ -229,7 +222,7 @@ CLASS_CYCLE_TYPES = {
 
 class TestTensorInduction:
     def test_identity_maps_to_identity(self, cover, induced):
-        m = induced.matrix(cover.identity)
+        m = induced.matrices[cover.identity]
         scale = ENTRY_SCALE ** 2
         for i in range(4):
             for j in range(4):
@@ -244,7 +237,7 @@ class TestTensorInduction:
             m1 = cover.matrices[h]
             m2 = cover.matrices[
                 cover.multiply(ti, cover.multiply(h, cover.theta))]
-            m = induced.matrix(h)
+            m = induced.matrices[h]
             for a in range(2):
                 for b in range(2):
                     for c in range(2):
@@ -270,7 +263,7 @@ class TestTensorInduction:
     def test_character_is_fixed_points_minus_one(self):
         for (order, trace), ctype in CLASS_CYCLE_TYPES.items():
             cls = S5FrobeniusClass(ctype)
-            assert cls.fixed_points - 1 == trace
+            assert cls.cycle_type.count(1) - 1 == trace
             import math
             assert math.lcm(*ctype) == order
 
@@ -282,8 +275,8 @@ class TestTensorInduction:
         scale = ENTRY_SCALE ** 2
         for _ in range(30):
             a, b, c = (rng.choice(cover.elements) for _ in range(3))
-            prod = mat_mul(mat_mul(induced.matrix(a), induced.matrix(b)),
-                           induced.matrix(c))
+            prod = mat_mul(mat_mul(induced.matrices[a], induced.matrices[b]),
+                           induced.matrices[c])
             acc = (0, 0, 0, 0)
             for i in range(4):
                 e = prod[i][i]
@@ -293,55 +286,28 @@ class TestTensorInduction:
             assert acc == (induced.character(word) * scale ** 3, 0, 0, 0)
 
 
-class TestJsonIngestion:
-    def c4_data(self, names=(0, 1, 2, 3)):
+class TestSmallGroups:
+    ONE, ZERO = (ENTRY_SCALE, 0, 0, 0), (0, 0, 0, 0)
+    NEG = (-ENTRY_SCALE, 0, 0, 0)
+
+    def build_c4(self, keys=range(4), involution=((NEG, ZERO), (ZERO, NEG))):
         # cyclic group of order 4 with the order-2 subgroup, the power k of
-        # the generator named names[k]; the subgroup representation sends
-        # the involution to minus the identity
-        one = (ENTRY_SCALE, 0, 0, 0)
-        zero = (0, 0, 0, 0)
-        neg = (-ENTRY_SCALE, 0, 0, 0)
-        return {
-            "elements": list(names),
-            "identity": names[0],
-            "theta": names[1],
-            "subgroup": [names[0], names[2]],
-            "table": [[names[a], names[b], names[(a + b) % 4]]
-                      for a in range(4) for b in range(4)],
-            "matrices": [
-                [names[0], [[one, zero], [zero, one]]],
-                [names[2], [[neg, zero], [zero, neg]]],
-            ],
-        }
+        # the generator at index k; the subgroup representation sends the
+        # involution to minus the identity unless told otherwise
+        return FiniteRep2(keys, lambda a, b: (a + b) % 4, 0,
+                          lambda g: g % 2 == 0, 1,
+                          {0: ((self.ONE, self.ZERO), (self.ZERO, self.ONE)),
+                           2: involution})
 
-    def build_c4(self):
-        return rep_from_json(self.c4_data())
-
-    NAMES = [["e", "a", "a2", "a3"], [[0, 0], [0, 1], [1, 0], [1, 1]]]
-
-    @pytest.mark.parametrize("names", NAMES, ids=["strings", "lists"])
-    def test_named_elements_are_numbered(self, names):
-        rep = rep_from_json(self.c4_data(names))
-        assert rep.keys == [k if isinstance(k, str) else tuple(k)
-                            for k in names]
-        assert list(rep.elements) == [0, 1, 2, 3]
-        assert (rep.identity, rep.theta) == (0, 1)
-        assert rep.subgroup_elements() == [0, 2]
-        induced = tensor_induce(
-            rep, generators=rep.generating_set(rep.subgroup_elements()))
-        induced.verify_homomorphism(rep.generating_set(rep.elements))
-        induced.verify_homomorphism()
-        assert [induced.character(g) for g in rep.elements] == [4, -2, 4, -2]
-
-    @pytest.mark.parametrize("names", NAMES, ids=["strings", "lists"])
-    def test_failing_pair_is_named_by_json_names(self, names):
+    @pytest.mark.parametrize("keys", [["e", "a", "a2", "a3"],
+                                      [(0, 0), (0, 1), (1, 0), (1, 1)]],
+                             ids=["strings", "tuples"])
+    def test_failing_pair_is_named_by_keys(self, keys):
         # M(a2) = i: its square is -1, not M(e) = 1
-        data = self.c4_data(names)
-        data["matrices"][1][1] = [[[0, 0, ENTRY_SCALE, 0], [0, 0, 0, 0]],
-                                  [[0, 0, 0, 0], [0, 0, ENTRY_SCALE, 0]]]
-        rep = rep_from_json(data)
-        a2 = rep.keys[2]
-        message = "matrix table fails at the pair (%r, %r)" % (a2, a2)
+        i = (0, 0, ENTRY_SCALE, 0)
+        rep = self.build_c4(keys, ((i, self.ZERO), (self.ZERO, i)))
+        message = "matrix table fails at the pair (%r, %r)" % (keys[2],
+                                                                keys[2])
         with pytest.raises(NotHomomorphism) as exc:
             rep.verify_homomorphism()
         assert str(exc.value) == message
@@ -349,9 +315,6 @@ class TestJsonIngestion:
             tensor_induce(rep, generators=rep.generating_set(
                 rep.subgroup_elements()))
         assert str(exc.value) == message
-        data["theta"] = "b"
-        with pytest.raises(AsaiError, match="^'b' is not an element$"):
-            rep_from_json(data)
 
     def test_small_group_induction(self):
         rep = self.build_c4()
@@ -368,53 +331,24 @@ class TestJsonIngestion:
             (2, 3): 0, (3, 1): 3, (3, 2): 0, (3, 3): 0}
     LOOP_SIGNS = (1, 1, -1, -1)
 
-    def loop_data(self):
-        # the loop times the group of order 2, as x + 4 s
-        def law(x, y):
-            return x if y == 0 else y if x == 0 else self.LOOP[x, y]
-
-        one, zero = (ENTRY_SCALE, 0, 0, 0), (0, 0, 0, 0)
-        return {
-            "elements": list(range(8)),
-            "identity": 0,
-            "theta": 4,
-            "subgroup": [0, 1, 2, 3],
-            "table": [[a, b, law(a % 4, b % 4) + 4 * ((a // 4) ^ (b // 4))]
-                      for a in range(8) for b in range(8)],
-            "matrices": [
-                [g, [[tuple(s * t for t in one), zero],
-                     [zero, tuple(s * t for t in one)]]]
-                for g, s in enumerate(self.LOOP_SIGNS)],
-        }
-
     def test_non_associative_table_is_refused(self):
-        data = self.loop_data()
-        with pytest.raises(AsaiError, match="not associative"):
-            rep_from_json(data)
-        # the reason: on this law the generator check accepts a table the
-        # exhaustive check rejects
-        table = {(a, b): c for a, b, c in data["table"]}
+        # the loop times the group of order 2, as x + 4 s: on this law the
+        # generator check accepts a table the exhaustive check rejects
+        def law(a, b):
+            x, y = a % 4, b % 4
+            xy = x if y == 0 else y if x == 0 else self.LOOP[x, y]
+            return xy + 4 * ((a // 4) ^ (b // 4))
+
+        def scalar(s):
+            return tuple(s * t for t in self.ONE)
+
         loop = FiniteRep2(
-            range(8), lambda a, b: table[a, b], 0, lambda g: g < 4, 4,
-            {g: tuple(tuple(tuple(t) for t in row) for row in m)
-             for g, m in data["matrices"]})
+            range(8), law, 0, lambda g: g < 4, 4,
+            {g: ((scalar(s), self.ZERO), (self.ZERO, scalar(s)))
+             for g, s in enumerate(self.LOOP_SIGNS)})
         loop.verify_homomorphism([3, 2])
         with pytest.raises(NotHomomorphism, match=r"pair \(1, 2\)"):
             loop.verify_homomorphism()
-
-    def test_table_without_identity_or_products_is_refused(self):
-        data = self.loop_data()
-        data["table"] = [row for row in data["table"] if row[:2] != [5, 6]]
-        with pytest.raises(AsaiError, match="not a law"):
-            rep_from_json(data)
-        data = self.loop_data()
-        data["identity"] = 1
-        with pytest.raises(AsaiError, match="identity"):
-            rep_from_json(data)
-        data = self.loop_data()
-        data["matrices"][1][1][0][0] = [4, 0, 0]
-        with pytest.raises(AsaiError, match="matrix of 1"):
-            rep_from_json(data)
 
 
 def search_inverse(rep, g):
@@ -463,8 +397,8 @@ class TestGeneratorProof:
             cover.generating_set(cover.subgroup_elements()))
         induced.verify_homomorphism(cover.generating_set(cover.elements))
 
-    def test_accepts_json_group(self):
-        rep = TestJsonIngestion().build_c4()
+    def test_accepts_cyclic_group(self):
+        rep = TestSmallGroups().build_c4()
         induced = tensor_induce(
             rep, generators=rep.generating_set(rep.subgroup_elements()))
         induced.verify_homomorphism(rep.generating_set(rep.elements))
@@ -599,26 +533,21 @@ def icosian_order(q):
 
 
 def cyclic_rep(order):
-    # the cyclic group of twice the order from JSON, its even subgroup sent
-    # to the powers of an icosian of that order by the 2x2 icosian matrices
+    # the cyclic group of twice the order, its even subgroup sent to the
+    # powers of an icosian of that order by the 2x2 icosian matrices
     q = next(u for u in _icosian_units() if icosian_order(u) == order)
     powers = [_QUAT_ONE]
     while len(powers) < order:
         powers.append(_quat_mul(powers[-1], q))
     n = 2 * order
-    return rep_from_json({
-        "elements": list(range(n)),
-        "identity": 0,
-        "theta": 1,
-        "subgroup": list(range(0, n, 2)),
-        "table": [[a, b, (a + b) % n] for a in range(n) for b in range(n)],
-        "matrices": [[2 * k, _rho_matrix(p)] for k, p in enumerate(powers)],
-    })
+    return FiniteRep2(range(n), lambda a, b: (a + b) % n, 0,
+                      lambda g: g % 2 == 0, 1,
+                      {2 * k: _rho_matrix(p) for k, p in enumerate(powers)})
 
 
 class PackedCase:
     """A homomorphic table of dimension 2 (on the subgroup) or 4 (induced)
-    of a JSON cyclic group, and the packed check of any other table on the
+    of a cyclic group, and the packed check of any other table on the
     same domain."""
 
     def __init__(self, dim):
@@ -831,31 +760,9 @@ class TestEigenvalueLabels:
             ev = asai_frobenius_eigenvalues(cls)
             roots = [exact_root(l) for l in ev.labels]
             total = sympy.simplify(sympy.expand_complex(sum(roots)))
-            assert total == ev.trace() == cls.fixed_points - 1
+            assert total == ev.trace() == cls.cycle_type.count(1) - 1
             prod = sympy.simplify(sympy.expand_complex(sympy.prod(roots)))
-            assert prod == exact_root(ev.product())
-            assert prod == cls.sign
-
-    def test_product_is_trivial_on_even_classes(self):
-        for ctype in ALL_CYCLE_TYPES:
-            cls = S5FrobeniusClass(ctype)
-            ev = asai_frobenius_eigenvalues(cls)
-            if cls.sign == 1:
-                assert ev.product() == (1, 0)
-            else:
-                assert ev.product() == (2, 1)
-
-    def test_padic_evaluation(self):
-        ev = asai_frobenius_eigenvalues(S5FrobeniusClass((5,)))
-        values = ev.evaluate_padic(11, 6)
-        assert len(set((v.unit, v.val) for v in values)) == 4
-        for v in values:
-            w = v
-            for _ in range(4):
-                w = w * v
-            assert w.unit == 1 and w.val == 0
-        with pytest.raises(AsaiError):
-            ev.evaluate_padic(7, 4)
+            assert prod == (-1) ** (5 - len(ctype))  # the sign of the class
 
 
 class TestHtWeights:
@@ -888,87 +795,6 @@ class TestHtWeights:
     def test_rejects_weight_zero(self):
         with pytest.raises(AsaiError):
             ht_weight_table(0)
-
-
-class TestCharacterMonomials:
-    def test_algebra(self):
-        a = CharacterMonomial({"frob1": 2, "neb1": -1})
-        b = CharacterMonomial({"frob1": -2, "neb1": 1})
-        assert a * b == CharacterMonomial({})
-        assert a.inverse() == b
-        assert (a ** 3).powers == {"frob1": 6, "neb1": -3}
-
-    def test_unknown_token_rejected(self):
-        with pytest.raises(AsaiError):
-            CharacterMonomial({"mystery": 1})
-
-    def test_cyclotomic_relation(self):
-        assert CharacterMonomial({"cyc": 1}) == CharacterMonomial(
-            {"cyc_tame": 1, "cyc_half": 1})
-
-    def test_evaluation(self):
-        m = CharacterMonomial({"frob1": 2, "frob2": -1})
-        values = {"frob1": Fraction(3), "frob2": Fraction(2)}
-        assert m.evaluate(values) == Fraction(9, 2)
-        assert CharacterMonomial({}).evaluate(values) == 1
-
-
-class TestFiltrationCharacters:
-    def test_dimensions(self):
-        assert [len(p) for p in filtration_characters("asai")] == [1, 2, 1]
-        assert [len(p) for p in
-                filtration_characters("self_dual")] == [1, 3, 3, 1]
-
-    def test_unknown_filtration(self):
-        with pytest.raises(AsaiError):
-            filtration_characters("other")
-
-    def test_three_step_product_is_the_determinant(self):
-        product = CharacterMonomial({})
-        for piece in filtration_characters("asai"):
-            for m in piece:
-                product = product * m
-        assert product == induced_determinant()
-
-    def test_first_piece_frobenius_value(self):
-        gr0 = filtration_characters("asai")[0][0]
-        values = {t: Fraction(1) for t in
-                  ("neb1", "neb2", "cyc_wt", "cyc_tame")}
-        values.update({"frob1": Fraction(3), "frob2": Fraction(5)})
-        assert gr0.evaluate(values) == Fraction(15)
-
-    def test_ordinary_summand_sits_in_the_middle(self):
-        graded = filtration_characters("self_dual")
-        assert ordinary_summand() in graded[2]
-
-    def test_four_step_is_the_twisted_tensor_product(self):
-        # the four-step graded pieces must be exactly the products of the
-        # three-step pieces, twisted into the self-dual normalization, with
-        # the two graded characters of the elliptic factor
-        twist = CharacterMonomial({"cyc_wt": -1, "cyc_tame": -1})
-        asai = filtration_characters("asai")
-        elliptic = elliptic_graded_characters()
-        expected = [Counter() for _ in range(4)]
-        for i, piece in enumerate(asai):
-            for m in piece:
-                for j, e in enumerate(elliptic):
-                    expected[i + j][m * twist * e] += 1
-        got = [Counter(piece) for piece in filtration_characters("self_dual")]
-        assert got == expected
-
-    def test_prime_swap_is_an_involution_fixing_the_multisets(self):
-        for filt in ("asai", "self_dual"):
-            plain = filtration_characters(filt)
-            swapped = filtration_characters(filt, swap_primes=True)
-            assert [Counter(p) for p in plain] == [
-                Counter(p) for p in swapped]
-            assert plain[0][0] == swapped[0][0]
-
-    def test_elliptic_determinant(self):
-        # the two elliptic graded characters multiply to the nebentypus
-        # times the cyclotomic character
-        a, b = elliptic_graded_characters()
-        assert a * b == CharacterMonomial({"neb1": 1, "neb2": 1, "cyc": 1})
 
 
 class TestDistinctDegreeFrobenius:

@@ -284,26 +284,38 @@ def _malformed(ring, **changes):
     return record
 
 
-@pytest.mark.parametrize("record, op", [
-    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1.5, 0]), "derive", id="padic-float-unit"),
-    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1, 0.5]), "derive", id="padic-float-val"),
-    pytest.param(_malformed(padic_ring(5, 3), coeffs=[True, 0]), "derive", id="padic-bool-unit"),
-    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1]), "derive", id="padic-short-pair"),
-    pytest.param(_malformed(padic_ring(5, 3), coeffs="1/1"), "derive", id="padic-string"),
-    pytest.param(_malformed(RATIONAL, coeffs=[1, 0]), "derive", id="rational-pair"),
-    pytest.param(_malformed(RATIONAL, coeffs="x"), "derive", id="rational-word"),
-    pytest.param(_malformed(RATIONAL, coeffs="1/0"), "derive", id="rational-zero-den"),
-    pytest.param(_malformed(RATIONAL, coeffs="1"), "derive", id="rational-no-den"),
-    pytest.param(_malformed(RATIONAL, character=[[1]]), "derive", id="character-short"),
-    pytest.param(_malformed(RATIONAL, weight="2"), "hecke", id="weight-string"),
-    pytest.param(_malformed(RATIONAL, bound=4.0), "derive", id="bound-float"),
-    pytest.param([1, 2], "derive", id="not-an-object"),
+DERIVE = ["qexp-op", "--op", "derive"]
+HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
+
+
+@pytest.mark.parametrize("record, argv", [
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1.5, 0]), DERIVE, id="padic-float-unit"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1, 0.5]), DERIVE, id="padic-float-val"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[True, 0]), DERIVE, id="padic-bool-unit"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs=[1]), DERIVE, id="padic-short-pair"),
+    pytest.param(_malformed(padic_ring(5, 3), coeffs="1/1"), DERIVE, id="padic-string"),
+    pytest.param(_malformed(RATIONAL, coeffs=[1, 0]), DERIVE, id="rational-pair"),
+    pytest.param(_malformed(RATIONAL, coeffs="x"), DERIVE, id="rational-word"),
+    pytest.param(_malformed(RATIONAL, coeffs="1/0"), DERIVE, id="rational-zero-den"),
+    pytest.param(_malformed(RATIONAL, coeffs="1"), DERIVE, id="rational-no-den"),
+    pytest.param(_malformed(RATIONAL, character=[[1]]), DERIVE, id="character-short"),
+    pytest.param(_malformed(RATIONAL, weight="2"), HECKE, id="weight-string"),
+    pytest.param(_malformed(RATIONAL, bound=4.0), DERIVE, id="bound-float"),
+    pytest.param([1, 2], DERIVE, id="not-an-object"),
+    pytest.param(None, DERIVE, id="qexp-op-directory"),
+    pytest.param([1], ["lvalue"], id="lvalue-not-an-object"),
+    pytest.param({"p": "x"}, ["lvalue"], id="lvalue-p-word"),
+    pytest.param({"p": 7, "m": "x"}, ["lvalue"], id="lvalue-m-word"),
+    pytest.param({"p": 7, "bound": [1]}, ["lvalue"], id="lvalue-bound-list"),
+    pytest.param({"p": 7, "bound": 9, "d": None}, ["lvalue"], id="lvalue-d-null"),
+    pytest.param(None, ["lvalue"], id="lvalue-directory"),
 ])
-def test_malformed_records_are_input_errors(capsys, tmp_path, record, op):
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(record))
-    code, out, err = run(capsys, ["qexp-op", "--input", str(path), "--op", op,
-                                  "--ell", "2"])
+def test_malformed_records_are_input_errors(capsys, tmp_path, record, argv):
+    path = tmp_path  # no record: the input is a directory
+    if record is not None:
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(record))
+    code, out, err = run(capsys, argv + ["--input", str(path)])
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -1,60 +1,141 @@
-"""Every function, class, method and property defined in src/hz is named
-somewhere besides its definition, in src/, tests/ or perfbench/ (stdlib
-only; a name that occurs nowhere else is dead code).  Dunder names are
-exempt: Python calls them."""
+"""Every function, class, method and property defined in src/hz is reached
+from what the program runs (stdlib only).
+
+Reachability is a static name graph built with `ast`.  The roots are
+`hz.cli.main`, the names read by module-level statements of src/hz (except
+`__all__`), the names read by the acceptance criteria and the fixtures they
+import, the names read by the benchmark harness, and the names its tracer
+wraps.  A reached definition reaches every name its body reads; a `Name` or
+`Attribute` is a read, a string (a docstring included) is not.  A reached
+class reaches its dunder methods, which Python calls, and a method is
+reached when its class and its name are.  Names resolve by spelling alone,
+so two methods of one name are reached together: the guard errs towards
+keeping dead code.
+"""
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+ROOT_FILES = ("tests/test_acceptance.py", "tests/pipeline_fixtures.py",
+              "perfbench/run.py", "perfbench/workloads.py",
+              "perfbench/tracing.py")
+
+# Definitions that only the unit tests reach and that stay: name -> reason.
+KEPT = {
+    "HilbertQExp.coefficient":
+        "the by-element read the Hilbert operator tests check oracles with",
+    "HilbertQExp.domain":
+        "the elements that `coefficient` reads, in coefficient order",
+    "RealQuadraticField.from_sqrt_basis":
+        "builds test elements as a + b sqrt(d), apart from the omega basis",
+    "ideal_divisor_sigma":
+        "the element-by-element oracle of the Eisenstein coefficients",
+    "eigensystem_to_json":
+        "codec pair of eigensystem_from_json; test_cli writes inputs with it",
+}
 
 
-def definitions(source):
-    """(line, name) of each module-level function or class and each method
-    or property of a module-level class, dunders excluded."""
-    found = []
-    for node in ast.parse(source).body:
-        if isinstance(node, FUNCS + (ast.ClassDef,)):
-            found.append((node.lineno, node.name))
-        if isinstance(node, ast.ClassDef):
-            found.extend((n.lineno, n.name) for n in node.body
-                         if isinstance(n, FUNCS))
-    return [(line, name) for line, name in found
-            if not (name.startswith("__") and name.endswith("__"))]
+def reads(nodes):
+    """The identifiers that `nodes` read: each Name and Attribute below
+    them."""
+    found = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                found.add(n.attr)
+    return found
 
 
-def dead_definitions(modules, others=()):
-    """(module, line, name) of each definition in `modules` (module name ->
-    source) whose name occurs as a word in the modules and in the `others`
-    sources only at its definitions."""
-    words = Counter()
-    for text in list(modules.values()) + list(others):
-        words.update(re.findall(r"\w+", text))
-    defs = [(mod, line, name) for mod, text in modules.items()
-            for line, name in definitions(text)]
-    def_count = Counter(name for _, _, name in defs)
-    return sorted(d for d in defs if words[d[2]] <= def_count[d[2]])
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _is_all(stmt):
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def dead_definitions(modules, roots):
+    """(module, line, name) of each module-level function or class, and each
+    method or property of a module-level class ("Class.method"), in
+    `modules` (module name -> source) that the names in `roots` and the
+    module-level statements of `modules` do not reach."""
+    live = set(roots)
+    defs = []  # (module, line, class or None, name, names read)
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCS):
+                defs.append((mod, node.lineno, None, node.name,
+                             reads([node])))
+            elif isinstance(node, ast.ClassDef):
+                head = node.bases + node.keywords + node.decorator_list
+                head += [n for n in node.body if not isinstance(n, FUNCS)]
+                defs.append((mod, node.lineno, None, node.name, reads(head)))
+                defs.extend((mod, n.lineno, node.name, n.name, reads([n]))
+                            for n in node.body if isinstance(n, FUNCS))
+            elif not _is_all(node):
+                live |= reads([node])
+    dead = list(defs)
+    changed = True
+    while changed:
+        changed = False
+        for d in list(dead):
+            _, _, owner, name, body = d
+            if (owner in live and (name in live or _is_dunder(name))
+                    if owner else name in live):
+                dead.remove(d)
+                live |= body
+                changed = True
+    return sorted((mod, line, owner + "." + name if owner else name)
+                  for mod, line, owner, name, _ in dead)
+
+
+def program_roots():
+    """`main` and the names read or wrapped by the acceptance criteria and
+    the benchmark harness."""
+    roots = {"main"}
+    for rel in ROOT_FILES:
+        tree = ast.parse((ROOT / rel).read_text())
+        roots |= reads([tree])
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in ("LAYERS", "COUNTED")
+                    for t in stmt.targets)):
+                for n in ast.walk(stmt.value):
+                    if isinstance(n, ast.Constant) and isinstance(n.value,
+                                                                   str):
+                        roots.update(n.value.split("."))
+    return roots
 
 
 def test_no_dead_definitions():
     modules = {p.name: p.read_text()
                for p in sorted((ROOT / "src" / "hz").glob("*.py"))}
-    others = [p.read_text() for sub in ("tests", "perfbench")
-              for p in sorted((ROOT / sub).rglob("*.py"))]
-    assert dead_definitions(modules, others) == []
+    roots = program_roots()
+    kept = {part for name in KEPT for part in name.split(".")}
+    assert dead_definitions(modules, roots | kept) == []
+    # each kept name is still unreached without its entry
+    unreached = {name for _, _, name in dead_definitions(modules, roots)}
+    assert sorted(set(KEPT) - unreached) == []
 
 
 def test_detector_sees_dead_and_live_definitions():
     modules = {
         "a.py": ("def used():\n"
+                 "    '''calls helper, not ghost'''\n"
                  "    return helper()\n"
                  "def helper():\n"
+                 "    return K().prop\n"
+                 "def ghost():\n"
                  "    pass\n"
-                 "def unused():\n"
-                 "    '''mentions used, not itself'''\n"
+                 "def ping():\n"
+                 "    return pong()\n"
+                 "def pong():\n"
+                 "    return ping()\n"
                  "class K:\n"
                  "    def __repr__(self):\n"
                  "        return 'K'\n"
@@ -65,11 +146,18 @@ def test_detector_sees_dead_and_live_definitions():
                  "    def twice(self):\n"
                  "        pass\n"
                  "class L:\n"
-                 "    def twice(self):\n"
+                 "    def __init__(self):\n"
+                 "        pass\n"
+                 "    def prop(self):\n"
                  "        pass\n"),
-        "b.py": "from a import used\n",
+        "b.py": ("from a import used, ghost\n"
+                 "__all__ = ['ghost']\n"
+                 "VALUE = used()\n"),
     }
-    others = ["K().prop\n"]
-    assert dead_definitions(modules, others) == [
-        ("a.py", 5, "unused"), ("a.py", 14, "twice"), ("a.py", 16, "L"),
-        ("a.py", 17, "twice")]
+    assert dead_definitions(modules, roots=()) == [
+        ("a.py", 6, "ghost"), ("a.py", 8, "ping"), ("a.py", 10, "pong"),
+        ("a.py", 19, "K.twice"), ("a.py", 21, "L"), ("a.py", 22, "L.__init__"),
+        ("a.py", 24, "L.prop")]
+    assert dead_definitions(modules, roots=("L",)) == [
+        ("a.py", 6, "ghost"), ("a.py", 8, "ping"), ("a.py", 10, "pong"),
+        ("a.py", 19, "K.twice")]

@@ -21,7 +21,6 @@ from hz.padic import (
     isprime,
     n_order,
     primerange,
-    primitive_root,
 )
 
 SMALL_PRIMES = list(sympy.primerange(2, 10**5))
@@ -86,10 +85,6 @@ class TestDivisors:
 
 class TestPrimeModuli:
     PRIMES = list(sympy.primerange(2, 3000))
-
-    def test_primitive_root(self):
-        for p in self.PRIMES:
-            assert primitive_root(p) == sympy.primitive_root(p), p
 
     def test_n_order(self):
         rng = random.Random(11)

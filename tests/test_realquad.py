@@ -11,7 +11,6 @@ from hz.realquad import (
     QuadElement,
     RealQuadError,
     make_field,
-    field_from_json,
     narrow_class_number,
     narrowly_principal_split,
     split_prime,
@@ -291,7 +290,7 @@ class TestUnitOrderMod:
     def test_identity(self):
         F = make_field(2)
         data = split_prime(F, 7, 1)
-        assert unit_order_mod(F, data, F.one()) == 1
+        assert unit_order_mod(F, data, F.element(1)) == 1
 
     def test_d5_p11_exhaustive(self):
         F = make_field(5)
@@ -315,7 +314,7 @@ class TestUnitOrderMod:
         F = make_field(5)
         data = split_prime(F, 2, 1)
         with pytest.raises(NotSplit):
-            unit_order_mod(F, data, F.one())
+            unit_order_mod(F, data, F.element(1))
 
 
 class TestEighthPowerOddOrder:
@@ -334,19 +333,6 @@ class TestEighthPowerOddOrder:
             a = data.residue(eps, 1) % p
             if pow(a, (p - 1) // 8, p) == 1:
                 assert unit_order_mod(F, data, eps) % 2 == 1, (d, p)
-
-
-class TestJson:
-    def test_roundtrip_with_h_plus(self):
-        F = field_from_json({"d": 2869, "h_plus": 2})
-        assert F.h_plus == 2
-        assert F.discriminant == 2869
-
-    def test_unit_override(self):
-        F = field_from_json({"d": 5, "unit": [0, 1]})
-        assert F.fundamental_unit == F.omega()
-        with pytest.raises(RealQuadError):
-            field_from_json({"d": 5, "unit": [2, 0]})
 
 
 class TestPlainIntegerSplitting:

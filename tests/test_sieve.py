@@ -26,7 +26,6 @@ from hz.sieve import (
     check_assumptions,
     desk_field,
     find_admissible,
-    intermediate_field_data,
     prefilter,
     result_to_dict,
     reverify,
@@ -235,30 +234,6 @@ class TestReverify:
     def test_non_admissible_fails(self, desk):
         result = check_assumptions(desk, DESK_QUINTIC, CURVE_11A1, 13)
         assert not reverify(desk, DESK_QUINTIC, CURVE_11A1, result)
-
-
-class TestIntermediateFields:
-    def test_norm_identity(self):
-        for d in (2, 3, 5, 6, 7, 10):
-            data = intermediate_field_data(make_field(d))
-            assert data["identity"]
-            a, b = data["a"], data["b"]
-            r1, r2 = data["radicands"]
-            assert r1 * r2 == 4 * b * b * d
-
-    def test_desk_field_identity(self, desk):
-        assert intermediate_field_data(desk)["identity"]
-
-    def test_biquadratic_flag(self):
-        # norm -1 fundamental unit: the totally positive generator is a
-        # square, and the extension collapses
-        assert not intermediate_field_data(make_field(2))["biquadratic"]
-        assert intermediate_field_data(make_field(3))["biquadratic"]
-
-    def test_radicands_example(self):
-        data = intermediate_field_data(make_field(3))
-        assert (data["a"], data["b"]) == (2, 1)
-        assert data["radicands"] == (6, 2)
 
 
 class TestSerialization:
