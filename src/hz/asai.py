@@ -309,7 +309,7 @@ class AsaiRep:
                               ENTRY_SCALE ** 2, generators)
 
 
-def tensor_induce(rho, theta=None, generators=None):
+def tensor_induce(rho, generators=None):
     """Tensor induction of a 2-dimensional subgroup representation to the
     full group, in the basis e_i (x) e_j' with the second slot moved through
     the coset representative.  The subgroup table is verified first, on
@@ -317,8 +317,7 @@ def tensor_induce(rho, theta=None, generators=None):
     theta^-1 go into the product record's one row for it; each g theta is
     made by the group law, not recorded, since a row of the record for g
     would hold only that one product."""
-    if theta is None:
-        theta = rho.theta
+    theta = rho.theta
     if rho.in_subgroup(theta):
         raise ThetaInSubgroup("coset representative lies in the subgroup")
     rho.verify_homomorphism(generators)

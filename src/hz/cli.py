@@ -14,6 +14,7 @@ that finds no admissible prime.
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -74,20 +75,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 3
 
+# a rational as hz writes it: "n", or "n/d" with d != 0
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?\Z")
+
 
 class CliError(Exception):
     pass
-
-
-def default_precision() -> int:
-    raw = os.environ.get("HZ_PRECISION_DEFAULT", "4")
-    try:
-        m = int(raw)
-    except ValueError:
-        raise CliError("HZ_PRECISION_DEFAULT=%r is not an integer" % raw)
-    if m < 1:
-        raise CliError("precision must be at least 1")
-    return m
 
 
 def _int_list(text):
@@ -220,24 +213,39 @@ def _space_from_record(record, p, m, bound, ring):
     target = eigensystem_from_json(record["target"])
     systems = [target] + [eigensystem_from_json(o)
                           for o in record["others"]]
-    basis = []
-    roots = None
-    for system in systems:
-        stab, alpha, beta = stabilize(system, p, m)
-        f = expansion_from_eigensystem(system, bound, ring)
-        basis.append(stabilized_expansion(f, beta, p))
-        if roots is None:
-            roots = (alpha, beta)
-    return HeckeSpace(basis), target, roots
+    roots = [stabilize(system, p, m) for system in systems]
+    basis = [stabilized_expansion(expansion_from_eigensystem(system, bound, ring),
+                                  beta, p)
+             for system, (_, beta) in zip(systems, roots)]
+    return HeckeSpace(basis), target, roots[0]
 
 
 def _int_field(record, key, default=None):
-    """record[key], or the default when the key is absent, as an int."""
+    """record[key], or the default when the key is absent; CliError unless
+    it is an int."""
     value = record[key] if default is None else record.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    if type(value) is not int:
         raise CliError("%s must be an integer, got %r" % (key, value))
+    return value
+
+
+def _annihilation(record):
+    """The (ell, a_ell) pairs of record["annihilation"]: ell an int prime,
+    a_ell an int or an "n" or "n/d" string, read as a Fraction."""
+    pairs = record["annihilation"]
+    if type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 for pair in pairs):
+        raise CliError("annihilation must be a list of [ell, a_ell] pairs, "
+                       "got %r" % (pairs,))
+    for ell, a in pairs:
+        if type(ell) is not int:
+            raise CliError("an annihilation ell must be an integer, got %r"
+                           % (ell,))
+        _prime(ell, "an annihilation ell")
+        if not (type(a) is int or type(a) is str and _RATIONAL_TEXT.match(a)):
+            raise CliError("an annihilation eigenvalue must be an integer or "
+                           "\"n\" or \"n/d\" with d != 0, got %r" % (a,))
+    return [(ell, Fraction(a)) for ell, a in pairs]
 
 
 def cmd_lvalue(args):
@@ -245,15 +253,15 @@ def cmd_lvalue(args):
     if not isinstance(record, dict):
         raise CliError("the lvalue input must be a JSON object")
     p = _int_field(record, "p")
-    m = _int_field(record, "m", default_precision())
+    m = _int_field(record, "m", 4)
     bound = _int_field(record, "bound")
     ring = qexp.padic_ring(p, m)
-    F = make_field(_int_field(record, "d"), h_plus=record.get("h_plus"))
+    h_plus = _int_field(record, "h_plus") if "h_plus" in record else None
+    F = make_field(_int_field(record, "d"), h_plus=h_plus)
     prime = split_prime(F, p, m)
     g = from_json(record["hilbert"], F)
     space, target, roots = _space_from_record(record, p, m, bound, ring)
-    annihilation = [(int(ell), Fraction(a))
-                    for ell, a in record["annihilation"]]
+    annihilation = _annihilation(record)
     value = lvalue_weight2(g, prime, target, roots, space, annihilation)
     if args.verify:
         doubled = lvalue_weight2(g.scale(PadicNumber(p, m, 2, 0)), prime,
@@ -272,23 +280,22 @@ def cmd_lvalue(args):
 
 def cmd_euler(args):
     _prime(args.p, "-p")
-    m = args.m if args.m is not None else default_precision()
     alphas = _int_list(args.alphas)
     froots = _int_list(args.froots)
     if len(alphas) != 4 or len(froots) != 2:
         raise CliError("--alphas needs 4 entries and --froots needs 2")
     report = euler_report(alphas, froots, args.ell, args.alpha_exp,
-                          args.p, m)
+                          args.p, args.m)
     if args.verify:
         refined = euler_report(alphas, froots, args.ell, args.alpha_exp,
-                               args.p, m + 2)
+                               args.p, args.m + 2)
         if refined.valuations() != report.valuations():
             print("valuations unstable under precision refinement",
                   file=sys.stderr)
             return EXIT_ERROR
     record = {
         "p": args.p,
-        "m": m,
+        "m": args.m,
         "ordinary_factor": _padic_json(report.ordinary_factor),
         "special_factor": _padic_json(report.special_factor),
         "depth_one_factor": _padic_json(report.depth_one_factor),
@@ -469,7 +476,7 @@ def build_parser():
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--alpha-exp", type=int, default=1)
     p.add_argument("-p", type=int, required=True)
-    p.add_argument("-m", type=int, default=None)
+    p.add_argument("-m", type=int, default=4)
     add_common(p)
     p.set_defaults(func=cmd_euler)
 

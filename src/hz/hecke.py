@@ -59,10 +59,6 @@ class NotDerivative(HeckeError):
     pass
 
 
-class WildCharacterUnsupported(HeckeError):
-    pass
-
-
 class SingularBlock(HeckeError):
     """The leading coefficient block of a basis is not invertible at the
     working precision."""
@@ -74,14 +70,13 @@ class SingularBlock(HeckeError):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Hecke eigenvalue data for one newform or stabilization."""
+    """Hecke eigenvalue data for one newform."""
 
     label: str
     weight: int
     level: int
     ap: dict  # prime (or prime index tag) -> eigenvalue
     character: Optional[dict] = None  # None = trivial
-    up_eigenvalue: object = None
     field_tag: str = "elliptic"  # "elliptic" or "hilbert"
 
     def chi(self, ell: int):
@@ -96,9 +91,9 @@ class EigenSystem:
 
 
 def stabilize(system: EigenSystem, p: int, m: int):
-    """Ordinary p-stabilization of an elliptic eigensystem of level prime
-    to p: returns (stabilized system, alpha, beta) with alpha the unit root
-    of X^2 - a_p X + chi(p) p^{k-1}."""
+    """The roots (alpha, beta) of X^2 - a_p X + chi(p) p^{k-1} for an
+    elliptic eigensystem of level prime to p, alpha the unit root: the
+    U_p eigenvalues of its ordinary and its other p-stabilization."""
     if system.field_tag != "elliptic":
         raise HeckeError("only elliptic eigensystems are stabilized")
     if system.level % p == 0:
@@ -106,17 +101,7 @@ def stabilize(system: EigenSystem, p: int, m: int):
     a = Fraction(system.a(p))
     b = Fraction(system.chi(p)) * p ** (system.weight - 1)
     alpha = hensel_unit_root(a, b, p, m)
-    beta = PadicNumber.from_fraction(b, p, m) / alpha
-    stabilized = EigenSystem(
-        label=system.label + "-ordinary",
-        weight=system.weight,
-        level=system.level * p,
-        ap=dict(system.ap),
-        character=system.character,
-        up_eigenvalue=alpha,
-        field_tag="elliptic",
-    )
-    return stabilized, alpha, beta
+    return alpha, as_padic(b, p, m) / alpha
 
 
 def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
@@ -369,23 +354,17 @@ def euler_report(
     alpha_exp: int,
     p: int,
     m: int,
-    unit_tokens: dict = None,
 ) -> EulerFactorReport:
     """Evaluate the interpolation and correction factors from the four
     stabilization roots (a1, b1, a2, b2) of the weight-one system and the
     two roots (alpha, beta) of the weight-2 Hecke quadratic, at an
-    arithmetic point of weight ell and conductor exponent alpha_exp.
-
-    unit_tokens supplies p-adic unit stand-ins for the character values and
-    Hecke-ratio tokens entering the localization and comparison factors;
-    they default to 1."""
+    arithmetic point of weight ell and conductor exponent alpha_exp.  The
+    character values and Hecke-ratio tokens of the localization and
+    comparison factors are taken to be 1."""
 
     a1, b1, a2, b2 = (as_padic(x, p, m) for x in alphas)
     alpha_f, beta_f = (as_padic(x, p, m) for x in f_roots)
     one = PadicNumber.one(p, m)
-    tokens = {"chi_p1": 1, "chi_p2": 1, "ratio_12": 1, "ratio_21": 1}
-    tokens.update(unit_tokens or {})
-    tokens = {k: as_padic(v, p, m) for k, v in tokens.items()}
     p_adic = as_padic(p, p, m)
     for name, divisor in (("alpha", alpha_f), ("beta", beta_f), ("a1", a1), ("a2", a2),
                           ("beta^2", beta_f * beta_f), ("a1*a2*p", a1 * a2 * p_adic)):
@@ -408,10 +387,8 @@ def euler_report(
 
     twisted_unit_root = beta_f / p_adic
 
-    localization = (one - alpha_f * tokens["chi_p1"] * tokens["ratio_12"]) * (
-        one - alpha_f * tokens["chi_p2"] * tokens["ratio_21"]
-    )
-    comparison = (-alpha_f) * (one - tokens["ratio_12"] / alpha_f)
+    localization = (one - alpha_f) * (one - alpha_f)
+    comparison = (-alpha_f) * (one - one / alpha_f)
 
     nonzero = {
         "ordinary_factor": not ordinary.is_zero(),
@@ -445,21 +422,16 @@ def lvalue_weight2(
     fstar_roots,
     space: HeckeSpace,
     annihilation,
-    chi: dict = None,
 ) -> PadicNumber:
     """The weight-2 crystalline L-value pipeline: deplete at both primes,
     invert the first theta operator, twist by the (trivial) character,
     restrict to the diagonal, apply the weight-1 tame twist, project to the
     ordinary part and onto the target eigensystem, then divide the first
     coefficient by the ordinary factor 1 - beta/alpha."""
-    if chi is not None:
-        raise WildCharacterUnsupported(
-            "nontrivial wild characters need Gauss sums outside numeric scope"
-        )
     p, m = prime_data.p, space.ring.m
     depleted = hilbert_deplete(g, prime_data, "both")
     inverted = theta_d_inverse(depleted, 1, prime_data)
-    twisted = twist_star(inverted, trivial_character(p), prime_data, which=1)
+    twisted = twist_star(inverted, trivial_character(p), prime_data)
     restricted = diagonal_restrict(twisted)
     tame = elliptic_twist(restricted, j=1)
     ordinary = e_ord(space, tame)

@@ -296,11 +296,6 @@ class PadicNumber:
         return cls(p, m, n, 0)
 
     @classmethod
-    def from_fraction(cls, q, p: int, m: int) -> "PadicNumber":
-        ring = padic_ring(p, m)
-        return ring.load(ring.store(Fraction(q)))
-
-    @classmethod
     def zero(cls, p: int, m: int) -> "PadicNumber":
         return cls(p, m, 0, 0)
 
@@ -358,11 +353,6 @@ class PadicNumber:
             return NotImplemented
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return -(self - self._coerce(other))
-
     def __mul__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
@@ -380,11 +370,6 @@ class PadicNumber:
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return self._coerce(other) * self.inverse()
 
     def __pow__(self, e: int):
         ring = self.ring
@@ -682,9 +667,7 @@ def bezout_projector(M, p: int, m: int):
             r.append(xp.residue)
         A.append(r)
     u, v, s, t = _split_int_poly(_charpoly_int(A), p, m)
-    if len(u) == 1:  # no unit roots
-        E = [[0] * len(A) for _ in A]
-    elif len(v) == 1:  # all roots are units
+    if len(v) == 1:  # all roots are units (with none, t = 0 makes E = 0)
         E = [[1 if i == j else 0 for j in range(len(A))] for i in range(len(A))]
     else:
         tv = _pmul(t, v, pm)

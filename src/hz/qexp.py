@@ -42,7 +42,8 @@ from .realquad import (
     totally_positive_by_trace,
 )
 
-# public API; split_prime is re-exported for the PrimeIdealData the operators take
+# public API; split_prime and PadicNumber are re-exported for the PrimeIdealData
+# the operators take and the p-adic values that f[n] and coefficient return
 __all__ = [
     "QExpError", "BoundTooSmall", "ExactRingUnsupported", "CharacterDomainMismatch", "NotDepleted",
     "ClassNumberUnsupported", "RATIONAL", "padic_ring", "EllipticQExp",
@@ -50,7 +51,7 @@ __all__ = [
     "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
     "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
     "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "twist_star", "trivial_character", "theta_d", "theta_d_inverse",
-    "conjugate_ratio_partner", "to_json", "from_json", "PrimeIdealData", "split_prime",
+    "conjugate_ratio_partner", "to_json", "from_json", "PrimeIdealData", "split_prime", "PadicNumber",
 ]
 
 
@@ -184,9 +185,6 @@ class EllipticQExp:
             raise CharacterDomainMismatch("character undefined at %d" % (n % self.level))
         return self.ring.store(value)
 
-    def chi(self, n: int):
-        return self.ring.load(self._chi(n))
-
     def __add__(self, other):
         if not isinstance(other, EllipticQExp):
             return NotImplemented
@@ -241,12 +239,10 @@ def deplete(f: EllipticQExp, p: int) -> EllipticQExp:
     return f._derive([zero if n % p == 0 else c for n, c in enumerate(f.coeffs)])
 
 
-def elliptic_twist(
-    f: EllipticQExp, chi=None, j: int = 0, p: int = None, norm_power: int = 0
-) -> EllipticQExp:
-    """Twist by chi * omega^j * |.|^norm_power at p: for n prime to p,
-    a_n -> chi(n mod p) * omega(n)^j * n^norm_power * a_n (omega the
-    Teichmuller character); coefficients with p | n are killed."""
+def elliptic_twist(f: EllipticQExp, j: int = 0, p: int = None) -> EllipticQExp:
+    """Twist by omega^j at p: for n prime to p, a_n -> omega(n)^j * a_n
+    (omega the Teichmuller character); coefficients with p | n are
+    killed."""
     ring = f.ring
     if ring is RATIONAL:
         raise ExactRingUnsupported("twisting requires p-adic coefficients")
@@ -259,14 +255,8 @@ def elliptic_twist(
         if n % p == 0:
             out.append(ring.zero)
             continue
-        if chi is not None:
-            if n % p not in chi:
-                raise CharacterDomainMismatch("character undefined at %d" % (n % p))
-            c = ring.mul(c, ring.store(chi[n % p]))
         if j % (p - 1) != 0:
             c = ring.mul(c, ring.store(teichmuller(n, p, ring.m) ** (j % (p - 1))))
-        if norm_power:
-            c = ring.mul(c, ring.store(PadicNumber(p, ring.m, n) ** norm_power))
         out.append(c)
     return f._derive(out)
 
@@ -362,9 +352,9 @@ class HilbertQExp:
     aligned to the field's `HilbertDomain`.  a0 and the list hold the
     ring's stored form; `coefficient` returns a ring value."""
 
-    __slots__ = ("F", "weights", "trace_bound", "a0", "coeffs", "ring", "character")
+    __slots__ = ("F", "weights", "trace_bound", "a0", "coeffs", "ring")
 
-    def __init__(self, F, weights, trace_bound, a0, coeffs, ring=RATIONAL, character=None):
+    def __init__(self, F, weights, trace_bound, a0, coeffs, ring=RATIONAL):
         """`coeffs` maps (x, y) coordinates to values and must cover the
         whole domain up to the trace bound."""
         dom, store = _domain(F), _checked(ring).store
@@ -377,31 +367,23 @@ class HilbertQExp:
                     "dense storage violated: missing coefficient at %r" % (xi,)
                 ) from None
         self.F, self.weights, self.trace_bound = F, tuple(weights), trace_bound
-        self.a0, self.coeffs = store(a0), values
-        self.ring, self.character = ring, character
+        self.a0, self.coeffs, self.ring = store(a0), values, ring
 
     @classmethod
-    def _make(cls, F, weights, trace_bound, a0, coeffs, ring, character=None):
+    def _make(cls, F, weights, trace_bound, a0, coeffs, ring):
         """An expansion from a coefficient list already aligned to the
         domain, with a0 and every value already in the stored form."""
         if len(coeffs) != _domain(F).size(trace_bound):
             raise QExpError("coefficient list does not match the domain")
         g = object.__new__(cls)
         g.F, g.weights, g.trace_bound = F, tuple(weights), trace_bound
-        g.a0, g.coeffs, g.ring, g.character = a0, coeffs, ring, character
+        g.a0, g.coeffs, g.ring = a0, coeffs, ring
         return g
 
     def _derive(self, coeffs, a0, weights=None, trace_bound=None) -> "HilbertQExp":
-        """Same field, ring and character; new coefficients."""
+        """Same field and ring; new coefficients."""
         T = self.trace_bound if trace_bound is None else trace_bound
-        return HilbertQExp._make(
-            self.F, weights or self.weights, T, a0, coeffs, self.ring, self.character
-        )
-
-    @classmethod
-    def zero(cls, F, weights, trace_bound, ring=RATIONAL):
-        z = _checked(ring).zero
-        return cls._make(F, weights, trace_bound, z, [z] * _domain(F).size(trace_bound), ring)
+        return HilbertQExp._make(self.F, weights or self.weights, T, a0, coeffs, self.ring)
 
     def coefficient(self, xi: QuadElement):
         i = _domain(self.F).index.get(_int_key(xi))
@@ -599,11 +581,9 @@ def hilbert_deplete(g: HilbertQExp, prime_data: PrimeIdealData, which) -> Hilber
     return g._derive(coeffs, zero)
 
 
-def twist_star(
-    g: HilbertQExp, chi: dict, prime_data: PrimeIdealData, which: int = 1
-) -> HilbertQExp:
-    """Coefficientwise twist: a(xi) -> chi(xi mod prime) a(xi) on the
-    coefficients prime to the chosen prime, 0 elsewhere.  chi is a value
+def twist_star(g: HilbertQExp, chi: dict, prime_data: PrimeIdealData) -> HilbertQExp:
+    """Coefficientwise twist: a(xi) -> chi(xi mod prime 1) a(xi) on the
+    coefficients prime to the first prime, 0 elsewhere.  chi is a value
     table on the units modulo p, read through the residue map."""
     dom = _prime_context(g, prime_data)
     p = prime_data.p
@@ -622,12 +602,12 @@ def twist_star(
             c = stored[r] = ring.store(chi[r])
         return ring.mul(c, v)
 
-    res = dom.residues(prime_data, which, g.trace_bound)
+    res = dom.residues(prime_data, 1, g.trace_bound)
     return g._derive([twist(v, r) for v, r in zip(g.coeffs, res)], ring.zero)
 
 
-def trivial_character(p: int, c: int = 1) -> dict:
-    return {r: 1 for r in range(p**c) if r % p != 0}
+def trivial_character(p: int) -> dict:
+    return {r: 1 for r in range(1, p)}
 
 
 def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:

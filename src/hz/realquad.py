@@ -35,7 +35,7 @@ class NotSplit(RealQuadError):
 class RealQuadraticField:
     """Q(sqrt(d)) for squarefree d > 1, with integral basis (1, omega)."""
 
-    def __init__(self, d: int, h_plus=None, height_bound: int = 10**4):
+    def __init__(self, d: int, h_plus=None):
         if d <= 1:
             raise NotSquarefree("need d > 1")
         if any(e > 1 for _, e in factorize(d)):
@@ -50,7 +50,7 @@ class RealQuadraticField:
             self.omega_trace = 0
             self.omega_norm = -d
         # the totally positive fundamental unit is +-u if N(u) = 1, else u^2
-        u = self.fundamental_unit = _fundamental_unit(self, height_bound)
+        u = self.fundamental_unit = _fundamental_unit(self)
         if u.norm() == 1:
             eps = u if u.is_totally_positive() else -u
         else:
@@ -165,25 +165,6 @@ class QuadElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in the quadratic field")
-        num = self * o.conjugate()
-        return QuadElement(self.F, num.x / n, num.y / n)
-
-    def __eq__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.F.d, self.x, self.y))
-
     def __repr__(self):
         return "QuadElement(d=%d, %s + %s*w)" % (self.F.d, self.x, self.y)
 
@@ -192,10 +173,11 @@ class QuadElement:
 # fundamental unit by continued fractions
 
 
-def _fundamental_unit(F: RealQuadraticField, height_bound: int) -> QuadElement:
+def _fundamental_unit(F: RealQuadraticField) -> QuadElement:
     """Smallest unit > 1 of the maximal order, from the continued fraction
     of omega: the convergents h/k yield u = h - k*conj(omega), and the first
-    convergent with |N(u)| = 1 is the fundamental unit."""
+    convergent with |N(u)| = 1 is the fundamental unit.  The search gives
+    up once a convergent passes 40,000 bits."""
     d = F.d
     t, n = F.omega_trace, F.omega_norm
     if d % 4 == 1:
@@ -203,8 +185,6 @@ def _fundamental_unit(F: RealQuadraticField, height_bound: int) -> QuadElement:
     else:
         P, Q = 0, 1
     sq = isqrt(d)
-    # height_bound caps the decimal-digit size of the convergents
-    digit_cap = max(height_bound, 16)
     h0, h1 = 1, 0  # h_{-1}, h_{-2}
     k0, k1 = 0, 1
     for _ in range(10**6):
@@ -215,11 +195,11 @@ def _fundamental_unit(F: RealQuadraticField, height_bound: int) -> QuadElement:
         if nm in (1, -1):
             u = QuadElement(F, Fraction(h0 - k0 * t), Fraction(k0))
             return u
-        if h0.bit_length() > 4 * digit_cap:
+        if h0.bit_length() > 40000:
             break
         P = a * Q - P
         Q = (d - P * P) // Q
-    raise UnitSearchOverflow("no unit found below the height bound")
+    raise UnitSearchOverflow("no unit found below 40,000 bits")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +240,6 @@ class PrimeIdealData:
     m: int
     splitting_type: str  # "split" | "inert" | "ramified"
     roots: tuple = None  # (r1, r2) mod p^m when split
-    totally_positive_generators: tuple = None
 
     def residue(self, z: QuadElement, which: int = 1) -> int:
         """Image of z under the residue map at prime ideal `which` (1 or 2),
@@ -421,7 +400,6 @@ def narrow_class_number(D: int) -> int:
 class NarrowPrincipalityResult:
     status: str  # "found" | "not-principal" | "none-found-within-bound"
     generators: tuple = None  # (pi1, pi2) QuadElements when found
-    certified: bool = False
 
 
 def narrowly_principal_split(F: RealQuadraticField, p: int, height_bound: int = 10**5):
@@ -451,7 +429,7 @@ def narrowly_principal_split(F: RealQuadraticField, p: int, height_bound: int = 
             hit = U
             break
     if hit is None:
-        return NarrowPrincipalityResult("not-principal", certified=True)
+        return NarrowPrincipalityResult("not-principal")
     # total transformation: f_hit(v) = f_ideal(U0 @ hit @ v); f_hit(1,0) = 1
     x0 = U0[0][0] * hit[0][0] + U0[0][1] * hit[1][0]
     y0 = U0[1][0] * hit[0][0] + U0[1][1] * hit[1][0]
@@ -515,5 +493,5 @@ def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadEle
 # construction helpers
 
 
-def make_field(d: int, h_plus=None, height_bound: int = 10**4) -> RealQuadraticField:
-    return RealQuadraticField(d, h_plus=h_plus, height_bound=height_bound)
+def make_field(d: int, h_plus=None) -> RealQuadraticField:
+    return RealQuadraticField(d, h_plus=h_plus)

@@ -83,9 +83,8 @@ DESK_FIELD_D = 2869
 DESK_H_PLUS = 2
 
 
-def desk_field(height_bound: int = 10**4) -> RealQuadraticField:
-    return make_field(DESK_FIELD_D, h_plus=DESK_H_PLUS,
-                      height_bound=height_bound)
+def desk_field() -> RealQuadraticField:
+    return make_field(DESK_FIELD_D, h_plus=DESK_H_PLUS)
 
 
 # Mestre: above this prime the point orders on E and its twist always

@@ -56,8 +56,8 @@ PRIME = split_prime(FIELD, P, M)
 
 def build_space():
     """Two-dimensional ordinary span at p=7, precision 4, bound 30."""
-    t_stab, t_alpha, t_beta = stabilize(TARGET_SYS, P, M)
-    o_stab, o_alpha, o_beta = stabilize(OTHER_SYS, P, M)
+    t_alpha, t_beta = stabilize(TARGET_SYS, P, M)
+    o_alpha, o_beta = stabilize(OTHER_SYS, P, M)
     ft = expansion_from_eigensystem(TARGET_SYS, BOUND, RING)
     fo = expansion_from_eigensystem(OTHER_SYS, BOUND, RING)
     basis = [
@@ -67,8 +67,7 @@ def build_space():
     return {
         "space": HeckeSpace(basis),
         "basis": basis,
-        "target": t_stab,
-        "other": o_stab,
+        "target": TARGET_SYS,
         "alphas": (t_alpha, o_alpha),
         "betas": (t_beta, o_beta),
         "annihilation": [(2, OTHER_SYS.ap[2])],

@@ -249,8 +249,10 @@ class TestTensorInduction:
         induced.verify_homomorphism()
 
     def test_theta_in_subgroup_rejected(self, cover):
+        inside = FiniteRep2(cover.keys, cover.multiply, cover.identity,
+                            cover.in_subgroup, cover.identity, cover.matrices)
         with pytest.raises(ThetaInSubgroup):
-            tensor_induce(cover, theta=cover.identity)
+            tensor_induce(inside)
 
     def test_character_table_matches_permutation_character(self, cover,
                                                            induced):

@@ -104,16 +104,11 @@ class TestEuler:
         assert "not machine-checkable" in record["localization_factor"][
             "note"]
 
-    def test_precision_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("HZ_PRECISION_DEFAULT", "6")
-        code, out, _ = run(capsys, self.ARGS)
-        assert code == EXIT_OK
-        assert json.loads(out)["m"] == 6
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("HZ_PRECISION_DEFAULT", "soon")
-        code, _, err = run(capsys, self.ARGS)
-        assert code == EXIT_ERROR
+    def test_default_precision(self, capsys):
+        for extra, m in (([], 4), (["-m", "6"], 6)):
+            code, out, _ = run(capsys, self.ARGS + extra)
+            assert code == EXIT_OK
+            assert json.loads(out)["m"] == m
 
     def test_input_shape_checked(self, capsys):
         code, _, err = run(capsys, ["euler", "--alphas", "2,3",
@@ -168,23 +163,29 @@ class TestSieve:
         assert lines[1].startswith("853,")
 
 
+def _lvalue_record(c_unit=123, **changes):
+    """An `hz lvalue` record whose value is c / (1 - beta/alpha) for the
+    7-adic unit c = c_unit, with `changes` applied."""
+    c = PadicNumber(fx.P, fx.M, c_unit, 0)
+    record = {
+        "d": 2, "h_plus": fx.FIELD.h_plus, "p": fx.P, "m": fx.M,
+        "bound": fx.BOUND,
+        "hilbert": to_json(fx.build_hilbert_input(c, fx.build_space())),
+        "target": eigensystem_to_json(fx.TARGET_SYS),
+        "others": [eigensystem_to_json(fx.OTHER_SYS)],
+        "annihilation": [[2, str(fx.OTHER_SYS.ap[2])]],
+    }
+    record.update(changes)
+    return record
+
+
 class TestLValue:
     def make_input(self, tmp_path, c_unit):
         ctx = fx.build_space()
-        c = PadicNumber(fx.P, fx.M, c_unit, 0)
-        g = fx.build_hilbert_input(c, ctx)
-        record = {
-            "d": 2, "h_plus": fx.FIELD.h_plus, "p": fx.P, "m": fx.M,
-            "bound": fx.BOUND,
-            "hilbert": to_json(g),
-            "target": eigensystem_to_json(fx.TARGET_SYS),
-            "others": [eigensystem_to_json(fx.OTHER_SYS)],
-            "annihilation": [[2, str(fx.OTHER_SYS.ap[2])]],
-        }
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(record))
-        expected = c / (PadicNumber.one(fx.P, fx.M)
-                        - ctx["betas"][0] / ctx["alphas"][0])
+        path.write_text(json.dumps(_lvalue_record(c_unit)))
+        expected = PadicNumber(fx.P, fx.M, c_unit, 0) / (
+            PadicNumber.one(fx.P, fx.M) - ctx["betas"][0] / ctx["alphas"][0])
         return str(path), expected
 
     def test_pipeline_value(self, capsys, tmp_path):
@@ -309,6 +310,23 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
     pytest.param({"p": 7, "bound": [1]}, ["lvalue"], id="lvalue-bound-list"),
     pytest.param({"p": 7, "bound": 9, "d": None}, ["lvalue"], id="lvalue-d-null"),
     pytest.param(None, ["lvalue"], id="lvalue-directory"),
+    pytest.param(_lvalue_record(p=7.9), ["lvalue"], id="lvalue-p-float"),
+    pytest.param(_lvalue_record(m=4.5), ["lvalue"], id="lvalue-m-float"),
+    pytest.param(_lvalue_record(d=2.5), ["lvalue"], id="lvalue-d-float"),
+    pytest.param(_lvalue_record(bound="30"), ["lvalue"], id="lvalue-bound-string"),
+    pytest.param(_lvalue_record(h_plus="x"), ["lvalue"], id="lvalue-h-plus-word"),
+    pytest.param(_lvalue_record(annihilation=[["x", "1"]]), ["lvalue"],
+                 id="lvalue-annihilation-ell-word"),
+    pytest.param(_lvalue_record(annihilation=[[3]]), ["lvalue"],
+                 id="lvalue-annihilation-short-pair"),
+    pytest.param(_lvalue_record(annihilation=[[2, "x"]]), ["lvalue"],
+                 id="lvalue-annihilation-value-word"),
+    pytest.param(_lvalue_record(annihilation=[[2, "1/0"]]), ["lvalue"],
+                 id="lvalue-annihilation-zero-den"),
+    pytest.param(_lvalue_record(annihilation=5), ["lvalue"],
+                 id="lvalue-annihilation-not-a-list"),
+    pytest.param(_lvalue_record(annihilation=[[2.7, "1"]]), ["lvalue"],
+                 id="lvalue-annihilation-ell-float"),
 ])
 def test_malformed_records_are_input_errors(capsys, tmp_path, record, argv):
     path = tmp_path  # no record: the input is a directory

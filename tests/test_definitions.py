@@ -1,5 +1,6 @@
 """Every function, class, method and property defined in src/hz is reached
-from what the program runs (stdlib only).
+from what the program runs, and every defaulted parameter is passed by
+some call in it (stdlib only).
 
 Reachability is a static name graph built with `ast`.  The roots are
 `hz.cli.main`, the names read by module-level statements of src/hz (except
@@ -161,3 +162,122 @@ def test_detector_sees_dead_and_live_definitions():
     assert dead_definitions(modules, roots=("L",)) == [
         ("a.py", 6, "ghost"), ("a.py", 8, "ping"), ("a.py", 10, "pong"),
         ("a.py", 19, "K.twice")]
+
+
+# Defaulted parameters that only the unit tests pass and that stay:
+# "function.parameter" or "Class.method.parameter" -> reason.
+PARAM_KEPT = {
+    "EllipticQExp.__init__.character":
+        "elliptic expansions carry characters (from_json builds them through "
+        "_make), and the public constructor takes one too",
+}
+
+
+def _callee(call):
+    """The name a call is made through: `f(...)` and `obj.f(...)` give f."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _defaulted(fn, is_method):
+    """(position or None, name) of each defaulted parameter of `fn`;
+    positions count call arguments, so a method's self or cls is skipped."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    if is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(a.defaults)
+    out = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    out += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unset_parameters(modules, callers=()):
+    """(module, line, "function.parameter") of each defaulted parameter of a
+    module-level function or a method ("Class.method.parameter") in
+    `modules` (module name -> source) that no call in `modules` or in the
+    sources `callers` passes, by keyword or by position.  A call matches
+    every definition of its name, and a call of a class name matches that
+    class's `__init__`.  A call with `*args` or `**kwargs` passes
+    everything."""
+    defs = []  # (module, line, qualified name, call names, defaulted)
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCS):
+                defs.append((mod, node.lineno, node.name, {node.name},
+                             _defaulted(node, False)))
+            elif isinstance(node, ast.ClassDef):
+                for n in node.body:
+                    if isinstance(n, FUNCS):
+                        names = {n.name}
+                        if n.name == "__init__":
+                            names.add(node.name)
+                        defs.append((mod, n.lineno, node.name + "." + n.name,
+                                     names, _defaulted(n, True)))
+    passed = {}  # call name -> (positional count, keyword names or None
+    #               for a call that spreads *args or **kwargs) per call
+    for source in list(modules.values()) + list(callers):
+        for call in ast.walk(ast.parse(source)):
+            name = isinstance(call, ast.Call) and _callee(call)
+            if name:
+                spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                          or any(k.arg is None for k in call.keywords))
+                passed.setdefault(name, []).append(
+                    (len(call.args), None if spread else
+                     {k.arg for k in call.keywords}))
+    unset = []
+    for mod, line, qualname, names, params in defs:
+        calls = [c for name in names for c in passed.get(name, ())]
+        for pos, param in params:
+            if not any(kw is None or param in kw
+                       or (pos is not None and pos < n) for n, kw in calls):
+                unset.append((mod, line, qualname + "." + param))
+    return sorted(unset)
+
+
+def test_no_unset_parameters():
+    modules = {p.name: p.read_text()
+               for p in sorted((ROOT / "src" / "hz").glob("*.py"))}
+    callers = [(ROOT / rel).read_text() for rel in ROOT_FILES]
+    unset = {name for _, _, name in unset_parameters(modules, callers)}
+    assert sorted(unset - set(PARAM_KEPT)) == []
+    # each kept parameter is still unset
+    assert sorted(set(PARAM_KEPT) - unset) == []
+
+
+def test_detector_sees_unset_parameters():
+    modules = {
+        "a.py": ("def f(x, unset=0, by_name=0, by_place=0):\n"
+                 "    pass\n"
+                 "def g(x, *, only_kw=None):\n"
+                 "    pass\n"
+                 "def h(x, spread=0):\n"
+                 "    pass\n"
+                 "class C:\n"
+                 "    def __init__(self, a, b=1):\n"
+                 "        pass\n"
+                 "    def m(self, c=2):\n"
+                 "        pass\n"
+                 "    @staticmethod\n"
+                 "    def s(c=3):\n"
+                 "        pass\n"
+                 "f(1, by_name=2)\n"
+                 "h(*args)\n"
+                 "C(1, 2).m()\n"),
+        "b.py": "from a import f\nf(1, 2, 3, 4)\n",
+    }
+    assert unset_parameters({"a.py": modules["a.py"]}) == [
+        ("a.py", 1, "f.by_place"), ("a.py", 1, "f.unset"),
+        ("a.py", 3, "g.only_kw"), ("a.py", 10, "C.m.c"),
+        ("a.py", 13, "C.s.c")]
+    assert unset_parameters(modules) == [
+        ("a.py", 3, "g.only_kw"), ("a.py", 10, "C.m.c"),
+        ("a.py", 13, "C.s.c")]
+    assert unset_parameters({"a.py": modules["a.py"]},
+                            callers=["g(0, only_kw=1)\nx.m(5)\nC.s(4)\n"]) == [
+        ("a.py", 1, "f.by_place"), ("a.py", 1, "f.unset")]
