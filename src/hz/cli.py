@@ -14,9 +14,7 @@ that finds no admissible prime.
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
 
 from . import qexp
 from .asai import (
@@ -35,6 +33,7 @@ from .hecke import (
     euler_report,
     expansion_from_eigensystem,
     lvalue_weight2,
+    read_rational,
     stabilize,
     stabilized_expansion,
 )
@@ -74,9 +73,6 @@ CURVES = {
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 3
-
-# a rational as hz writes it: "n", or "n/d" with d != 0
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?\Z")
 
 
 class CliError(Exception):
@@ -210,9 +206,11 @@ def cmd_diag_restrict(args):
 
 
 def _space_from_record(record, p, m, bound, ring):
+    others = record["others"]
+    if type(others) is not list:
+        raise CliError("others must be a list of eigensystem records, got %r" % (others,))
     target = eigensystem_from_json(record["target"])
-    systems = [target] + [eigensystem_from_json(o)
-                          for o in record["others"]]
+    systems = [target] + [eigensystem_from_json(o) for o in others]
     roots = [stabilize(system, p, m) for system in systems]
     basis = [stabilized_expansion(expansion_from_eigensystem(system, bound, ring),
                                   beta, p)
@@ -231,7 +229,7 @@ def _int_field(record, key, default=None):
 
 def _annihilation(record):
     """The (ell, a_ell) pairs of record["annihilation"]: ell an int prime,
-    a_ell an int or an "n" or "n/d" string, read as a Fraction."""
+    a_ell read by `read_rational`."""
     pairs = record["annihilation"]
     if type(pairs) is not list or not all(
             type(pair) is list and len(pair) == 2 for pair in pairs):
@@ -242,10 +240,7 @@ def _annihilation(record):
             raise CliError("an annihilation ell must be an integer, got %r"
                            % (ell,))
         _prime(ell, "an annihilation ell")
-        if not (type(a) is int or type(a) is str and _RATIONAL_TEXT.match(a)):
-            raise CliError("an annihilation eigenvalue must be an integer or "
-                           "\"n\" or \"n/d\" with d != 0, got %r" % (a,))
-    return [(ell, Fraction(a)) for ell, a in pairs]
+    return [(ell, read_rational(a, "an annihilation eigenvalue")) for ell, a in pairs]
 
 
 def cmd_lvalue(args):

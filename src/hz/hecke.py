@@ -10,6 +10,7 @@ other systems with Hecke operators and reading off the first coefficient."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -458,21 +459,44 @@ def eigensystem_to_json(system: EigenSystem) -> dict:
     }
 
 
-def eigensystem_from_json(obj: dict) -> EigenSystem:
-    def parse(s):
-        return Fraction(s) if "/" in s or s.lstrip("-").isdigit() else s
+# a rational as hz writes it: "n", or "n/d" with d != 0
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?\Z")
 
-    ap = {}
-    for k, v in obj["ap_table"]:
-        ap[int(k) if str(k).isdigit() else k] = parse(v)
-    character = None
-    if obj.get("character") is not None:
-        character = {int(k): parse(v) for k, v in obj["character"]}
+
+def read_rational(value, what: str) -> Fraction:
+    """value, an int or an "n" or "n/d" string with d != 0, as a Fraction;
+    HeckeError naming `what` otherwise."""
+    if not (type(value) is int or type(value) is str and _RATIONAL_TEXT.match(value)):
+        raise HeckeError("%s must be an integer or \"n\" or \"n/d\" with d != 0, "
+                         "got %r" % (what, value))
+    return Fraction(value)
+
+
+def _table(obj: dict, key: str, what: str) -> dict:
+    """The [k, value] pairs of obj[key] as a dict: k an int or a string (a
+    digit string read as its int), each value read by `read_rational`."""
+    pairs = obj[key]
+    if type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, str)
+            for pair in pairs):
+        raise HeckeError("%s must be a list of [key, value] pairs, got %r" % (key, pairs))
+    return {int(k) if str(k).isdigit() else k: read_rational(v, what) for k, v in pairs}
+
+
+def eigensystem_from_json(obj: dict) -> EigenSystem:
+    """The eigensystem that an `eigensystem_to_json` record describes;
+    HeckeError when the record is not one."""
+    if type(obj) is not dict:
+        raise HeckeError("an eigensystem record is a JSON object, got %r" % (obj,))
+    for key in ("weight", "level"):
+        if type(obj[key]) is not int:
+            raise HeckeError("an eigensystem %s must be an integer, got %r" % (key, obj[key]))
     return EigenSystem(
         label=obj["label"],
         weight=obj["weight"],
         level=obj["level"],
-        ap=ap,
-        character=character,
+        ap=_table(obj, "ap_table", "an eigenvalue"),
+        character=None if obj.get("character") is None
+        else _table(obj, "character", "a character value"),
         field_tag=obj.get("field", "elliptic"),
     )

@@ -10,7 +10,8 @@ coefficients fail loudly.
 Hilbert expansions live on the identity component, indexed by the totally
 positive elements of the inverse different with trace up to the trace
 bound.  Each field has one `HilbertDomain`: those elements in trace order,
-enumerated on demand as larger bounds are asked for.  An expansion stores
+enumerated on demand, each as its one key: the integer pair (a, b) with
+D*xi = a + b*omega (D the discriminant).  An expansion stores
 one coefficient per element (explicit zeros included) in a list aligned to
 a prefix of its field's domain, so a trace bound is a prefix length and the
 residue maps at a split prime are per-domain vectors aligned the same way.
@@ -293,8 +294,9 @@ class HilbertDomain:
 
     `offsets[t]` is the position where trace t starts, so the elements with
     trace <= T are the prefix of length `offsets[T + 1]`.  `index` maps the
-    integer key of an element to its position.  Residue vectors at split
-    primes are cached in the same order and extended as the domain grows."""
+    pair (a, b) of an element xi, D*xi = a + b*omega, to its position; that
+    pair is what `elements` holds.  Residue vectors at split primes are
+    cached in the same order and extended as the domain grows."""
 
     def __init__(self, F: RealQuadraticField):
         self.F = F
@@ -306,21 +308,24 @@ class HilbertDomain:
     def size(self, T: int) -> int:
         """Number of elements with trace <= T, enumerating them if needed."""
         while len(self.offsets) < T + 2:
-            t = len(self.offsets) - 1
-            for xi in totally_positive_by_trace(self.F, t):
-                self.index[_int_key(xi)] = len(self.elements)
-                self.elements.append(xi)
+            for key in totally_positive_by_trace(self.F, len(self.offsets) - 1):
+                self.index[key] = len(self.elements)
+                self.elements.append(key)
             self.offsets.append(len(self.elements))
         return self.offsets[max(T + 1, 0)]
 
     def residues(self, prime_data: PrimeIdealData, which, T: int):
         """Residues mod p^m at prime `which`, in domain order, through at
-        least trace T.  Denominators divide the discriminant, which is prime
-        to a split p, so the residue map applies directly."""
+        least trace T: (a + b*r) / D for the root r of omega at that prime.
+        D is prime to a split p, so it is inverted once."""
+        if which not in (1, 2):
+            raise QExpError("the prime above p is 1 or 2, not %r" % (which,))
         n = self.size(T)
         key = (prime_data.p, prime_data.m, prime_data.roots, which)
         vec = self._residues.setdefault(key, [])
-        vec.extend(prime_data.residue(xi, which) for xi in self.elements[len(vec):n])
+        pm, r = prime_data.p**prime_data.m, prime_data.roots[which - 1]
+        inv = pow(self.F.discriminant, -1, pm)
+        vec.extend((a + b * r) * inv % pm for a, b in self.elements[len(vec):n])
         return vec
 
 
@@ -334,16 +339,24 @@ def _domain(F: RealQuadraticField) -> HilbertDomain:
     return dom
 
 
-def _int_key(xi: QuadElement):
-    # reduced fractions are canonical, so this key identifies xi
-    return (xi.x.numerator, xi.x.denominator, xi.y.numerator, xi.y.denominator)
+def _element(F: RealQuadraticField, a: int, b: int) -> QuadElement:
+    """The element xi of the domain pair (a, b): D*xi = a + b*omega."""
+    return QuadElement(F, Fraction(a, F.discriminant), Fraction(b, F.discriminant))
+
+
+def _dense(F: RealQuadraticField, values: list) -> list:
+    """values, aligned to F's domain, once none of them is missing (None)."""
+    if None in values:
+        raise QExpError("dense storage violated: missing coefficient at %r"
+                        % (_element(F, *_domain(F).elements[values.index(None)]),))
+    return values
 
 
 def hilbert_domain(F: RealQuadraticField, T: int):
     """Totally positive elements of the inverse different with trace <= T,
     in canonical order (by trace, then coordinates)."""
     dom = _domain(F)
-    return tuple(dom.elements[: dom.size(T)])
+    return tuple(_element(F, a, b) for a, b in dom.elements[: dom.size(T)])
 
 
 class HilbertQExp:
@@ -357,17 +370,12 @@ class HilbertQExp:
     def __init__(self, F, weights, trace_bound, a0, coeffs, ring=RATIONAL):
         """`coeffs` maps (x, y) coordinates to values and must cover the
         whole domain up to the trace bound."""
-        dom, store = _domain(F), _checked(ring).store
-        values = []
-        for xi in dom.elements[: dom.size(trace_bound)]:
-            try:
-                values.append(store(coeffs[(xi.x, xi.y)]))
-            except KeyError:
-                raise QExpError(
-                    "dense storage violated: missing coefficient at %r" % (xi,)
-                ) from None
+        dom, store, D = _domain(F), _checked(ring).store, F.discriminant
+        # a Fraction with denominator 1 hashes and compares as its int
+        scaled = {(x * D, y * D): v for (x, y), v in coeffs.items()}
+        values = _dense(F, [scaled.get(key) for key in dom.elements[: dom.size(trace_bound)]])
         self.F, self.weights, self.trace_bound = F, tuple(weights), trace_bound
-        self.a0, self.coeffs, self.ring = store(a0), values, ring
+        self.a0, self.coeffs, self.ring = store(a0), [store(v) for v in values], ring
 
     @classmethod
     def _make(cls, F, weights, trace_bound, a0, coeffs, ring):
@@ -386,7 +394,7 @@ class HilbertQExp:
         return HilbertQExp._make(self.F, weights or self.weights, T, a0, coeffs, self.ring)
 
     def coefficient(self, xi: QuadElement):
-        i = _domain(self.F).index.get(_int_key(xi))
+        i = _domain(self.F).index.get((xi.x * self.F.discriminant, xi.y * self.F.discriminant))
         if i is None or i >= len(self.coeffs):
             raise BoundTooSmall("coefficient at %r beyond the trace bound" % (xi,))
         return self.ring.load(self.coeffs[i])
@@ -486,14 +494,11 @@ def _divisor_sigma(F: RealQuadraticField, norm: int, g: int, power: int) -> int:
     return total
 
 
-def _times_sqrt_d(F: RealQuadraticField, xi: QuadElement):
-    """(x, y) with xi*sqrt(D) = x + y*omega, from D*xi = X + Y*omega in
-    integers: y = Tr(xi) = (2X + Tr(omega) Y) / D and Y = 2x + Tr(omega) y."""
-    D, tw = F.discriminant, F.omega_trace
-    X = xi.x.numerator * (D // xi.x.denominator)
-    Y = xi.y.numerator * (D // xi.y.denominator)
-    y = (2 * X + tw * Y) // D
-    return (Y - tw * y) // 2, y
+def _times_sqrt_d(F: RealQuadraticField, a: int, b: int):
+    """(x, y) with xi*sqrt(D) = x + y*omega for D*xi = a + b*omega:
+    y = Tr(xi) = (2a + Tr(omega) b) / D and b = 2x + Tr(omega) y."""
+    y = (2 * a + F.omega_trace * b) // F.discriminant
+    return (b - F.omega_trace * y) // 2, y
 
 
 def _geom_sum(x: int, k: int) -> int:
@@ -517,8 +522,8 @@ def eisenstein_hilbert(F: RealQuadraticField, k: int, T: int) -> HilbertQExp:
     # the trace bound is zero; (xi) * different is the ideal of xi*sqrt(D),
     # and its divisor sum is computed once per distinct ideal key
     by_key, sigmas = {}, []
-    for xi in dom.elements[: dom.size(max(T, 1))]:
-        key = _ideal_key(F, *_times_sqrt_d(F, xi))
+    for a, b in dom.elements[: dom.size(max(T, 1))]:
+        key = _ideal_key(F, *_times_sqrt_d(F, a, b))
         sigma = by_key.get(key)
         if sigma is None:
             sigma = by_key[key] = _divisor_sigma(F, *key, k - 1)
@@ -615,9 +620,9 @@ def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     under the residue map at prime i; raises the weight by 2 in slot i.
     p-adic coefficients only."""
     dom = _prime_context(g, prime_data, "theta operators act on")
+    res = dom.residues(prime_data, i, g.trace_bound)
     w = list(g.weights)
     w[i - 1] += 2
-    res = dom.residues(prime_data, i, g.trace_bound)
     mul_residue = g.ring.mul_residue
     coeffs = [mul_residue(v, r) for v, r in zip(g.coeffs, res)]
     return g._derive(coeffs, g.ring.zero, weights=w)
@@ -661,13 +666,12 @@ def conjugate_ratio_partner(
 # JSON round trip
 
 
-def _fraction_key(s: str):
-    """(numerator, denominator) of the reduced fraction written "n/d"."""
-    num, den = map(int, s.split("/"))
-    if den <= 0 or math.gcd(num, den) != 1:
-        q = Fraction(num, den)  # reduces, fixes the sign, rejects zero
-        num, den = q.numerator, q.denominator
-    return num, den
+def _scaled(s: str, D: int):
+    """D*n/d for the coordinate written "n/d", or None when that is not an
+    integer (so no domain pair holds it)."""
+    num, den = s.split("/")
+    q, r = divmod(D * int(num), int(den))
+    return None if r else q
 
 
 def to_json(exp) -> dict:
@@ -695,7 +699,7 @@ def to_json(exp) -> dict:
             "a0": ring.dump(exp.a0),
             "entries": [
                 [[_frac_str(xi.x), _frac_str(xi.y)], ring.dump(v)]
-                for xi, v in zip(_domain(exp.F).elements, exp.coeffs)
+                for xi, v in zip(hilbert_domain(exp.F, exp.trace_bound), exp.coeffs)
             ],
         }
     raise QExpError("unknown expansion type")
@@ -722,7 +726,8 @@ def _int(value, what: str) -> int:
 def from_json(obj: dict, field: RealQuadraticField = None):
     """The expansion that a `to_json` record describes.  QExpError when the
     record is not one: not an object, an unknown ring, a value that the
-    ring's `parse` refuses, or a weight, level or bound that is not an int."""
+    ring's `parse` refuses, a weight, level or bound that is not an int, or
+    a Hilbert record whose "d" is not that of `field`."""
     if not isinstance(obj, dict):
         raise QExpError("an expansion record is a JSON object, not a %s" % type(obj).__name__)
     ring = _ring_from_json(obj["ring"])
@@ -745,18 +750,17 @@ def from_json(obj: dict, field: RealQuadraticField = None):
             T = _int(obj["trace_bound"], "trace_bound")
             if field is None:
                 field = make_field(obj["d"], h_plus=obj.get("h_plus"))
-            dom = _domain(field)
+            elif obj.get("d", field.d) != field.d:
+                raise QExpError("the record is over d = %r, not d = %d" % (obj["d"], field.d))
+            dom, D = _domain(field), field.discriminant
             n = dom.size(T)
             coeffs = [None] * n
             # entries may come in any order; those beyond the bound are ignored
             for (xs, ys), v in obj["entries"]:
-                i = dom.index.get(_fraction_key(xs) + _fraction_key(ys), n)
+                i = dom.index.get((_scaled(xs, D), _scaled(ys, D)), n)
                 if i < n:
                     coeffs[i] = parse(v)
-            for xi, c in zip(dom.elements, coeffs):
-                if c is None:
-                    raise QExpError("dense storage violated: missing coefficient at %r" % (xi,))
-            return HilbertQExp._make(field, weights, T, parse(obj["a0"]), coeffs, ring)
+            return HilbertQExp._make(field, weights, T, parse(obj["a0"]), _dense(field, coeffs), ring)
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise QExpError("malformed expansion record: %s" % exc) from None
     raise QExpError("unknown expansion type %r" % obj.get("type"))

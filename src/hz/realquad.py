@@ -453,21 +453,21 @@ def narrowly_principal_split(F: RealQuadraticField, p: int, height_bound: int = 
 
 
 def totally_positive_by_trace(F: RealQuadraticField, t: int):
-    """All totally positive elements of the inverse different with trace t,
-    sorted by (x, y) coordinates: xi = z/sqrt(D) for z = x + t*omega, and
-    with s = 2x + t*Tr(omega), 2z = s + t*sqrt(D), so xi >> 0 (z > 0 > z')
-    iff s^2 < t^2 D.  D*xi = z*sqrt(D) = -(Tr(omega) x + 2 N(omega) t) + s*omega."""
+    """All totally positive elements xi of the inverse different with trace
+    t, as the sorted pairs (a, b) with D*xi = a + b*omega: xi = z/sqrt(D) for
+    z = x + t*omega, and with s = 2x + t*Tr(omega), 2z = s + t*sqrt(D), so
+    xi >> 0 iff s^2 < t^2 D, and D*xi = -(Tr(omega) x + 2 N(omega) t) + s*omega."""
     if t < 1:
         return []
     D, tw, n = F.discriminant, F.omega_trace, F.omega_norm
     lim = isqrt(t * t * D)
-    numerators = []
+    pairs = []
     for s in range(-lim, lim + 1):
         if (s - t * tw) % 2 == 0 and s * s < t * t * D:
             x = (s - t * tw) // 2
-            numerators.append((-tw * x - 2 * n * t, s))
-    numerators.sort()
-    return [QuadElement(F, Fraction(a, D), Fraction(b, D)) for a, b in numerators]
+            pairs.append((-tw * x - 2 * n * t, s))
+    pairs.sort()
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pipeline_fixtures as fx
 from hz.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
@@ -206,6 +208,16 @@ class TestLValue:
         assert (code, out) == (EXIT_ERROR, "")
         assert "HeckeSpace certification: leading block not invertible" in err
 
+    def test_int_eigenvalues_print_as_their_strings(self, capsys, tmp_path):
+        outputs = []
+        for read in (str, int):
+            target = eigensystem_to_json(fx.TARGET_SYS)
+            target["ap_table"] = [[ell, read(a)] for ell, a in target["ap_table"]]
+            path = tmp_path / ("%s.json" % read.__name__)
+            path.write_text(json.dumps(_lvalue_record(target=target)))
+            outputs.append(run(capsys, ["lvalue", "--input", str(path)]))
+        assert outputs[0][0] == EXIT_OK and outputs[1] == outputs[0]
+
     def test_missing_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         code, _, err = run(capsys, ["lvalue", "--input", missing])
@@ -285,6 +297,16 @@ def _malformed(ring, **changes):
     return record
 
 
+def _eigen_changed(**changes):
+    """The target eigensystem record of `_lvalue_record` with `changes`
+    applied; a change to "ap_table" replaces the eigenvalue at 2."""
+    target = eigensystem_to_json(fx.TARGET_SYS)
+    if "ap_table" in changes:
+        target["ap_table"][0][1] = changes.pop("ap_table")
+    target.update(changes)
+    return target
+
+
 DERIVE = ["qexp-op", "--op", "derive"]
 HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
 
@@ -327,6 +349,14 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
                  id="lvalue-annihilation-not-a-list"),
     pytest.param(_lvalue_record(annihilation=[[2.7, "1"]]), ["lvalue"],
                  id="lvalue-annihilation-ell-float"),
+    pytest.param(_lvalue_record(hilbert=dict(_lvalue_record()["hilbert"], d=3)),
+                 ["lvalue"], id="lvalue-hilbert-other-field"),
+    pytest.param(_lvalue_record(others=5), ["lvalue"], id="lvalue-others-int"),
+    pytest.param(_lvalue_record(target=5), ["lvalue"], id="lvalue-target-int"),
+    pytest.param(_lvalue_record(target=_eigen_changed(weight="2")), ["lvalue"],
+                 id="lvalue-eigen-weight-string"),
+    pytest.param(_lvalue_record(target=_eigen_changed(ap_table="x")), ["lvalue"],
+                 id="lvalue-eigenvalue-word"),
 ])
 def test_malformed_records_are_input_errors(capsys, tmp_path, record, argv):
     path = tmp_path  # no record: the input is a directory
@@ -352,6 +382,47 @@ def test_malformed_hilbert_keys_are_input_errors(capsys, tmp_path, key):
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# -- lvalue records with one field deleted or replaced --------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+_LVALUE_RECORD = _lvalue_record()
+_EIGEN_FIELDS = sorted(_LVALUE_RECORD["target"])
+
+
+@st.composite
+def _changed_lvalue_records(draw):
+    """A valid `hz lvalue` record with one top-level field, or one field of
+    its target or other eigensystem, deleted or replaced by a JSON value."""
+    record = json.loads(json.dumps(_LVALUE_RECORD))
+    where = draw(st.sampled_from(["record", "target", "other"]))
+    obj = {"record": record, "target": record["target"],
+           "other": record["others"][0]}[where]
+    key = draw(st.sampled_from(sorted(record) if where == "record" else _EIGEN_FIELDS))
+    if draw(st.booleans()):
+        del obj[key]
+    else:
+        obj[key] = draw(_JSON_VALUES)
+    return record
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record=_changed_lvalue_records())
+def test_changed_lvalue_records_exit_cleanly(capsys, tmp_path, record):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["lvalue", "--input", str(path)])
+    assert code in (EXIT_OK, EXIT_ERROR)
+    assert "Traceback" not in err
+    if out:
+        json.loads(out)
 
 
 @pytest.mark.parametrize("argv, flag, value", [

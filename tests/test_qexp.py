@@ -46,8 +46,10 @@ from hz.qexp import (
     v_operator,
 )
 from hz.realquad import (
+    QuadElement,
     make_field,
     split_prime,
+    splitting_type,
     totally_positive_by_trace,
 )
 from hz.sieve import DESK_H_PLUS
@@ -898,10 +900,11 @@ class TestGrowingDomain:
             doms = {T: hilbert_domain(F5, T) for T in bounds}
         coords = {T: [(xi.x, xi.y) for xi in doms[T]] for T in bounds}
         for T in bounds:
+            D = F5.discriminant
             direct = [
-                (xi.x, xi.y)
+                (Fraction(a, D), Fraction(b, D))
                 for t in range(1, T + 1)
-                for xi in totally_positive_by_trace(F5, t)
+                for a, b in totally_positive_by_trace(F5, t)
             ]
             assert coords[T] == direct
             for T2 in bounds:
@@ -925,3 +928,66 @@ class TestGrowingDomain:
             assert g8.coeffs == g.coeffs[: len(hilbert_domain(F5, 8))]
             with pytest.raises(QExpError):
                 from_json(dict(obj, entries=obj["entries"][1:]), F5)
+
+
+class TestIntegerDomain:
+    """The domain's integer pairs (a, b), D*xi = a + b*omega, against the
+    element arithmetic of `hz.realquad` that they replace."""
+
+    @pytest.mark.parametrize("d, p", [(2, 7), (3, 11), (5, 11), (13, 17)])
+    def test_residues_match_the_element_residue_map(self, d, p):
+        F = make_field(d)
+        assert splitting_type(F, p) == "split"
+        elements = hilbert_domain(F, 30)
+        for m in (1, 4):
+            data = split_prime(F, p, m)
+            for which in (1, 2):
+                got = qexp._domain(F).residues(data, which, 30)[: len(elements)]
+                assert got == [data.residue(xi, which) for xi in elements]
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 17])
+    def test_times_sqrt_d_matches_the_element_product(self, d):
+        F = make_field(d)
+        D = F.discriminant
+        for a, b in qexp._domain(F).elements[: qexp._domain(F).size(30)]:
+            z = F.element(Fraction(a, D), Fraction(b, D)) * F.different_generator
+            assert qexp._times_sqrt_d(F, a, b) == (z.x, z.y)
+
+    def test_cold_paths_build_no_quad_elements(self, monkeypatch):
+        obj = to_json(random_hilbert(random.Random(125), T=20))
+        built = []
+        init = QuadElement.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(QuadElement, "__init__", counted)
+        with fresh_domains():
+            from_json(obj, F5)
+            eisenstein_hilbert(F5, 2, 40)
+            for which in (1, 2):
+                qexp._domain(F5).residues(P11, which, 40)
+        assert built == []
+        hilbert_domain(F5, 1)  # the edge builds them
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("op", [
+        lambda g: hilbert_deplete(g, P11, 3), lambda g: hilbert_deplete(g, P11, 0),
+        lambda g: theta_d(g, 3, P11), lambda g: theta_d(g, 0, P11),
+        lambda g: theta_d_inverse(hilbert_deplete(g, P11, 1), 3, P11),
+    ], ids=["deplete-3", "deplete-0", "theta-3", "theta-0", "theta-inverse-3"])
+    def test_prime_index_is_one_or_two(self, op):
+        with pytest.raises(QExpError, match="1 or 2"):
+            op(random_hilbert(random.Random(126), T=4))
+
+    def test_from_json_keys_off_the_lattice_and_other_fields(self):
+        obj = to_json(eisenstein_hilbert(F5, 2, 4))
+        assert to_json(from_json(obj, F5)) == obj
+        # D * 1/7 is no integer, so no element has this coordinate
+        off = json.loads(json.dumps(obj))
+        off["entries"][0][0][0] = "1/7"
+        with pytest.raises(QExpError, match="missing coefficient"):
+            from_json(off, F5)
+        with pytest.raises(QExpError, match="d = 13"):
+            from_json(dict(obj, d=13), F5)

@@ -241,10 +241,18 @@ def box_scan_by_trace(F, tmax):
     return found
 
 
+def by_trace(F, t):
+    """totally_positive_by_trace(F, t) as elements: xi = (a + b*omega)/D for
+    each pair (a, b)."""
+    D = F.discriminant
+    return [F.element(Fraction(a, D), Fraction(b, D))
+            for a, b in totally_positive_by_trace(F, t)]
+
+
 class TestTotallyPositiveByTrace:
     def test_d5_trace1_inverse_different(self):
         F = make_field(5)
-        elems = totally_positive_by_trace(F, 1)
+        elems = by_trace(F, 1)
         assert len(elems) == 2
         for xi in elems:
             assert xi.trace() == 1
@@ -262,7 +270,7 @@ class TestTotallyPositiveByTrace:
         F = make_field(d)
         want = box_scan_by_trace(F, 8)
         for t in range(1, 9):
-            got = totally_positive_by_trace(F, t)
+            got = by_trace(F, t)
             assert list(map(xy, got)) == list(map(xy, want[t])), (d, t)
 
     def test_wider_range_small_fields(self):
@@ -270,7 +278,7 @@ class TestTotallyPositiveByTrace:
         for d in (2, 5, 26, 47):
             F = make_field(d)
             for t in (15, 30):
-                got = totally_positive_by_trace(F, t)
+                got = by_trace(F, t)
                 for xi in got:
                     assert xi.trace() == t and xi.is_totally_positive()
                     assert (xi * F.different_generator).is_integral()
