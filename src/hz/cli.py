@@ -4,7 +4,7 @@ quintic Frobenius analysis, Hodge-Tate tables, and q-expansion operators.
 
 Machine output is JSON (sorted keys, no timestamps) so runs with identical
 inputs are byte-identical; --format table renders the same data as aligned
-plain text.  Every subcommand accepts --verify to re-run its independent
+plain text.  Every subcommand accepts --verify to run its independent
 cross-checks and fail nonzero on mismatch.
 
 Exit codes: 0 success, 1 input or verification error, 3 for a sieve run
@@ -12,6 +12,7 @@ that finds no admissible prime.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,6 +50,7 @@ from .qexp import (
     from_json,
     hecke_T,
     q_derivative,
+    required_key,
     to_json,
     u_operator,
     v_operator,
@@ -205,11 +207,16 @@ def cmd_diag_restrict(args):
 # weight-2 L-value pipeline
 
 
+def _required(record, key):
+    """record[key]; CliError when the record has no such key."""
+    return required_key(record, key, CliError)
+
+
 def _space_from_record(record, p, m, bound, ring):
-    others = record["others"]
+    others = _required(record, "others")
     if type(others) is not list:
         raise CliError("others must be a list of eigensystem records, got %r" % (others,))
-    target = eigensystem_from_json(record["target"])
+    target = eigensystem_from_json(_required(record, "target"))
     systems = [target] + [eigensystem_from_json(o) for o in others]
     roots = [stabilize(system, p, m) for system in systems]
     basis = [stabilized_expansion(expansion_from_eigensystem(system, bound, ring),
@@ -221,7 +228,7 @@ def _space_from_record(record, p, m, bound, ring):
 def _int_field(record, key, default=None):
     """record[key], or the default when the key is absent; CliError unless
     it is an int."""
-    value = record[key] if default is None else record.get(key, default)
+    value = _required(record, key) if default is None else record.get(key, default)
     if type(value) is not int:
         raise CliError("%s must be an integer, got %r" % (key, value))
     return value
@@ -230,7 +237,7 @@ def _int_field(record, key, default=None):
 def _annihilation(record):
     """The (ell, a_ell) pairs of record["annihilation"]: ell an int prime,
     a_ell read by `read_rational`."""
-    pairs = record["annihilation"]
+    pairs = _required(record, "annihilation")
     if type(pairs) is not list or not all(
             type(pair) is list and len(pair) == 2 for pair in pairs):
         raise CliError("annihilation must be a list of [ell, a_ell] pairs, "
@@ -254,17 +261,11 @@ def cmd_lvalue(args):
     h_plus = _int_field(record, "h_plus") if "h_plus" in record else None
     F = make_field(_int_field(record, "d"), h_plus=h_plus)
     prime = split_prime(F, p, m)
-    g = from_json(record["hilbert"], F)
+    g = from_json(_required(record, "hilbert"), F)
     space, target, roots = _space_from_record(record, p, m, bound, ring)
     annihilation = _annihilation(record)
-    value = lvalue_weight2(g, prime, target, roots, space, annihilation)
-    if args.verify:
-        doubled = lvalue_weight2(g.scale(PadicNumber(p, m, 2, 0)), prime,
-                                 target, roots, space, annihilation)
-        two = PadicNumber(p, m, 2, 0)
-        if not (doubled - two * value).is_zero():
-            print("pipeline is not linear in the input", file=sys.stderr)
-            return EXIT_ERROR
+    value = lvalue_weight2(g, prime, target, roots, space, annihilation,
+                           verify=args.verify)
     _emit({"p": p, "m": m, "value": _padic_json(value)}, args.format)
     return EXIT_OK
 
@@ -417,7 +418,10 @@ def cmd_qexp_op(args):
 # parser
 
 
+@functools.cache
 def build_parser():
+    """The `hz` parser, built on the first call and shared by later ones
+    (`parse_args` keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="hz",
         description="exact arithmetic toolkit: sieve, q-expansions, "
@@ -502,12 +506,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, AsaiError, QExpError, RealQuadError, PadicError,
-            SieveError, HeckeError, KeyError, json.JSONDecodeError) as exc:
+            SieveError, HeckeError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

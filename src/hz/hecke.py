@@ -31,6 +31,7 @@ from .qexp import (
     elliptic_twist,
     hecke_T,
     hilbert_deplete,
+    required_key,
     theta_d_inverse,
     twist_star,
     trivial_character,
@@ -65,6 +66,11 @@ class SingularBlock(HeckeError):
     working precision."""
 
 
+class LValueCheckFailed(HeckeError):
+    """A check of the weight-2 L-value on its own stage values failed; the
+    message names the check."""
+
+
 # ---------------------------------------------------------------------------
 # eigensystems and stabilization
 
@@ -83,7 +89,10 @@ class EigenSystem:
     def chi(self, ell: int):
         if self.character is None:
             return 1
-        return self.character[ell % self.level]
+        value = self.character.get(ell % self.level)
+        if value is None:
+            raise HeckeError("no character value supplied at %d" % (ell % self.level))
+        return value
 
     def a(self, ell: int):
         if ell not in self.ap:
@@ -423,12 +432,14 @@ def lvalue_weight2(
     fstar_roots,
     space: HeckeSpace,
     annihilation,
+    verify: bool = False,
 ) -> PadicNumber:
     """The weight-2 crystalline L-value pipeline: deplete at both primes,
     invert the first theta operator, twist by the (trivial) character,
     restrict to the diagonal, apply the weight-1 tame twist, project to the
     ordinary part and onto the target eigensystem, then divide the first
-    coefficient by the ordinary factor 1 - beta/alpha."""
+    coefficient by the ordinary factor 1 - beta/alpha.  With `verify`, the
+    stage values are checked by `_check_lvalue` before the value returns."""
     p, m = prime_data.p, space.ring.m
     depleted = hilbert_deplete(g, prime_data, "both")
     inverted = theta_d_inverse(depleted, 1, prime_data)
@@ -436,10 +447,37 @@ def lvalue_weight2(
     restricted = diagonal_restrict(twisted)
     tame = elliptic_twist(restricted, j=1)
     ordinary = e_ord(space, tame)
-    _, lambda1 = isotypic_project(space, ordinary, fstar, annihilation)
-    alpha_f, beta_f = fstar_roots
-    E = PadicNumber.one(p, m) - as_padic(beta_f, p, m) / as_padic(alpha_f, p, m)
-    return lambda1 / E
+    component, lambda1 = isotypic_project(space, ordinary, fstar, annihilation)
+    alpha_f, beta_f = (as_padic(root, p, m) for root in fstar_roots)
+    E = PadicNumber.one(p, m) - beta_f / alpha_f
+    value = lambda1 / E
+    if verify:
+        _check_lvalue(space, fstar, component, lambda1, alpha_f, beta_f, value)
+    return value
+
+
+def _check_lvalue(space, fstar, component, lambda1, alpha, beta, value):
+    """Three checks of one `lvalue_weight2` run on its own stage values,
+    each raising LValueCheckFailed that names it:
+    - isotypic component: the component equals lambda1 times the target's
+      stabilized expansion `space.basis[0]` at every n <= the space's bound;
+    - Hecke polynomial: alpha + beta = a_p(target), alpha * beta = p and
+      v(alpha) = 0.  This is X^2 - a_p X + chi(p) p^(k-1) at weight k = 2
+      with trivial character chi, which this check assumes;
+    - ordinary factor: value * (1 - beta * alpha^-1) = lambda1, by
+      multiplication, not by the division that made the value."""
+    ring, p = space.ring, space.ring.p
+    residual = component - space.basis[0].scale(lambda1)
+    for n, c in enumerate(residual.coeffs):
+        if c != ring.zero:
+            raise LValueCheckFailed("isotypic component check failed: the component "
+                                    "is not lambda1 times the target at n = %d" % n)
+    if alpha.valuation() != 0 or alpha + beta != Fraction(fstar.a(p)) or alpha * beta != p:
+        raise LValueCheckFailed("Hecke polynomial check failed: alpha, beta are not the "
+                                "unit root and the other root of X^2 - a_p X + p")
+    if value * (PadicNumber.one(p, ring.m) - beta * alpha.inverse()) != lambda1:
+        raise LValueCheckFailed("ordinary factor check failed: value * (1 - beta/alpha) "
+                                "is not lambda1")
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +513,7 @@ def read_rational(value, what: str) -> Fraction:
 def _table(obj: dict, key: str, what: str) -> dict:
     """The [k, value] pairs of obj[key] as a dict: k an int or a string (a
     digit string read as its int), each value read by `read_rational`."""
-    pairs = obj[key]
+    pairs = required_key(obj, key, HeckeError)
     if type(pairs) is not list or not all(
             type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, str)
             for pair in pairs):
@@ -489,10 +527,10 @@ def eigensystem_from_json(obj: dict) -> EigenSystem:
     if type(obj) is not dict:
         raise HeckeError("an eigensystem record is a JSON object, got %r" % (obj,))
     for key in ("weight", "level"):
-        if type(obj[key]) is not int:
+        if type(required_key(obj, key, HeckeError)) is not int:
             raise HeckeError("an eigensystem %s must be an integer, got %r" % (key, obj[key]))
     return EigenSystem(
-        label=obj["label"],
+        label=required_key(obj, "label", HeckeError),
         weight=obj["weight"],
         level=obj["level"],
         ap=_table(obj, "ap_table", "an eigenvalue"),

@@ -52,7 +52,7 @@ __all__ = [
     "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
     "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
     "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "twist_star", "trivial_character", "theta_d", "theta_d_inverse",
-    "conjugate_ratio_partner", "to_json", "from_json", "PrimeIdealData", "split_prime", "PadicNumber",
+    "conjugate_ratio_partner", "to_json", "from_json", "required_key", "PrimeIdealData", "split_prime", "PadicNumber",
 ]
 
 
@@ -371,8 +371,8 @@ class HilbertQExp:
         """`coeffs` maps (x, y) coordinates to values and must cover the
         whole domain up to the trace bound."""
         dom, store, D = _domain(F), _checked(ring).store, F.discriminant
-        # a Fraction with denominator 1 hashes and compares as its int
-        scaled = {(x * D, y * D): v for (x, y), v in coeffs.items()}
+        scaled = {(_over(x.numerator, x.denominator, D), _over(y.numerator, y.denominator, D)): v
+                  for (x, y), v in coeffs.items()}
         values = _dense(F, [scaled.get(key) for key in dom.elements[: dom.size(trace_bound)]])
         self.F, self.weights, self.trace_bound = F, tuple(weights), trace_bound
         self.a0, self.coeffs, self.ring = store(a0), [store(v) for v in values], ring
@@ -666,12 +666,24 @@ def conjugate_ratio_partner(
 # JSON round trip
 
 
-def _scaled(s: str, D: int):
-    """D*n/d for the coordinate written "n/d", or None when that is not an
-    integer (so no domain pair holds it)."""
-    num, den = s.split("/")
-    q, r = divmod(D * int(num), int(den))
+def _over(num: int, den: int, D: int):
+    """D*num/den, or None when that is not an integer (so no domain pair
+    holds the coordinate num/den)."""
+    q, r = divmod(D * num, den)
     return None if r else q
+
+
+def _scaled(s: str, D: int):
+    """D*n/d for the coordinate written "n/d", as `_over` gives it."""
+    num, den = s.split("/")
+    return _over(int(num), int(den), D)
+
+
+def required_key(record: dict, key: str, error):
+    """record[key]; raises `error` naming the key when the record has none."""
+    if key not in record:
+        raise error("missing record key %r" % (key,))
+    return record[key]
 
 
 def to_json(exp) -> dict:
@@ -689,6 +701,9 @@ def to_json(exp) -> dict:
             "coeffs": [ring.dump(c) for c in exp.coeffs],
         }
     if isinstance(exp, HilbertQExp):
+        D, pairs = exp.F.discriminant, _domain(exp.F).elements[: len(exp.coeffs)]
+        # each distinct coordinate a of a pair (a, b) is written once, as a/D
+        text = {a: _frac_str(Fraction(a, D)) for a in {a for pair in pairs for a in pair}}
         return {
             "type": "hilbert",
             "d": exp.F.d,
@@ -697,10 +712,7 @@ def to_json(exp) -> dict:
             "trace_bound": exp.trace_bound,
             "ring": ring.to_json(),
             "a0": ring.dump(exp.a0),
-            "entries": [
-                [[_frac_str(xi.x), _frac_str(xi.y)], ring.dump(v)]
-                for xi, v in zip(hilbert_domain(exp.F, exp.trace_bound), exp.coeffs)
-            ],
+            "entries": [[[text[a], text[b]], ring.dump(v)] for (a, b), v in zip(pairs, exp.coeffs)],
         }
     raise QExpError("unknown expansion type")
 
@@ -725,42 +737,52 @@ def _int(value, what: str) -> int:
 
 def from_json(obj: dict, field: RealQuadraticField = None):
     """The expansion that a `to_json` record describes.  QExpError when the
-    record is not one: not an object, an unknown ring, a value that the
+    record is not one: not an object, a missing key, an unknown ring, a value that the
     ring's `parse` refuses, a weight, level or bound that is not an int, or
     a Hilbert record whose "d" is not that of `field`."""
     if not isinstance(obj, dict):
         raise QExpError("an expansion record is a JSON object, not a %s" % type(obj).__name__)
-    ring = _ring_from_json(obj["ring"])
+
+    def need(key):
+        return required_key(obj, key, QExpError)
+
+    ring = _ring_from_json(need("ring"))
     parse = ring.parse
     try:
-        if obj["type"] == "elliptic":
+        if need("type") == "elliptic":
             character = None
             if obj.get("character") is not None:
                 character = {_int(k, "a character key"): ring.load(parse(v))
                              for k, v in obj["character"]}
-            coeffs = [parse(c) for c in obj["coeffs"]]
+            coeffs = [parse(c) for c in need("coeffs")]
             return EllipticQExp._make(
-                _int(obj["weight"], "weight"), _int(obj["level"], "level"),
-                _int(obj["bound"], "bound"), coeffs, ring, character,
+                _int(need("weight"), "weight"), _int(need("level"), "level"),
+                _int(need("bound"), "bound"), coeffs, ring, character,
             )
         if obj["type"] == "hilbert":
-            weights = [_int(w, "a weight") for w in obj["weights"]]
+            weights = [_int(w, "a weight") for w in need("weights")]
             if len(weights) != 2:
                 raise ValueError("weights must be two integers, got %r" % (weights,))
-            T = _int(obj["trace_bound"], "trace_bound")
+            T = _int(need("trace_bound"), "trace_bound")
             if field is None:
-                field = make_field(obj["d"], h_plus=obj.get("h_plus"))
+                field = make_field(need("d"), h_plus=obj.get("h_plus"))
             elif obj.get("d", field.d) != field.d:
                 raise QExpError("the record is over d = %r, not d = %d" % (obj["d"], field.d))
             dom, D = _domain(field), field.discriminant
             n = dom.size(T)
             coeffs = [None] * n
+            # "n/d" text -> D*n/d, so that each distinct coordinate string is
+            # parsed once (a T = 60 record has 4,092 entries but 351 strings)
+            scaled = {}
             # entries may come in any order; those beyond the bound are ignored
-            for (xs, ys), v in obj["entries"]:
-                i = dom.index.get((_scaled(xs, D), _scaled(ys, D)), n)
+            for (xs, ys), v in need("entries"):
+                x = scaled[xs] if xs in scaled else scaled.setdefault(xs, _scaled(xs, D))
+                y = scaled[ys] if ys in scaled else scaled.setdefault(ys, _scaled(ys, D))
+                i = dom.index.get((x, y), n)
                 if i < n:
                     coeffs[i] = parse(v)
-            return HilbertQExp._make(field, weights, T, parse(obj["a0"]), _dense(field, coeffs), ring)
+            a0 = parse(need("a0"))
+            return HilbertQExp._make(field, weights, T, a0, _dense(field, coeffs), ring)
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise QExpError("malformed expansion record: %s" % exc) from None
     raise QExpError("unknown expansion type %r" % obj.get("type"))

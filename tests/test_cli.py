@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pipeline_fixtures as fx
+from hz import cli, hecke
 from hz.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
 from hz.hecke import eigensystem_to_json
 from hz.padic import PadicNumber
@@ -24,6 +26,13 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestHtTable:
@@ -224,6 +233,84 @@ class TestLValue:
         assert code == EXIT_ERROR
         assert "nope.json" in err
 
+    def test_verify_runs_the_pipeline_once(self, capsys, tmp_path, monkeypatch):
+        path, expected = self.make_input(tmp_path, 123)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return hecke.lvalue_weight2(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lvalue_weight2", counted)
+        code, out, _ = run(capsys, ["lvalue", "--input", path, "--verify"])
+        assert (code, json.loads(out)["value"]) == (EXIT_OK, [expected.unit, expected.val])
+        assert calls == [{"verify": True}]
+
+    @pytest.mark.parametrize("owner, name, mutant, check", [
+        (hecke, "isotypic_project", lambda: _no_annihilation, "isotypic component"),
+        (cli, "lvalue_weight2", lambda: _swapped_roots, "Hecke polynomial"),
+        (cli, "lvalue_weight2", lambda: _times_ordinary_factor(), "ordinary factor"),
+    ], ids=["no-annihilation", "swapped-roots", "times-ordinary-factor"])
+    def test_verify_catches_a_wrong_value(self, capsys, tmp_path, monkeypatch,
+                                          owner, name, mutant, check):
+        """Each mutant prints a wrong value without --verify, and --verify
+        exits 1 naming the check that failed."""
+        path, expected = self.make_input(tmp_path, 123)
+        monkeypatch.setattr(owner, name, mutant())
+        code, out, _ = run(capsys, ["lvalue", "--input", path])
+        assert code == EXIT_OK and json.loads(out)["value"] != [expected.unit, expected.val]
+        code, out, err = run(capsys, ["lvalue", "--input", path, "--verify"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: %s check failed" % check) and err.count("\n") == 1
+
+    def test_a_key_error_inside_the_pipeline_propagates(self, tmp_path, monkeypatch):
+        """A KeyError from a bug is not taken for a missing record key."""
+        path, _ = self.make_input(tmp_path, 123)
+
+        def broken(*args, **kwargs):
+            raise KeyError("a bug, not an input error")
+
+        monkeypatch.setattr(cli, "lvalue_weight2", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["lvalue", "--input", path])
+
+
+def _no_annihilation(space, phi, target, annihilation):
+    """`isotypic_project` without its annihilation loop."""
+    component = space.combine(space.coordinates(phi))
+    return component, component[1]
+
+
+def _swapped_roots(g, prime, target, roots, *args, **kwargs):
+    """`lvalue_weight2` given (beta, alpha) in place of (alpha, beta)."""
+    return hecke.lvalue_weight2(g, prime, target, roots[::-1], *args, **kwargs)
+
+
+def _times_ordinary_factor():
+    """`lvalue_weight2` with lambda1 * E in place of lambda1 / E."""
+    source = inspect.getsource(hecke.lvalue_weight2)
+    assert source.count("lambda1 / E") == 1
+    namespace = dict(vars(hecke))
+    exec(source.replace("lambda1 / E", "lambda1 * E"), namespace)
+    return namespace["lvalue_weight2"]
+
+
+def test_parser_is_built_once(capsys):
+    """Later `main` calls reuse the first call's parser, also after one that
+    ends in an argparse error, and print what a fresh process prints."""
+    cli.build_parser.cache_clear()
+    argv = ["ht-table", "--weight", "3"]
+    first = run(capsys, argv)
+    with pytest.raises(SystemExit):
+        main(["ht-table"])  # --weight is required
+    assert "required" in capsys.readouterr().err
+    assert run(capsys, ["asai", "--p", "7"])[0] == EXIT_OK
+    last = run(capsys, argv)
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = subprocess.run([sys.executable, "-m", "hz.cli"] + argv,
+                           capture_output=True, text=True, env=src_env())
+    assert [fresh.returncode, fresh.stdout] == list(last[:2]) == list(first[:2])
+
 
 class TestQExpOp:
     def store(self, tmp_path):
@@ -351,12 +438,18 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
                  id="lvalue-annihilation-ell-float"),
     pytest.param(_lvalue_record(hilbert=dict(_lvalue_record()["hilbert"], d=3)),
                  ["lvalue"], id="lvalue-hilbert-other-field"),
+    *(pytest.param(_lvalue_record(hilbert={k: v for k, v in _lvalue_record()["hilbert"].items()
+                                           if k != key}),
+                   ["lvalue"], id="lvalue-hilbert-no-%s" % key)
+      for key in ("entries", "ring", "a0")),
     pytest.param(_lvalue_record(others=5), ["lvalue"], id="lvalue-others-int"),
     pytest.param(_lvalue_record(target=5), ["lvalue"], id="lvalue-target-int"),
     pytest.param(_lvalue_record(target=_eigen_changed(weight="2")), ["lvalue"],
                  id="lvalue-eigen-weight-string"),
     pytest.param(_lvalue_record(target=_eigen_changed(ap_table="x")), ["lvalue"],
                  id="lvalue-eigenvalue-word"),
+    pytest.param(_lvalue_record(target=_eigen_changed(character=[])), ["lvalue"],
+                 id="lvalue-eigen-character-empty"),
 ])
 def test_malformed_records_are_input_errors(capsys, tmp_path, record, argv):
     path = tmp_path  # no record: the input is a directory
@@ -471,11 +564,8 @@ def test_commands_never_import_sympy(tmp_path):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        codes.append(main(argv))\n"
               "print(json.dumps([codes, 'sympy' in sys.modules]))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=src_env(), check=True)
     assert json.loads(done.stdout) == [[EXIT_OK] * len(argvs), False], done.stderr
 
 

@@ -929,6 +929,29 @@ class TestGrowingDomain:
             with pytest.raises(QExpError):
                 from_json(dict(obj, entries=obj["entries"][1:]), F5)
 
+    def test_from_json_reads_unreduced_keys_in_any_order(self):
+        """Every key unreduced ("4/10" for "2/5"), by multipliers that vary
+        from entry to entry so one element has several spellings, and the
+        entries shuffled: the same coefficients load."""
+        rng = random.Random(113)
+        g = mixed_hilbert(rng, T=20)
+        obj = to_json(g)
+        # to_json writes each key as the element's reduced coordinates
+        assert [key for key, _ in obj["entries"]] == [
+            ["%d/%d" % (c.numerator, c.denominator) for c in (xi.x, xi.y)]
+            for xi in hilbert_domain(F5, 20)]
+        entries = []
+        for key, value in obj["entries"]:
+            scaled = []
+            for text in key:
+                k = rng.choice([2, 5, -3])
+                num, den = text.split("/")
+                scaled.append("%d/%d" % (k * int(num), k * int(den)))
+            entries.append([scaled, value])
+        rng.shuffle(entries)
+        loaded = from_json(dict(obj, entries=entries), F5)
+        assert (loaded.a0, loaded.coeffs) == (g.a0, g.coeffs)
+
 
 class TestIntegerDomain:
     """The domain's integer pairs (a, b), D*xi = a + b*omega, against the
