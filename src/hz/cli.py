@@ -4,8 +4,9 @@ quintic Frobenius analysis, Hodge-Tate tables, and q-expansion operators.
 
 Machine output is JSON (sorted keys, no timestamps) so runs with identical
 inputs are byte-identical; --format table renders the same data as aligned
-plain text.  Every subcommand accepts --verify to run its independent
-cross-checks and fail nonzero on mismatch.
+plain text (qexp-op prints JSON only).  Every subcommand accepts --verify to
+run its independent cross-checks and fail nonzero on mismatch; qexp-op has
+checks for --op u, deplete and derive, and refuses --verify with the others.
 
 Exit codes: 0 success, 1 input or verification error, 3 for a sieve run
 that finds no admissible prime.
@@ -57,7 +58,6 @@ from .qexp import (
 )
 from .realquad import RealQuadError, make_field, split_prime
 from .sieve import (
-    DESK_H_PLUS,
     EllipticCurveData,
     SieveError,
     find_admissible,
@@ -148,10 +148,7 @@ def _resolve_curve(args):
 def cmd_sieve(args):
     quintic = _int_list(args.quintic)
     E = _resolve_curve(args)
-    h_plus = args.h_plus
-    if h_plus is None and args.d == 2869:
-        h_plus = DESK_H_PLUS
-    F = make_field(args.d, h_plus=h_plus)
+    F = make_field(args.d)
     run = find_admissible(F, quintic, E, args.pmin, args.pmax,
                           height_bound=args.height_bound)
     if args.verify:
@@ -180,7 +177,7 @@ def cmd_sieve(args):
 
 
 def cmd_diag_restrict(args):
-    F = make_field(args.d, h_plus=args.h_plus)
+    F = make_field(args.d)
     g = eisenstein_hilbert(F, args.eisenstein, args.trace_bound)
     r = diagonal_restrict(g)
     record = {
@@ -258,8 +255,8 @@ def cmd_lvalue(args):
     m = _int_field(record, "m", 4)
     bound = _int_field(record, "bound")
     ring = qexp.padic_ring(p, m)
-    h_plus = _int_field(record, "h_plus") if "h_plus" in record else None
-    F = make_field(_int_field(record, "d"), h_plus=h_plus)
+    _int_field(record, "h_plus", 0)  # accepted as an integer and ignored
+    F = make_field(_int_field(record, "d"))
     prime = split_prime(F, p, m)
     g = from_json(_required(record, "hilbert"), F)
     space, target, roots = _space_from_record(record, p, m, bound, ring)
@@ -371,6 +368,8 @@ def cmd_ht_table(args):
 
 
 def cmd_qexp_op(args):
+    if args.verify and args.op in ("v", "twist", "hecke"):
+        raise CliError("--verify has no check for --op %s" % args.op)
     record = _load_json(args.input)
     f = from_json(record)
     if not isinstance(f, EllipticQExp):
@@ -436,7 +435,6 @@ def build_parser():
 
     p = sub.add_parser("sieve", help="search for admissible primes")
     p.add_argument("--d", type=int, default=2869)
-    p.add_argument("--h-plus", type=int, default=None)
     p.add_argument("--quintic", default="1,0,0,0,-1,-1")
     p.add_argument("--curve", default="11a")
     p.add_argument("--weierstrass", default=None,
@@ -452,7 +450,6 @@ def build_parser():
     p = sub.add_parser("diag-restrict",
                        help="restrict an Eisenstein series to the diagonal")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--h-plus", type=int, default=None)
     p.add_argument("--eisenstein", type=int, required=True,
                    help="parallel weight (2 or 4)")
     p.add_argument("--trace-bound", type=int, required=True)
@@ -499,7 +496,8 @@ def build_parser():
     p.add_argument("-p", type=int, default=None)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--j", type=int, default=0)
-    add_common(p)
+    p.add_argument("--verify", action="store_true",
+                   help="run the operator's cross-check (u, deplete, derive)")
     p.set_defaults(func=cmd_qexp_op)
 
     return parser

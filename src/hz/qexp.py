@@ -47,7 +47,7 @@ from .realquad import (
 # the operators take and the p-adic values that f[n] and coefficient return
 __all__ = [
     "QExpError", "BoundTooSmall", "ExactRingUnsupported", "CharacterDomainMismatch", "NotDepleted",
-    "ClassNumberUnsupported", "RATIONAL", "padic_ring", "EllipticQExp",
+    "RATIONAL", "padic_ring", "EllipticQExp",
     "u_operator", "v_operator", "deplete", "elliptic_twist",
     "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
     "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
@@ -73,10 +73,6 @@ class CharacterDomainMismatch(QExpError):
 
 
 class NotDepleted(QExpError):
-    pass
-
-
-class ClassNumberUnsupported(QExpError):
     pass
 
 
@@ -510,13 +506,18 @@ def eisenstein_hilbert(F: RealQuadraticField, k: int, T: int) -> HilbertQExp:
     """Parallel-weight-k Eisenstein expansion: coefficient at xi is the sum
     of N(c)^{k-1} over integral ideals c containing (xi) * different; the
     constant term is calibrated so the diagonal restriction lands in the
-    one-dimensional level-1 space of weight 2k (so k in {2, 4})."""
+    one-dimensional level-1 space of weight 2k (so k in {2, 4}).
+
+    The narrow class number plays no part.  On the identity component the
+    Hilbert Eisenstein series of parallel weight k has coefficients
+    sigma_{k-1}((xi) * different) and constant term zeta_F(1-k)/4 for every
+    real quadratic F, whatever h+ is (Dasgupta-Darmon-Pollack, "Hilbert
+    modular forms and the Gross-Stark conjecture", Ann. of Math. 174, 2011,
+    Prop. 2.1, with trivial characters; Bruinier, "Hilbert modular forms and
+    their applications", 2008).  So the calibrated a0 is zeta_F(-1)/4 at
+    k = 2, which `eisenstein_normalization_constant` checks field by field."""
     if 2 * k not in _EISENSTEIN_LEADING:
         raise QExpError("supported parallel weights: k in {2, 4}")
-    if F.h_plus is None:
-        raise ClassNumberUnsupported(
-            "narrow class number unknown; supply it in the field record"
-        )
     dom = _domain(F)
     # the trace-1 coefficients calibrate a0, so they are computed even when
     # the trace bound is zero; (xi) * different is the ideal of xi*sqrt(D),
@@ -707,7 +708,6 @@ def to_json(exp) -> dict:
         return {
             "type": "hilbert",
             "d": exp.F.d,
-            "h_plus": exp.F.h_plus,
             "weights": list(exp.weights),
             "trace_bound": exp.trace_bound,
             "ring": ring.to_json(),
@@ -765,7 +765,7 @@ def from_json(obj: dict, field: RealQuadraticField = None):
                 raise ValueError("weights must be two integers, got %r" % (weights,))
             T = _int(need("trace_bound"), "trace_bound")
             if field is None:
-                field = make_field(need("d"), h_plus=obj.get("h_plus"))
+                field = make_field(need("d"))
             elif obj.get("d", field.d) != field.d:
                 raise QExpError("the record is over d = %r, not d = %d" % (obj["d"], field.d))
             dom, D = _domain(field), field.discriminant

@@ -1,6 +1,6 @@
 """Arithmetic of a real quadratic field: integers, units, prime splitting,
-narrow class data, narrow principality with explicit witnesses, and
-enumeration of totally positive lattice elements by trace.
+narrow principality with explicit witnesses, and enumeration of totally
+positive lattice elements by trace.
 
 Conventions: the two real embeddings are ordered so that the first one
 sends sqrt(d) to the positive square root.  "Totally positive" means
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .padic import divisors, factorize, lift_root, n_order
+from .padic import factorize, lift_root, n_order
 
 
 class RealQuadError(ArithmeticError):
@@ -35,7 +35,7 @@ class NotSplit(RealQuadError):
 class RealQuadraticField:
     """Q(sqrt(d)) for squarefree d > 1, with integral basis (1, omega)."""
 
-    def __init__(self, d: int, h_plus=None):
+    def __init__(self, d: int):
         if d <= 1:
             raise NotSquarefree("need d > 1")
         if any(e > 1 for _, e in factorize(d)):
@@ -60,12 +60,6 @@ class RealQuadraticField:
         # sqrt(D) = 2*omega - Tr(omega): 2*sqrt(d) for d = 2,3 mod 4, sqrt(d)
         # for d = 1 mod 4
         self.different_generator = QuadElement(self, Fraction(-self.omega_trace), Fraction(2))
-        if h_plus is not None:
-            self.h_plus = int(h_plus)
-        elif self.discriminant <= 400:
-            self.h_plus = narrow_class_number(self.discriminant)
-        else:
-            self.h_plus = None  # must be supplied for large discriminants
 
     def element(self, x, y=0) -> "QuadElement":
         return QuadElement(self, Fraction(x), Fraction(y))
@@ -288,7 +282,7 @@ def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
 
 
 # ---------------------------------------------------------------------------
-# indefinite binary quadratic forms: reduction, cycles, narrow class number
+# indefinite binary quadratic forms: reduction and cycles
 
 
 def _is_reduced(a: int, b: int, c: int, D: int) -> bool:
@@ -303,10 +297,12 @@ def _is_reduced(a: int, b: int, c: int, D: int) -> bool:
     return True
 
 
-def _rho(a: int, b: int, c: int, D: int):
+def _rho(form, U, D: int):
     """One reduction step (a,b,c) -> (c, r, (r^2-D)/(4c)) with the standard
-    choice of r = -b mod 2|c|; returns the new form and the integer s with
-    r = -b + 2*c*s (for transformation tracking)."""
+    choice of r = -b mod 2|c|, and U in GL2(Z) carried along: with
+    r = -b + 2*c*s, the substitution x -> -y', y -> x' + s y' multiplies U
+    on the right by [[0, -1], [1, s]]."""
+    a, b, c = form
     sq = isqrt(D)
     ac = abs(c)
     if ac > sq:
@@ -319,77 +315,33 @@ def _rho(a: int, b: int, c: int, D: int):
         r = (-b) % (2 * ac)
         r += ((sq - r) // (2 * ac)) * (2 * ac)
     s = (r + b) // (2 * c)
-    a2, b2, c2 = c, r, (r * r - D) // (4 * c)
-    return (a2, b2, c2), s
+    (u, v), (w, x) = U
+    return (c, r, (r * r - D) // (4 * c)), [[v, s * v - u], [x, s * x - w]]
 
 
 def _reduce_form(a: int, b: int, c: int, D: int, max_steps: int = 10**5):
     """Reduce, tracking U in GL2(Z) with f_reduced(v) = f_original(U v)."""
-    U = [[1, 0], [0, 1]]
+    f, U = (a, b, c), [[1, 0], [0, 1]]
     steps = 0
-    while not _is_reduced(a, b, c, D):
-        (a, b, c), s = _rho(a, b, c, D)
-        # substitution x -> -y', y -> x' + s y'
-        M = [[0, -1], [1, s]]
-        U = [
-            [U[0][0] * M[0][0] + U[0][1] * M[1][0], U[0][0] * M[0][1] + U[0][1] * M[1][1]],
-            [U[1][0] * M[0][0] + U[1][1] * M[1][0], U[1][0] * M[0][1] + U[1][1] * M[1][1]],
-        ]
+    while not _is_reduced(*f, D):
+        f, U = _rho(f, U, D)
         steps += 1
         if steps > max_steps:
             raise RealQuadError("form reduction did not terminate")
-    return (a, b, c), U
+    return f, U
 
 
 def _cycle_of(form, D: int, max_steps: int = 10**6):
     """The rho-cycle through a reduced form, with transformations relative
     to the starting form."""
     out = []
-    U = [[1, 0], [0, 1]]
-    f = form
+    f, U = form, [[1, 0], [0, 1]]
     for _ in range(max_steps):
         out.append((f, U))
-        f2, s = _rho(*f, D)
-        M = [[0, -1], [1, s]]
-        U = [
-            [U[0][0] * M[0][0] + U[0][1] * M[1][0], U[0][0] * M[0][1] + U[0][1] * M[1][1]],
-            [U[1][0] * M[0][0] + U[1][1] * M[1][0], U[1][0] * M[0][1] + U[1][1] * M[1][1]],
-        ]
-        if f2 == form:
+        f, U = _rho(f, U, D)
+        if f == form:
             return out
-        f = f2
     raise RealQuadError("form cycle did not close")
-
-
-def _all_reduced_forms(D: int):
-    forms = []
-    sq = isqrt(D)
-    for b in range(1, sq + 1):
-        if (b - D) % 2:
-            continue
-        prod4 = b * b - D  # = 4ac < 0
-        if prod4 % 4:
-            continue
-        prod = prod4 // 4
-        for a in divisors(-prod):
-            for aa in (a, -a):
-                c = prod // aa
-                if _is_reduced(aa, b, c, D):
-                    forms.append((aa, b, c))
-    return forms
-
-
-def narrow_class_number(D: int) -> int:
-    """Number of rho-cycles of reduced indefinite forms of discriminant D
-    (D a fundamental discriminant)."""
-    forms = set(_all_reduced_forms(D))
-    cycles = 0
-    while forms:
-        f = next(iter(forms))
-        cycles += 1
-        for g, _ in _cycle_of(f, D):
-            forms.discard(g)
-    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +431,7 @@ def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadEle
     the first prime above a split p."""
     if prime_data.splitting_type != "split":
         raise NotSplit("unit order requires a split prime")
-    if abs(u.norm()) != 1 or not u.is_integral_unit():
+    if not u.is_integral_unit():
         raise RealQuadError("u must be a unit of the ring of integers")
     p = prime_data.p
     if prime_data.m != 1:
@@ -494,4 +446,7 @@ def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadEle
 
 
 def make_field(d: int, h_plus=None) -> RealQuadraticField:
-    return RealQuadraticField(d, h_plus=h_plus)
+    """Q(sqrt(d)).  `h_plus` is accepted and ignored: nothing in hz reads
+    the narrow class number, and the keyword stays only because
+    perfbench/test_perfbench.py still passes it."""
+    return RealQuadraticField(d)

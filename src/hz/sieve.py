@@ -78,13 +78,10 @@ CURVE_11A1 = EllipticCurveData(0, -1, 1, -10, -20, conductor=11)
 
 DESK_QUINTIC = (1, 0, 0, 0, -1, -1)
 DESK_FIELD_D = 2869
-# narrow class number of Q(sqrt 2869), computed once from the reduced-form
-# cycle count of discriminant 2869 and pinned here
-DESK_H_PLUS = 2
 
 
 def desk_field() -> RealQuadraticField:
-    return make_field(DESK_FIELD_D, h_plus=DESK_H_PLUS)
+    return make_field(DESK_FIELD_D)
 
 
 # Mestre: above this prime the point orders on E and its twist always

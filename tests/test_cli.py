@@ -100,6 +100,25 @@ class TestDiagRestrict:
                                     "--trace-bound", "10"])
         assert code == EXIT_ERROR
 
+    def test_narrow_class_number_five(self, capsys):
+        """Q(sqrt 401) has h+ = 5; the series needs no class number."""
+        code, out, _ = run(capsys, ["diag-restrict", "--d", "401",
+                                    "--eisenstein", "2",
+                                    "--trace-bound", "5", "--verify"])
+        assert code == EXIT_OK
+        assert json.loads(out)["normalization_constant"] == "4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--pmax", "10"],
+    ["diag-restrict", "--d", "5", "--eisenstein", "2", "--trace-bound", "5"],
+])
+def test_h_plus_flag_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--h-plus", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h-plus" in capsys.readouterr().err
+
 
 class TestEuler:
     ARGS = ["euler", "--alphas", "2,3,4,5", "--froots", "2,21", "-p", "7"]
@@ -179,7 +198,7 @@ def _lvalue_record(c_unit=123, **changes):
     7-adic unit c = c_unit, with `changes` applied."""
     c = PadicNumber(fx.P, fx.M, c_unit, 0)
     record = {
-        "d": 2, "h_plus": fx.FIELD.h_plus, "p": fx.P, "m": fx.M,
+        "d": 2, "h_plus": 1, "p": fx.P, "m": fx.M,
         "bound": fx.BOUND,
         "hilbert": to_json(fx.build_hilbert_input(c, fx.build_space())),
         "target": eigensystem_to_json(fx.TARGET_SYS),
@@ -346,6 +365,23 @@ class TestQExpOp:
         assert code == EXIT_OK
         record = json.loads(out)
         assert Fraction(record["coeffs"][4]) == 4 * f[4]
+
+    @pytest.mark.parametrize("op, flags", [("v", ["-p", "3"]),
+                                           ("twist", ["-p", "5"]),
+                                           ("hecke", ["--ell", "2"])])
+    def test_verify_without_a_check_is_refused(self, capsys, tmp_path, op, flags):
+        path, _ = self.store(tmp_path)
+        code, out, err = run(capsys, ["qexp-op", "--input", path, "--op", op,
+                                      "--verify"] + flags)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: --verify has no check for --op %s\n" % op
+
+    def test_format_is_refused(self, capsys, tmp_path):
+        path, _ = self.store(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["qexp-op", "--input", path, "--op", "derive", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_missing_prime_flag(self, capsys, tmp_path):
         path, _ = self.store(tmp_path)

@@ -1,6 +1,6 @@
 """Every function, class, method and property defined in src/hz is reached
-from what the program runs, and every defaulted parameter is passed by
-some call in it (stdlib only).
+from what the program runs, every defaulted parameter is passed by some
+call in it, and every option of an `hz` subcommand is read (stdlib only).
 
 Reachability is a static name graph built with `ast`.  The roots are
 `hz.cli.main`, the names read by module-level statements of src/hz (except
@@ -14,6 +14,7 @@ so two methods of one name are reached together: the guard errs towards
 keeping dead code.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -170,6 +171,8 @@ PARAM_KEPT = {
     "EllipticQExp.__init__.character":
         "elliptic expansions carry characters (from_json builds them through "
         "_make), and the public constructor takes one too",
+    "make_field.h_plus":
+        "ignored; kept only because perfbench/test_perfbench.py passes it",
 }
 
 
@@ -281,3 +284,62 @@ def test_detector_sees_unset_parameters():
     assert unset_parameters({"a.py": modules["a.py"]},
                             callers=["g(0, only_kw=1)\nx.m(5)\nC.s(4)\n"]) == [
         ("a.py", 1, "f.by_place"), ("a.py", 1, "f.unset")]
+
+
+def unread_options(parser, source):
+    """(subcommand, dest) of each option of `parser`'s subcommands that its
+    `func`, a module-level function of `source`, does not read as
+    `args.<dest>`, in its own body or in a module-level function it passes
+    `args` to (by position)."""
+    funcs = {n.name: n for n in ast.parse(source).body if isinstance(n, FUNCS)}
+
+    def read(name, param, seen):
+        found = set()
+        for n in ast.walk(funcs[name]):
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id == param):
+                found.add(n.attr)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in funcs and n.func.id not in seen):
+                for i, a in enumerate(n.args):
+                    if isinstance(a, ast.Name) and a.id == param:
+                        seen.add(n.func.id)
+                        callee = funcs[n.func.id]
+                        found |= read(n.func.id, callee.args.args[i].arg, seen)
+        return found
+
+    unread = []
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        name = sub.get_default("func").__name__
+        used = read(name, funcs[name].args.args[0].arg, {name})
+        unread += [(command, a.dest) for a in sub._actions
+                   if a.dest != "help" and a.dest not in used]
+    return sorted(unread)
+
+
+def test_every_subcommand_option_is_read():
+    from hz import cli
+    source = (ROOT / "src" / "hz" / "cli.py").read_text()
+    assert unread_options(cli.build_parser(), source) == []
+
+
+def test_detector_sees_unread_options():
+    source = ("def cmd_a(args):\n"
+              "    return helper(1, args) + args.x\n"
+              "def helper(n, opts):\n"
+              "    return opts.y\n"
+              "def cmd_b(args):\n"
+              "    return args.x\n")
+    namespace = {}
+    exec(source, namespace)
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    for name, func in (("a", "cmd_a"), ("b", "cmd_b")):
+        p = sub.add_parser(name)
+        for flag in ("--x", "--y", "--z"):
+            p.add_argument(flag)
+        p.set_defaults(func=namespace[func])
+    assert unread_options(parser, source) == [
+        ("a", "z"), ("b", "y"), ("b", "z")]

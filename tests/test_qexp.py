@@ -17,7 +17,6 @@ from hz.qexp import (
     RATIONAL,
     BoundTooSmall,
     CharacterDomainMismatch,
-    ClassNumberUnsupported,
     EllipticQExp,
     ExactRingUnsupported,
     HilbertQExp,
@@ -52,7 +51,6 @@ from hz.realquad import (
     splitting_type,
     totally_positive_by_trace,
 )
-from hz.sieve import DESK_H_PLUS
 
 F5 = make_field(5)
 P11 = split_prime(F5, 11, 5)
@@ -259,9 +257,14 @@ class TestEisenstein:
         with pytest.raises(QExpError):
             eisenstein_hilbert(F5, 3, 4)
 
-    def test_unknown_class_number(self):
-        with pytest.raises(ClassNumberUnsupported):
-            eisenstein_hilbert(make_field(401), 2, 2)
+    @pytest.mark.parametrize("d", [401, 1601])  # h+ = 5 and 7
+    def test_narrow_class_number_above_one(self, d):
+        """The constant term is zeta_F(-1)/4 and the weight-4 restriction is
+        a multiple of sigma_7, whatever the narrow class number."""
+        F = make_field(d)
+        assert siegel_zeta_minus1(F.discriminant) / eisenstein_hilbert(F, 2, 1).a0 == 4
+        r = diagonal_restrict(eisenstein_hilbert(F, 4, 8))
+        assert all(r.coeffs[n] == r.coeffs[1] * sigma(n, 7) for n in range(1, 9))
 
     def test_zero_trace_bound(self):
         e = eisenstein_hilbert(F5, 2, 0)
@@ -274,7 +277,7 @@ class TestEisenstein:
         """Each coefficient is the divisor sum of its own ideal (xi)*different,
         computed element by element; a0 is the plain Fraction sum of the
         trace-1 ones over the leading coefficient 240 or 480."""
-        F = make_field(d, h_plus=DESK_H_PLUS if d == 2869 else None)
+        F = make_field(d)
         e = eisenstein_hilbert(F, k, 12)
         domain = e.domain()
         sigmas = [ideal_divisor_sigma(F, xi * F.different_generator, k - 1) for xi in domain]

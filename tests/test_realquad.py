@@ -6,12 +6,13 @@ import sympy
 
 from hz.realquad import (
     NotSplit,
+    _cycle_of,
+    _is_reduced,
     _sqrt_mod,
     NotSquarefree,
     QuadElement,
     RealQuadError,
     make_field,
-    narrow_class_number,
     narrowly_principal_split,
     split_prime,
     totally_positive_by_trace,
@@ -156,23 +157,30 @@ class TestSplitPrime:
             assert (r1 + r2 - z.trace()) % pm == 0
 
 
+def narrow_class_number(D):
+    """The number of rho-cycles of reduced indefinite forms of fundamental
+    discriminant D.  hz reads no class number; this records which fields of
+    the Eisenstein tests have h+ > 1."""
+    forms = set()
+    for b in range(D % 2 or 2, isqrt(D) + 1, 2):
+        ac = (b * b - D) // 4
+        for a in sympy.divisors(-ac):
+            forms |= {f for f in ((a, b, ac // a), (-a, b, -ac // a)) if _is_reduced(*f, D)}
+    cycles = 0
+    while forms:
+        cycles += 1
+        forms -= {g for g, _ in _cycle_of(next(iter(forms)), D)}
+    return cycles
+
+
 class TestNarrowClassNumber:
     @pytest.mark.parametrize(
         "D,h",
-        [(5, 1), (8, 1), (12, 2), (13, 1), (40, 2), (60, 4), (229, 3), (257, 3)],
+        [(5, 1), (8, 1), (12, 2), (13, 1), (40, 2), (60, 4), (229, 3), (257, 3),
+         (401, 5), (1601, 7)],
     )
     def test_known_values(self, D, h):
         assert narrow_class_number(D) == h
-
-    def test_populated_small(self):
-        assert make_field(5).h_plus == 1
-        assert make_field(10).h_plus == 2
-
-    def test_large_requires_supply(self):
-        F = make_field(2869)
-        assert F.h_plus is None
-        F2 = make_field(2869, h_plus=2)
-        assert F2.h_plus == 2
 
 
 class TestNarrowlyPrincipal:
@@ -369,7 +377,7 @@ class TestPlainIntegerSplitting:
 
     def test_unit_order_reuses_precision_one_data(self, monkeypatch):
         import hz.realquad
-        F = make_field(2869, h_plus=2)
+        F = make_field(2869)
         data = split_prime(F, 853, 1)
         u = F.totally_positive_fundamental_unit
         expected = unit_order_mod(F, data, u)

@@ -15,7 +15,6 @@ from hz.sieve import (
     BadReduction,
     CURVE_11A1,
     DESK_FIELD_D,
-    DESK_H_PLUS,
     DESK_QUINTIC,
     EllipticCurveData,
     ExcludedPrime,
@@ -267,10 +266,6 @@ class TestDeskConstants:
         from hz.asai import quintic_discriminant
         assert quintic_discriminant(list(DESK_QUINTIC)) == DESK_FIELD_D
         assert sympy.factorint(DESK_FIELD_D) == {19: 1, 151: 1}
-
-    def test_pinned_narrow_class_number(self):
-        from hz.realquad import narrow_class_number
-        assert narrow_class_number(DESK_FIELD_D) == DESK_H_PLUS
 
 
 CURVE_37A1 = EllipticCurveData(0, 0, 1, -1, 0, conductor=37)
