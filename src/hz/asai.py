@@ -259,12 +259,9 @@ class FiniteRep2:
                               ENTRY_SCALE, generators)
 
 
-BASIS_LABELS = ("e1*e1'", "e1*e2'", "e2*e1'", "e2*e2'")
-
-
 def _kron(m1, m2):
     """Kronecker product of two 2x2 matrices over the ring, in the basis
-    order: entry (2a + b, 2c + d) is m1[a][c] m2[b][d]."""
+    e1e1', e1e2', e2e1', e2e2': entry (2a + b, 2c + d) is m1[a][c] m2[b][d]."""
     (p, q), (r, s) = m1
     (w, x), (y, z) = m2
     mul = _gg_mul
@@ -281,7 +278,6 @@ class AsaiRep:
     def __init__(self, rep, matrices):
         self.rep = rep
         self.matrices = matrices
-        self.basis_labels = BASIS_LABELS
 
     def character(self, g):
         """Trace of the induced matrix; the result must be a rational

@@ -5,8 +5,9 @@ quintic Frobenius analysis, Hodge-Tate tables, and q-expansion operators.
 Machine output is JSON (sorted keys, no timestamps) so runs with identical
 inputs are byte-identical; --format table renders the same data as aligned
 plain text (qexp-op prints JSON only).  Every subcommand accepts --verify to
-run its independent cross-checks and fail nonzero on mismatch; qexp-op has
-checks for --op u, deplete and derive, and refuses --verify with the others.
+run its independent cross-checks; a failed check prints nothing on stdout
+and exits 1 with one "error:" line on stderr.  qexp-op has checks for --op
+u, deplete and derive, and refuses --verify with the others.
 
 Exit codes: 0 success, 1 input or verification error, 3 for a sieve run
 that finds no admissible prime.
@@ -58,6 +59,9 @@ from .qexp import (
 )
 from .realquad import RealQuadError, make_field, split_prime
 from .sieve import (
+    CURVE_11A1,
+    DESK_FIELD_D,
+    DESK_QUINTIC,
     EllipticCurveData,
     SieveError,
     find_admissible,
@@ -68,8 +72,8 @@ from .sieve import (
 )
 
 CURVES = {
-    "11a": (0, -1, 1, -10, -20, 11),
-    "37a": (0, 0, 1, -1, 0, 37),
+    "11a": CURVE_11A1,
+    "37a": EllipticCurveData(0, 0, 1, -1, 0, conductor=37),
 }
 
 EXIT_OK = 0
@@ -141,22 +145,18 @@ def _resolve_curve(args):
     if label not in CURVES:
         raise CliError("unknown curve label %r (known: %s)"
                        % (label, ", ".join(sorted(CURVES))))
-    *a, conductor = CURVES[label]
-    return EllipticCurveData(*a, conductor=conductor)
+    return CURVES[label]
 
 
 def cmd_sieve(args):
     quintic = _int_list(args.quintic)
     E = _resolve_curve(args)
     F = make_field(args.d)
-    run = find_admissible(F, quintic, E, args.pmin, args.pmax,
-                          height_bound=args.height_bound)
+    run = find_admissible(F, quintic, E, args.pmin, args.pmax)
     if args.verify:
         for result in run.admissible:
             if not reverify(F, quintic, E, result):
-                print("verification failed at p = %d" % result.p,
-                      file=sys.stderr)
-                return EXIT_ERROR
+                raise CliError("verification failed at p = %d" % result.p)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             write_csv(run.admissible, fh)
@@ -193,9 +193,8 @@ def cmd_diag_restrict(args):
         b1 = r[1]
         for n in range(1, r.bound + 1):
             if r[n] != b1 * divisor_sigma(n, k2):
-                print("restriction is not proportional to the divisor sum "
-                      "at n = %d" % n, file=sys.stderr)
-                return EXIT_ERROR
+                raise CliError("restriction is not proportional to the "
+                               "divisor sum at n = %d" % n)
     _emit(record, args.format)
     return EXIT_OK
 
@@ -283,9 +282,7 @@ def cmd_euler(args):
         refined = euler_report(alphas, froots, args.ell, args.alpha_exp,
                                args.p, args.m + 2)
         if refined.valuations() != report.valuations():
-            print("valuations unstable under precision refinement",
-                  file=sys.stderr)
-            return EXIT_ERROR
+            raise CliError("valuations unstable under precision refinement")
     record = {
         "p": args.p,
         "m": args.m,
@@ -354,11 +351,9 @@ def cmd_ht_table(args):
     if args.verify:
         weights = [w for piece in table["four_step"] for w in piece]
         if sorted(weights) != sorted(-1 - w for w in weights):
-            print("four-step weights are not self-dual", file=sys.stderr)
-            return EXIT_ERROR
+            raise CliError("four-step weights are not self-dual")
         if sum(weights) != -4:
-            print("four-step weight sum is off", file=sys.stderr)
-            return EXIT_ERROR
+            raise CliError("four-step weight sum is off")
     _emit(record, args.format)
     return EXIT_OK
 
@@ -384,15 +379,13 @@ def cmd_qexp_op(args):
         out = u_operator(f, p)
         if args.verify and not (u_operator(v_operator(f, p), p)
                                 .eq_at_precision(f)):
-            print("U after V is not the identity", file=sys.stderr)
-            return EXIT_ERROR
+            raise CliError("U after V is not the identity")
     elif args.op == "v":
         out = v_operator(f, p)
     elif args.op == "deplete":
         out = deplete(f, p)
         if args.verify and not deplete(out, p).eq_at_precision(out):
-            print("depletion is not idempotent", file=sys.stderr)
-            return EXIT_ERROR
+            raise CliError("depletion is not idempotent")
     elif args.op == "twist":
         out = elliptic_twist(f, j=args.j, p=p)
     elif args.op == "derive":
@@ -400,9 +393,7 @@ def cmd_qexp_op(args):
         if args.verify:
             for n in range(out.bound + 1):
                 if out[n] != f[n] * n:
-                    print("derivative mismatch at n = %d" % n,
-                          file=sys.stderr)
-                    return EXIT_ERROR
+                    raise CliError("derivative mismatch at n = %d" % n)
     elif args.op == "hecke":
         if args.ell is None:
             raise CliError("--op hecke requires --ell")
@@ -433,16 +424,16 @@ def build_parser():
         p.add_argument("--verify", action="store_true",
                        help="run the subcommand's cross-checks")
 
+    desk_quintic = ",".join(map(str, DESK_QUINTIC))
     p = sub.add_parser("sieve", help="search for admissible primes")
-    p.add_argument("--d", type=int, default=2869)
-    p.add_argument("--quintic", default="1,0,0,0,-1,-1")
+    p.add_argument("--d", type=int, default=DESK_FIELD_D)
+    p.add_argument("--quintic", default=desk_quintic)
     p.add_argument("--curve", default="11a")
     p.add_argument("--weierstrass", default=None,
                    help="a1,a2,a3,a4,a6 (needs --conductor)")
     p.add_argument("--conductor", type=int, default=None)
     p.add_argument("--pmin", type=int, default=3)
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--height-bound", type=int, default=10**5)
     p.add_argument("--csv", default=None, help="also write a CSV summary")
     add_common(p)
     p.set_defaults(func=cmd_sieve)
@@ -478,7 +469,7 @@ def build_parser():
 
     p = sub.add_parser("asai", help="quintic Frobenius class and induced "
                                     "eigenvalues")
-    p.add_argument("--quintic", default="1,0,0,0,-1,-1")
+    p.add_argument("--quintic", default=desk_quintic)
     p.add_argument("--p", type=int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_asai)

@@ -319,24 +319,28 @@ def _rho(form, U, D: int):
     return (c, r, (r * r - D) // (4 * c)), [[v, s * v - u], [x, s * x - w]]
 
 
-def _reduce_form(a: int, b: int, c: int, D: int, max_steps: int = 10**5):
-    """Reduce, tracking U in GL2(Z) with f_reduced(v) = f_original(U v)."""
+def _reduce_form(a: int, b: int, c: int, D: int):
+    """Reduce, tracking U in GL2(Z) with f_reduced(v) = f_original(U v).
+    While |c| > sqrt(D) a rho step at least halves |c|, and from there a
+    few steps reach a reduced form (Buchmann-Vollmer, ch. 6), so running
+    past the limit below is an internal fault."""
     f, U = (a, b, c), [[1, 0], [0, 1]]
-    steps = 0
-    while not _is_reduced(*f, D):
+    for _ in range(max(abs(a), abs(c)).bit_length() + 2 * D):
+        if _is_reduced(*f, D):
+            return f, U
         f, U = _rho(f, U, D)
-        steps += 1
-        if steps > max_steps:
-            raise RealQuadError("form reduction did not terminate")
-    return f, U
+    raise RealQuadError("form reduction did not terminate")
 
 
-def _cycle_of(form, D: int, max_steps: int = 10**6):
+def _cycle_of(form, D: int):
     """The rho-cycle through a reduced form, with transformations relative
-    to the starting form."""
+    to the starting form.  rho permutes the reduced forms of discriminant
+    D, and there are fewer than 2D of them (0 < b < sqrt(D) and
+    0 < |a| < sqrt(D)), so the cycle closes within 2D steps (Buchmann-
+    Vollmer, Binary Quadratic Forms, ch. 6; Cohen, GTM 138, 5.6)."""
     out = []
     f, U = form, [[1, 0], [0, 1]]
-    for _ in range(max_steps):
+    for _ in range(2 * D):
         out.append((f, U))
         f, U = _rho(f, U, D)
         if f == form:
@@ -350,11 +354,11 @@ def _cycle_of(form, D: int, max_steps: int = 10**6):
 
 @dataclass
 class NarrowPrincipalityResult:
-    status: str  # "found" | "not-principal" | "none-found-within-bound"
+    status: str  # "found" | "not-principal"
     generators: tuple = None  # (pi1, pi2) QuadElements when found
 
 
-def narrowly_principal_split(F: RealQuadraticField, p: int, height_bound: int = 10**5):
+def narrowly_principal_split(F: RealQuadraticField, p: int):
     """Totally positive generators (pi1, pi2) of the two primes above a
     split p, or a certified negative verdict.
 
@@ -370,13 +374,9 @@ def narrowly_principal_split(F: RealQuadraticField, p: int, height_bound: int = 
     # form of the ideal [p, omega - r]: N(p x + (r - omega) y)/p
     g_r = r * r - t * r + F.omega_norm
     a, b, c = p, (2 * r - t), g_r // p
-    try:
-        f0, U0 = _reduce_form(a, b, c, D, max_steps=height_bound)
-        cyc = _cycle_of(f0, D, max_steps=height_bound)
-    except RealQuadError:
-        return NarrowPrincipalityResult("none-found-within-bound")
+    f0, U0 = _reduce_form(a, b, c, D)
     hit = None
-    for g, U in cyc:
+    for g, U in _cycle_of(f0, D):
         if g[0] == 1:
             hit = U
             break

@@ -15,8 +15,7 @@ JSON lines and CSV.
 import csv
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .asai import (
     asai_frobenius_eigenvalues,
@@ -287,9 +286,9 @@ class SieveResult:
     unit_condition: bool
     frobenius_distinct: bool
     ordinary: bool
-    witnesses: dict = field(default_factory=dict)
-    prefilter_flags: dict = field(default_factory=dict)
-    assumed: tuple = NOT_MACHINE_CHECKABLE
+    witnesses: dict
+    prefilter_flags: dict
+    assumed = NOT_MACHINE_CHECKABLE  # the same notes on every result
 
     @property
     def admissible(self):
@@ -298,7 +297,7 @@ class SieveResult:
 
 
 def check_assumptions(F: RealQuadraticField, quintic, E: EllipticCurveData,
-                      p: int, height_bound: int = 10**5) -> SieveResult:
+                      p: int) -> SieveResult:
     """All four verdicts for a single prime, with witnesses."""
     # primes ramified in the quadratic field simply fail assumption (1)
     if (E.conductor * quintic_discriminant(list(quintic))) % p == 0:
@@ -309,9 +308,7 @@ def check_assumptions(F: RealQuadraticField, quintic, E: EllipticCurveData,
     split_narrow = False
     unit_ok = False
     if data.splitting_type == "split":
-        principality = narrowly_principal_split(F, p, height_bound)
-        if principality.status == "none-found-within-bound":
-            raise SieveError("height bound exhausted at p = %d" % p)
+        principality = narrowly_principal_split(F, p)
         if principality.status == "found":
             split_narrow = True
             witnesses["generators"] = principality.generators
@@ -369,38 +366,26 @@ def reverify(F: RealQuadraticField, quintic, E: EllipticCurveData,
 @dataclass
 class SieveRun:
     admissible: list
-    counts: Counter
-    cycle_types: Counter
     checked: int
     excluded: int
 
 
 def find_admissible(F: RealQuadraticField, quintic, E: EllipticCurveData,
-                    start: int, stop: int,
-                    height_bound: int = 10**5) -> SieveRun:
-    """All admissible primes in [start, stop) with per-verdict counts."""
+                    start: int, stop: int) -> SieveRun:
+    """All admissible primes in [start, stop), with how many primes were
+    checked and how many excluded."""
     admissible = []
-    counts = Counter()
-    cycle_types = Counter()
     checked = excluded = 0
     for p in primerange(start, stop):
         try:
-            result = check_assumptions(F, quintic, E, p, height_bound)
+            result = check_assumptions(F, quintic, E, p)
         except ExcludedPrime:
             excluded += 1
             continue
         checked += 1
-        cycle_types[result.witnesses["cycle_type"]] += 1
-        for name in ("split_narrow", "unit_condition", "frobenius_distinct",
-                     "ordinary"):
-            if getattr(result, name):
-                counts[name] += 1
-        if result.prefilter_flags["congruence_route"]:
-            counts["congruence_route"] += 1
         if result.admissible:
-            counts["admissible"] += 1
             admissible.append(result)
-    return SieveRun(admissible, counts, cycle_types, checked, excluded)
+    return SieveRun(admissible, checked, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +410,7 @@ def result_to_dict(result: SieveResult) -> dict:
         "admissible": result.admissible,
         "witnesses": witnesses,
         "prefilter": result.prefilter_flags,
-        "assumed": list(result.assumed),
+        "assumed": list(NOT_MACHINE_CHECKABLE),
     }
 
 

@@ -17,7 +17,8 @@ from hz import cli, hecke
 from hz.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
 from hz.hecke import eigensystem_to_json
 from hz.padic import PadicNumber
-from hz.qexp import RATIONAL, EllipticQExp, eisenstein_hilbert, padic_ring, to_json
+from hz.qexp import (RATIONAL, EllipticQExp, eisenstein_hilbert, padic_ring,
+                     q_derivative, to_json)
 from hz.realquad import make_field
 from fractions import Fraction
 
@@ -109,15 +110,84 @@ class TestDiagRestrict:
         assert json.loads(out)["normalization_constant"] == "4"
 
 
-@pytest.mark.parametrize("argv", [
-    ["sieve", "--pmax", "10"],
-    ["diag-restrict", "--d", "5", "--eisenstein", "2", "--trace-bound", "5"],
-])
-def test_h_plus_flag_is_refused(capsys, argv):
+@pytest.mark.parametrize("argv, flag", [
+    (["sieve", "--pmax", "10"], "--h-plus"),
+    (["diag-restrict", "--d", "5", "--eisenstein", "2", "--trace-bound", "5"],
+     "--h-plus"),
+    (["sieve", "--pmax", "1000"], "--height-bound"),
+], ids=["sieve-h-plus", "diag-restrict-h-plus", "sieve-height-bound"])
+def test_retired_flag_is_refused(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--h-plus", "1"])
+        main(argv + [flag, "1"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --h-plus" in capsys.readouterr().err
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def _doubled(fn):
+    def mutant(*args):
+        out = fn(*args)
+        return out + out
+    return mutant
+
+
+def _four_step(pieces):
+    """An `ht_weight_table` whose four-step weights at ell are `pieces(ell)`."""
+    return lambda fn: lambda ell: dict(fn(ell), four_step=pieces(ell))
+
+
+QEXP_OP = ["qexp-op", "--input", "{input}", "--op"]
+
+
+# one mutant per `--verify` failure branch: (patched name, mutant from the
+# original, argv, the message of the failed check)
+@pytest.mark.parametrize("target, mutate, argv, message", [
+    pytest.param("hz.sieve._ap_exhaustive", _plus_one,
+                 ["sieve", "--pmin", "850", "--pmax", "860"],
+                 "verification failed at p = 853", id="sieve"),
+    pytest.param("hz.cli.diagonal_restrict",
+                 lambda fn: lambda g: q_derivative(fn(g)),
+                 ["diag-restrict", "--d", "5", "--eisenstein", "2",
+                  "--trace-bound", "6"],
+                 "restriction is not proportional to the divisor sum at n = 2",
+                 id="diag-restrict"),
+    # a Hecke root off by 7^5 is right at m = 4 and shows at m + 2
+    pytest.param("hz.cli.euler_report",
+                 lambda fn: lambda alphas, froots, *rest: fn(
+                     alphas, [froots[0], froots[1] + 7 ** 5], *rest),
+                 ["euler", "--alphas", "2,3,4,5", "--froots", "2,2", "-p", "7"],
+                 "valuations unstable under precision refinement", id="euler"),
+    pytest.param("hz.cli.ht_weight_table",
+                 _four_step(lambda ell: ((ell,), (ell - 2, 0, 0),
+                                         (-1, -1, 1 - ell), (-ell,))),
+                 ["ht-table", "--weight", "2"],
+                 "four-step weights are not self-dual", id="ht-table-dual"),
+    pytest.param("hz.cli.ht_weight_table",
+                 _four_step(lambda ell: ((ell - 1,), (ell - 2, 0),
+                                         (-1, 1 - ell), (-ell,))),
+                 ["ht-table", "--weight", "2"],
+                 "four-step weight sum is off", id="ht-table-sum"),
+    pytest.param("hz.cli.u_operator", _doubled, QEXP_OP + ["u", "-p", "2"],
+                 "U after V is not the identity", id="qexp-op-u"),
+    pytest.param("hz.cli.deplete", _doubled, QEXP_OP + ["deplete", "-p", "3"],
+                 "depletion is not idempotent", id="qexp-op-deplete"),
+    pytest.param("hz.cli.q_derivative", _doubled, QEXP_OP + ["derive"],
+                 "derivative mismatch at n = 1", id="qexp-op-derive"),
+])
+def test_verify_failures_are_errors(capsys, tmp_path, monkeypatch, target,
+                                    mutate, argv, message):
+    f = EllipticQExp(2, 1, 12, [Fraction(n * n + 1) for n in range(13)], RATIONAL)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(to_json(f)))
+    argv = [str(path) if a == "{input}" else a for a in argv] + ["--verify"]
+    assert run(capsys, argv)[0] == EXIT_OK
+    module, name = target.rsplit(".", 1)
+    monkeypatch.setattr(sys.modules[module], name,
+                        mutate(getattr(sys.modules[module], name)))
+    assert run(capsys, argv) == (EXIT_ERROR, "", "error: %s\n" % message)
 
 
 class TestEuler:

@@ -343,3 +343,80 @@ def test_detector_sees_unread_options():
         p.set_defaults(func=namespace[func])
     assert unread_options(parser, source) == [
         ("a", "z"), ("b", "y"), ("b", "z")]
+
+
+# Attributes that src/hz sets and only the unit tests read, and that stay:
+# "Class.attribute" -> reason.
+ATTR_KEPT = {
+    "RealQuadraticField.different_generator":
+        "sqrt(D) as a field element; the trace-enumeration tests check "
+        "membership in the inverse different with it",
+    "RealQuadraticField.fundamental_unit":
+        "the unit the continued fraction finds; the unit tests compare it "
+        "with a brute-force scan",
+}
+
+
+def write_only_attributes(modules, readers=()):
+    """(module, line, name) of each attribute that `modules` (module name ->
+    source) assign as `x.name = ...`, tuple targets included, and that no
+    source in `modules` or `readers` reads as `.name`.  An assignment to
+    `self.name` inside a class C is named "C.name", any other "name"."""
+    written = []  # (module, line, class or None, attribute)
+
+    def visit(mod, node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(mod, child, child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target])
+                for n in (n for t in targets for n in ast.walk(t)):
+                    if (isinstance(n, ast.Attribute)
+                            and isinstance(n.ctx, ast.Store)):
+                        by_self = (isinstance(n.value, ast.Name)
+                                   and n.value.id == "self")
+                        written.append((mod, n.lineno,
+                                        owner if by_self else None, n.attr))
+            visit(mod, child, owner)
+
+    read = set()
+    for mod, source in modules.items():
+        visit(mod, ast.parse(source), None)
+    for source in list(modules.values()) + list(readers):
+        read |= {n.attr for n in ast.walk(ast.parse(source))
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load)}
+    return sorted((mod, line, owner + "." + name if owner else name)
+                  for mod, line, owner, name in written if name not in read)
+
+
+def test_no_write_only_attributes():
+    modules = {p.name: p.read_text()
+               for p in sorted((ROOT / "src" / "hz").glob("*.py"))}
+    readers = [(ROOT / rel).read_text() for rel in ROOT_FILES]
+    unread = {name for _, _, name in write_only_attributes(modules, readers)}
+    assert sorted(unread - set(ATTR_KEPT)) == []
+    # each kept attribute is still read by no program source
+    assert sorted(set(ATTR_KEPT) - unread) == []
+
+
+def test_detector_sees_write_only_attributes():
+    modules = {
+        "a.py": ("class K:\n"
+                 "    def __init__(self, other):\n"
+                 "        self.kept = self.ghost = 1\n"
+                 "        self.pair, self.lone = 2, 3\n"
+                 "        other.outer = self.kept\n"
+                 "        self.table[0] = 4\n"
+                 "        self.count += 1\n"
+                 "    def read(self):\n"
+                 "        return self.pair\n"),
+        "b.py": "from a import K\nK(K(None)).table, K.extra = {}, 5\n",
+    }
+    assert write_only_attributes(modules) == [
+        ("a.py", 3, "K.ghost"), ("a.py", 4, "K.lone"), ("a.py", 5, "outer"),
+        ("b.py", 2, "extra")]
+    assert write_only_attributes(modules, readers=["print(k.lone.outer)\n"]) == [
+        ("a.py", 3, "K.ghost"), ("b.py", 2, "extra")]

@@ -160,16 +160,21 @@ class TestSplitPrime:
 def narrow_class_number(D):
     """The number of rho-cycles of reduced indefinite forms of fundamental
     discriminant D.  hz reads no class number; this records which fields of
-    the Eisenstein tests have h+ > 1."""
+    the Eisenstein tests have h+ > 1.  Each cycle is no longer than the
+    number of reduced forms, which is below the 2D steps `_cycle_of` allows."""
     forms = set()
     for b in range(D % 2 or 2, isqrt(D) + 1, 2):
         ac = (b * b - D) // 4
         for a in sympy.divisors(-ac):
             forms |= {f for f in ((a, b, ac // a), (-a, b, -ac // a)) if _is_reduced(*f, D)}
+    reduced = len(forms)
+    assert reduced < 2 * D
     cycles = 0
     while forms:
         cycles += 1
-        forms -= {g for g, _ in _cycle_of(next(iter(forms)), D)}
+        cycle = _cycle_of(next(iter(forms)), D)
+        assert len(cycle) <= reduced
+        forms -= {g for g, _ in cycle}
     return cycles
 
 
