@@ -33,8 +33,6 @@ from .qexp import (
     hilbert_deplete,
     required_key,
     theta_d_inverse,
-    twist_star,
-    trivial_character,
     u_operator,
     v_operator,
 )
@@ -84,7 +82,6 @@ class EigenSystem:
     level: int
     ap: dict  # prime (or prime index tag) -> eigenvalue
     character: Optional[dict] = None  # None = trivial
-    field_tag: str = "elliptic"  # "elliptic" or "hilbert"
 
     def chi(self, ell: int):
         if self.character is None:
@@ -104,8 +101,6 @@ def stabilize(system: EigenSystem, p: int, m: int):
     """The roots (alpha, beta) of X^2 - a_p X + chi(p) p^{k-1} for an
     elliptic eigensystem of level prime to p, alpha the unit root: the
     U_p eigenvalues of its ordinary and its other p-stabilization."""
-    if system.field_tag != "elliptic":
-        raise HeckeError("only elliptic eigensystems are stabilized")
     if system.level % p == 0:
         raise HeckeError("level already divisible by %d" % p)
     a = Fraction(system.a(p))
@@ -435,16 +430,17 @@ def lvalue_weight2(
     verify: bool = False,
 ) -> PadicNumber:
     """The weight-2 crystalline L-value pipeline: deplete at both primes,
-    invert the first theta operator, twist by the (trivial) character,
-    restrict to the diagonal, apply the weight-1 tame twist, project to the
-    ordinary part and onto the target eigensystem, then divide the first
-    coefficient by the ordinary factor 1 - beta/alpha.  With `verify`, the
-    stage values are checked by `_check_lvalue` before the value returns."""
+    invert the first theta operator, restrict to the diagonal, apply the
+    weight-1 tame twist, project to the ordinary part and onto the target
+    eigensystem, then divide the first coefficient by the ordinary factor
+    1 - beta/alpha.  The twist by the trivial character is left out: it is
+    depletion at the first prime, which the depleted expansion already
+    has.  With `verify`, the stage values are checked by `_check_lvalue`
+    before the value returns."""
     p, m = prime_data.p, space.ring.m
     depleted = hilbert_deplete(g, prime_data, "both")
     inverted = theta_d_inverse(depleted, 1, prime_data)
-    twisted = twist_star(inverted, trivial_character(p), prime_data)
-    restricted = diagonal_restrict(twisted)
+    restricted = diagonal_restrict(inverted)
     tame = elliptic_twist(restricted, j=1)
     ordinary = e_ord(space, tame)
     component, lambda1 = isotypic_project(space, ordinary, fstar, annihilation)
@@ -490,7 +486,7 @@ def eigensystem_to_json(system: EigenSystem) -> dict:
         "weight": system.weight,
         "level": system.level,
         "ap_table": sorted([k, str(v)] for k, v in system.ap.items()),
-        "field": system.field_tag,
+        "field": "elliptic",
         "character": None
         if system.character is None
         else sorted([k, str(v)] for k, v in system.character.items()),
@@ -529,6 +525,8 @@ def eigensystem_from_json(obj: dict) -> EigenSystem:
     for key in ("weight", "level"):
         if type(required_key(obj, key, HeckeError)) is not int:
             raise HeckeError("an eigensystem %s must be an integer, got %r" % (key, obj[key]))
+    if obj.get("field", "elliptic") != "elliptic":
+        raise HeckeError("only elliptic eigensystems are read, got field %r" % (obj["field"],))
     return EigenSystem(
         label=required_key(obj, "label", HeckeError),
         weight=obj["weight"],
@@ -536,5 +534,4 @@ def eigensystem_from_json(obj: dict) -> EigenSystem:
         ap=_table(obj, "ap_table", "an eigenvalue"),
         character=None if obj.get("character") is None
         else _table(obj, "character", "a character value"),
-        field_tag=obj.get("field", "elliptic"),
     )

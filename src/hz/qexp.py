@@ -51,7 +51,7 @@ __all__ = [
     "u_operator", "v_operator", "deplete", "elliptic_twist",
     "hecke_T", "q_derivative", "HilbertDomain", "hilbert_domain", "HilbertQExp",
     "siegel_zeta_minus1", "ideal_divisor_sigma", "eisenstein_hilbert",
-    "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "twist_star", "trivial_character", "theta_d", "theta_d_inverse",
+    "eisenstein_normalization_constant", "diagonal_restrict", "hilbert_deplete", "twist_star", "theta_d", "theta_d_inverse",
     "conjugate_ratio_partner", "to_json", "from_json", "required_key", "PrimeIdealData", "split_prime", "PadicNumber",
 ]
 
@@ -566,8 +566,6 @@ def _prime_context(g: HilbertQExp, prime_data: PrimeIdealData, padic_use: str = 
     must then be the one of prime_data's p and m."""
     if padic_use and g.ring is RATIONAL:
         raise ExactRingUnsupported("%s p-adic coefficients" % padic_use)
-    if prime_data.splitting_type != "split":
-        raise QExpError("operator requires a split prime")
     if g.F.d != prime_data.F.d:
         raise QExpError("prime data belongs to a different field")
     if padic_use and (g.ring.p, g.ring.m) != (prime_data.p, prime_data.m):
@@ -610,10 +608,6 @@ def twist_star(g: HilbertQExp, chi: dict, prime_data: PrimeIdealData) -> Hilbert
 
     res = dom.residues(prime_data, 1, g.trace_bound)
     return g._derive([twist(v, r) for v, r in zip(g.coeffs, res)], ring.zero)
-
-
-def trivial_character(p: int) -> dict:
-    return {r: 1 for r in range(1, p)}
 
 
 def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:

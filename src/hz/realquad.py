@@ -223,23 +223,20 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeIdealData:
-    """Splitting data of a rational prime in the quadratic field.
-
-    For a split prime the two residue maps O_L -> Z/p^m are determined by
-    the two roots of the minimal polynomial of omega mod p^m; root_1 is the
-    smaller lift (a fixed, documented labeling)."""
+    """The two primes above a rational prime p that splits in the quadratic
+    field, as their residue maps O_L -> Z/p^m: these are determined by the
+    two roots of the minimal polynomial of omega mod p^m, and root_1 is the
+    smaller lift (a fixed, documented labeling).  Only `split_prime` makes
+    one, so every holder has a split p."""
 
     F: RealQuadraticField
     p: int
     m: int
-    splitting_type: str  # "split" | "inert" | "ramified"
-    roots: tuple = None  # (r1, r2) mod p^m when split
+    roots: tuple  # (r1, r2) mod p^m
 
     def residue(self, z: QuadElement, which: int = 1) -> int:
         """Image of z under the residue map at prime ideal `which` (1 or 2),
         an integer mod p^m.  Requires coordinates p-integral."""
-        if self.splitting_type != "split":
-            raise NotSplit("residue maps are provided for split primes")
         pm = self.p**self.m
         r = self.roots[0] if which == 1 else self.roots[1]
 
@@ -267,9 +264,11 @@ def splitting_type(F: RealQuadraticField, p: int) -> str:
 
 
 def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
-    kind = splitting_type(F, p)
-    if kind != "split":
-        return PrimeIdealData(F, p, m, kind)
+    """The residue maps mod p^m at the two primes above p when p splits in
+    F; NotSplit when p is inert or ramified, which `splitting_type`
+    tells apart."""
+    if splitting_type(F, p) != "split":
+        raise NotSplit("p = %d is not split in Q(sqrt(%d))" % (p, F.d))
     t, n = F.omega_trace, F.omega_norm
     # a root of x^2 - t x + n mod p; either one will do, since the two
     # lifted roots are sorted below
@@ -278,7 +277,7 @@ def split_prime(F: RealQuadraticField, p: int, m: int = 1) -> PrimeIdealData:
     r2 = (t - r1) % p**m
     if r1 > r2:
         r1, r2 = r2, r1
-    return PrimeIdealData(F, p, m, "split", (r1, r2))
+    return PrimeIdealData(F, p, m, (r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +365,6 @@ def narrowly_principal_split(F: RealQuadraticField, p: int):
     represents +1, iff the principal form occurs in its reduction cycle;
     the tracked transformation yields an explicit generator of norm +p."""
     data = split_prime(F, p, 2)
-    if data.splitting_type != "split":
-        raise NotSplit("p = %d is not split in Q(sqrt(%d))" % (p, F.d))
     D = F.discriminant
     t = F.omega_trace
     r = data.roots[0] % p
@@ -429,8 +426,6 @@ def totally_positive_by_trace(F: RealQuadraticField, t: int):
 def unit_order_mod(F: RealQuadraticField, prime_data: PrimeIdealData, u: QuadElement) -> int:
     """Multiplicative order of the image of a unit under the residue map at
     the first prime above a split p."""
-    if prime_data.splitting_type != "split":
-        raise NotSplit("unit order requires a split prime")
     if not u.is_integral_unit():
         raise RealQuadError("u must be a unit of the ring of integers")
     p = prime_data.p

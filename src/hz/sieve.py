@@ -25,11 +25,11 @@ from .asai import (
 )
 from .padic import factorize, primerange
 from .realquad import (
-    NotSplit,
     RealQuadraticField,
     make_field,
     narrowly_principal_split,
     split_prime,
+    splitting_type,
     unit_order_mod,
 )
 
@@ -237,8 +237,6 @@ def unit_condition(F: RealQuadraticField, p: int):
     """Whether the group generated by the totally positive fundamental unit
     modulo a prime above p has odd order; returns (verdict, order)."""
     data = split_prime(F, p, 1)
-    if data.splitting_type != "split":
-        raise NotSplit("p = %d is not split in Q(sqrt(%d))" % (p, F.d))
     order = unit_order_mod(F, data, F.totally_positive_fundamental_unit)
     return order % 2 == 1, order
 
@@ -261,11 +259,9 @@ def prefilter(F: RealQuadraticField, p: int) -> dict:
         "unit_eighth_power": False,
         "narrow_class_case": _narrow_class_case(F.d),
     }
-    if p % 8 == 1:
-        data = split_prime(F, p, 1)
-        if data.splitting_type == "split":
-            r = data.residue(F.totally_positive_fundamental_unit, 1) % p
-            flags["unit_eighth_power"] = pow(r, (p - 1) // 8, p) == 1
+    if p % 8 == 1 and splitting_type(F, p) == "split":
+        r = split_prime(F, p, 1).residue(F.totally_positive_fundamental_unit, 1) % p
+        flags["unit_eighth_power"] = pow(r, (p - 1) // 8, p) == 1
     flags["congruence_route"] = (flags["congruence_9_mod_16"]
                                  and flags["unit_eighth_power"])
     return flags
@@ -288,7 +284,6 @@ class SieveResult:
     ordinary: bool
     witnesses: dict
     prefilter_flags: dict
-    assumed = NOT_MACHINE_CHECKABLE  # the same notes on every result
 
     @property
     def admissible(self):
@@ -304,10 +299,9 @@ def check_assumptions(F: RealQuadraticField, quintic, E: EllipticCurveData,
         raise ExcludedPrime("p = %d divides the instance data" % p)
 
     witnesses = {}
-    data = split_prime(F, p, 1)
     split_narrow = False
     unit_ok = False
-    if data.splitting_type == "split":
+    if splitting_type(F, p) == "split":
         principality = narrowly_principal_split(F, p)
         if principality.status == "found":
             split_narrow = True

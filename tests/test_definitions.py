@@ -359,9 +359,11 @@ ATTR_KEPT = {
 
 def write_only_attributes(modules, readers=()):
     """(module, line, name) of each attribute that `modules` (module name ->
-    source) assign as `x.name = ...`, tuple targets included, and that no
-    source in `modules` or `readers` reads as `.name`.  An assignment to
-    `self.name` inside a class C is named "C.name", any other "name"."""
+    source) assign as `x.name = ...`, tuple targets included, or as
+    `name = ...` or `name: type` in a class body (dunders excepted), and
+    that no source in `modules` or `readers` reads as `.name`.  An
+    assignment to `self.name` or in the body of a class C is named
+    "C.name", any other "name"."""
     written = []  # (module, line, class or None, attribute)
 
     def visit(mod, node, owner):
@@ -379,6 +381,11 @@ def write_only_attributes(modules, readers=()):
                                    and n.value.id == "self")
                         written.append((mod, n.lineno,
                                         owner if by_self else None, n.attr))
+                    elif (isinstance(node, ast.ClassDef)
+                          and isinstance(n, ast.Name)
+                          and isinstance(n.ctx, ast.Store)
+                          and not _is_dunder(n.id)):
+                        written.append((mod, n.lineno, owner, n.id))
             visit(mod, child, owner)
 
     read = set()
@@ -412,11 +419,18 @@ def test_detector_sees_write_only_attributes():
                  "        self.table[0] = 4\n"
                  "        self.count += 1\n"
                  "    def read(self):\n"
-                 "        return self.pair\n"),
+                 "        return self.pair\n"
+                 "class D:\n"
+                 "    __slots__ = ('size',)\n"
+                 "    size: int\n"
+                 "    tag = 'unread'\n"
+                 "    def total(self):\n"
+                 "        local = 1\n"
+                 "        return self.size + local\n"),
         "b.py": "from a import K\nK(K(None)).table, K.extra = {}, 5\n",
     }
     assert write_only_attributes(modules) == [
         ("a.py", 3, "K.ghost"), ("a.py", 4, "K.lone"), ("a.py", 5, "outer"),
-        ("b.py", 2, "extra")]
+        ("a.py", 13, "D.tag"), ("b.py", 2, "extra")]
     assert write_only_attributes(modules, readers=["print(k.lone.outer)\n"]) == [
-        ("a.py", 3, "K.ghost"), ("b.py", 2, "extra")]
+        ("a.py", 3, "K.ghost"), ("a.py", 13, "D.tag"), ("b.py", 2, "extra")]

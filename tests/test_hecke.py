@@ -458,14 +458,11 @@ class TestEigendataJson:
         assert again.weight == sys.weight
         assert {k: Fraction(v) for k, v in sys.ap.items()} == again.ap
 
-    def test_hilbert_tags_roundtrip(self):
-        sys = EigenSystem(
-            label="wt1",
-            weight=1,
-            level=1,
-            ap={"p1": 5, "p1_char": 4, "p2": 7, "p2_char": 6},
-            field_tag="hilbert",
-        )
-        again = eigensystem_from_json(eigensystem_to_json(sys))
-        assert again.field_tag == "hilbert"
-        assert again.ap["p1"] == 5
+    def test_non_elliptic_field_is_refused(self):
+        record = eigensystem_to_json(fx.TARGET_SYS)
+        assert record["field"] == "elliptic"
+        with pytest.raises(HeckeError, match="got field 'hilbert'"):
+            eigensystem_from_json(dict(record, field="hilbert"))
+        # a record without the tag reads as elliptic
+        del record["field"]
+        assert eigensystem_from_json(record).label == fx.TARGET_SYS.label

@@ -15,6 +15,7 @@ from hz.realquad import (
     make_field,
     narrowly_principal_split,
     split_prime,
+    splitting_type,
     totally_positive_by_trace,
     unit_order_mod,
 )
@@ -128,8 +129,8 @@ class TestQuadElement:
 
 class TestSplitPrime:
     def test_d5_p11_split(self):
+        assert splitting_type(make_field(5), 11) == "split"
         data = split_prime(make_field(5), 11, 3)
-        assert data.splitting_type == "split"
         r1, r2 = data.roots
         n = make_field(5).omega_norm
         for r in (r1, r2):
@@ -137,13 +138,22 @@ class TestSplitPrime:
         assert (r1 + r2) % 11 == 1
 
     def test_d5_p5_ramified(self):
-        assert split_prime(make_field(5), 5).splitting_type == "ramified"
+        assert splitting_type(make_field(5), 5) == "ramified"
+        with pytest.raises(NotSplit, match=r"^p = 5 is not split in Q\(sqrt\(5\)\)$"):
+            split_prime(make_field(5), 5)
 
     def test_d5_p2_inert(self):
-        assert split_prime(make_field(5), 2).splitting_type == "inert"
+        assert splitting_type(make_field(5), 2) == "inert"
+        with pytest.raises(NotSplit, match=r"^p = 2 is not split in Q\(sqrt\(5\)\)$"):
+            split_prime(make_field(5), 2)
 
     def test_d17_p2_split(self):
-        assert split_prime(make_field(17), 2, 4).splitting_type == "split"
+        F = make_field(17)
+        assert splitting_type(F, 2) == "split"
+        r1, r2 = split_prime(F, 2, 4).roots
+        assert r1 < r2
+        for r in (r1, r2):
+            assert (r * r - r + F.omega_norm) % 2**4 == 0
 
     def test_residue_maps_norm_trace(self):
         # residue1(z)*residue2(z) = N(z), residue1+residue2 = Tr(z) mod p^m
@@ -330,10 +340,10 @@ class TestUnitOrderMod:
             unit_order_mod(F, data, F.element(2, 0))
 
     def test_not_split(self):
+        # an inert prime has no prime data to take a unit order at
         F = make_field(5)
-        data = split_prime(F, 2, 1)
         with pytest.raises(NotSplit):
-            unit_order_mod(F, data, F.element(1))
+            unit_order_mod(F, split_prime(F, 2, 1), F.element(1))
 
 
 class TestEighthPowerOddOrder:
@@ -344,11 +354,9 @@ class TestEighthPowerOddOrder:
         F = make_field(d)
         eps = F.totally_positive_fundamental_unit
         for p in sympy.primerange(3, 10**4):
-            if p % 16 != 9 or F.discriminant % p == 0:
+            if p % 16 != 9 or splitting_type(F, p) != "split":
                 continue
             data = split_prime(F, p, 1)
-            if data.splitting_type != "split":
-                continue
             a = data.residue(eps, 1) % p
             if pow(a, (p - 1) // 8, p) == 1:
                 assert unit_order_mod(F, data, eps) % 2 == 1, (d, p)
@@ -367,18 +375,20 @@ class TestPlainIntegerSplitting:
             D = F.discriminant
             t, n = F.omega_trace, F.omega_norm
             for p in sympy.primerange(3, 600):
-                data = split_prime(F, p, 1)
                 if D % p == 0:
-                    assert data.splitting_type == "ramified"
+                    kind = "ramified"
+                else:
+                    kind = "split" if sympy.legendre_symbol(D % p, p) == 1 else "inert"
+                assert splitting_type(F, p) == kind
+                if kind != "split":
+                    with pytest.raises(NotSplit):
+                        split_prime(F, p, 1)
                     continue
-                split = sympy.legendre_symbol(D % p, p) == 1
-                assert data.splitting_type == ("split" if split else "inert")
-                if split:
-                    roots = [r for r in range(p) if (r * r - t * r + n) % p == 0]
-                    assert list(data.roots) == roots
-                    r1, r2 = split_prime(F, p, 3).roots
-                    assert r1 < r2 and {r1 % p, r2 % p} == set(roots)
-                    assert (r1 * r1 - t * r1 + n) % p ** 3 == 0
+                roots = [r for r in range(p) if (r * r - t * r + n) % p == 0]
+                assert list(split_prime(F, p, 1).roots) == roots
+                r1, r2 = split_prime(F, p, 3).roots
+                assert r1 < r2 and {r1 % p, r2 % p} == set(roots)
+                assert (r1 * r1 - t * r1 + n) % p ** 3 == 0
 
     def test_unit_order_reuses_precision_one_data(self, monkeypatch):
         import hz.realquad

@@ -10,7 +10,7 @@ import sympy
 
 import hz.asai
 import hz.sieve
-from hz.realquad import NotSplit, make_field, narrowly_principal_split, split_prime
+from hz.realquad import NotSplit, make_field, narrowly_principal_split, splitting_type
 from hz.sieve import (
     BadReduction,
     CURVE_11A1,
@@ -180,7 +180,7 @@ class TestCheckAssumptions:
         for p in sympy.primerange(3, 500):
             if desk.discriminant % p == 0 or p == 11:
                 continue
-            if split_prime(desk, p).splitting_type != "split":
+            if splitting_type(desk, p) != "split":
                 continue
             if narrowly_principal_split(desk, p).status == "not-principal":
                 found = p
@@ -191,8 +191,9 @@ class TestCheckAssumptions:
 
     def test_assumed_metadata(self, desk):
         result = check_assumptions(desk, DESK_QUINTIC, CURVE_11A1, 13)
-        assert len(result.assumed) == 2
-        for note in result.assumed:
+        assumed = result_to_dict(result)["assumed"]
+        assert len(assumed) == 2
+        for note in assumed:
             assert note.startswith("assumed:")
             assert "not machine-checkable" in note
 
