@@ -254,7 +254,6 @@ def cmd_lvalue(args):
     m = _int_field(record, "m", 4)
     bound = _int_field(record, "bound")
     ring = qexp.padic_ring(p, m)
-    _int_field(record, "h_plus", 0)  # accepted as an integer and ignored
     F = make_field(_int_field(record, "d"))
     prime = split_prime(F, p, m)
     g = from_json(_required(record, "hilbert"), F)

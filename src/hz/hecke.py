@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .padic import (
     PadicContext,
@@ -75,21 +74,12 @@ class LValueCheckFailed(HeckeError):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Hecke eigenvalue data for one newform."""
+    """Hecke eigenvalue data for one weight-2 newform with trivial
+    character."""
 
     label: str
-    weight: int
     level: int
     ap: dict  # prime (or prime index tag) -> eigenvalue
-    character: Optional[dict] = None  # None = trivial
-
-    def chi(self, ell: int):
-        if self.character is None:
-            return 1
-        value = self.character.get(ell % self.level)
-        if value is None:
-            raise HeckeError("no character value supplied at %d" % (ell % self.level))
-        return value
 
     def a(self, ell: int):
         if ell not in self.ap:
@@ -98,15 +88,13 @@ class EigenSystem:
 
 
 def stabilize(system: EigenSystem, p: int, m: int):
-    """The roots (alpha, beta) of X^2 - a_p X + chi(p) p^{k-1} for an
-    elliptic eigensystem of level prime to p, alpha the unit root: the
+    """The roots (alpha, beta) of X^2 - a_p X + p for a weight-2 eigensystem
+    of trivial character and level prime to p, alpha the unit root: the
     U_p eigenvalues of its ordinary and its other p-stabilization."""
     if system.level % p == 0:
         raise HeckeError("level already divisible by %d" % p)
-    a = Fraction(system.a(p))
-    b = Fraction(system.chi(p)) * p ** (system.weight - 1)
-    alpha = hensel_unit_root(a, b, p, m)
-    return alpha, as_padic(b, p, m) / alpha
+    alpha = hensel_unit_root(Fraction(system.a(p)), Fraction(p), p, m)
+    return alpha, as_padic(p, p, m) / alpha
 
 
 def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
@@ -119,9 +107,9 @@ def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
 def expansion_from_eigensystem(
     system: EigenSystem, bound: int, ring
 ) -> EllipticQExp:
-    """Normalized expansion (a_1 = 1) generated from prime eigenvalues by
-    the standard recursion a_{l^{r+1}} = a_l a_{l^r} - chi(l) l^{k-1}
-    a_{l^{r-1}} and multiplicativity."""
+    """Normalized weight-2 expansion (a_1 = 1) generated from prime
+    eigenvalues by the recursion a_{l^{r+1}} = a_l a_{l^r} - l a_{l^{r-1}}
+    and multiplicativity."""
     coeffs = [Fraction(0), Fraction(1)]
     vals = {1: Fraction(1)}
     for n in range(2, bound + 1):
@@ -136,13 +124,12 @@ def expansion_from_eigensystem(
             if e == 1:
                 vals[n] = Fraction(system.a(q))
             else:
-                back = Fraction(system.chi(q)) * q ** (system.weight - 1)
                 vals[n] = (
                     Fraction(system.a(q)) * vals[q ** (e - 1)]
-                    - back * vals[q ** (e - 2)]
+                    - q * vals[q ** (e - 2)]
                 )
         coeffs.append(vals[n])
-    return EllipticQExp(system.weight, system.level, bound, coeffs, ring)
+    return EllipticQExp(2, system.level, bound, coeffs, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +446,8 @@ def _check_lvalue(space, fstar, component, lambda1, alpha, beta, value):
       stabilized expansion `space.basis[0]` at every n <= the space's bound;
     - Hecke polynomial: alpha + beta = a_p(target), alpha * beta = p and
       v(alpha) = 0.  This is X^2 - a_p X + chi(p) p^(k-1) at weight k = 2
-      with trivial character chi, which this check assumes;
+      with trivial character chi, the only eigensystems
+      `eigensystem_from_json` reads;
     - ordinary factor: value * (1 - beta * alpha^-1) = lambda1, by
       multiplication, not by the division that made the value."""
     ring, p = space.ring, space.ring.p
@@ -483,13 +471,11 @@ def _check_lvalue(space, fstar, component, lambda1, alpha, beta, value):
 def eigensystem_to_json(system: EigenSystem) -> dict:
     return {
         "label": system.label,
-        "weight": system.weight,
+        "weight": 2,
         "level": system.level,
         "ap_table": sorted([k, str(v)] for k, v in system.ap.items()),
         "field": "elliptic",
-        "character": None
-        if system.character is None
-        else sorted([k, str(v)] for k, v in system.character.items()),
+        "character": None,
     }
 
 
@@ -506,20 +492,10 @@ def read_rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-def _table(obj: dict, key: str, what: str) -> dict:
-    """The [k, value] pairs of obj[key] as a dict: k an int or a string (a
-    digit string read as its int), each value read by `read_rational`."""
-    pairs = required_key(obj, key, HeckeError)
-    if type(pairs) is not list or not all(
-            type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, str)
-            for pair in pairs):
-        raise HeckeError("%s must be a list of [key, value] pairs, got %r" % (key, pairs))
-    return {int(k) if str(k).isdigit() else k: read_rational(v, what) for k, v in pairs}
-
-
 def eigensystem_from_json(obj: dict) -> EigenSystem:
     """The eigensystem that an `eigensystem_to_json` record describes;
-    HeckeError when the record is not one."""
+    HeckeError when the record is not one, or is not of weight 2 with
+    trivial character."""
     if type(obj) is not dict:
         raise HeckeError("an eigensystem record is a JSON object, got %r" % (obj,))
     for key in ("weight", "level"):
@@ -527,11 +503,18 @@ def eigensystem_from_json(obj: dict) -> EigenSystem:
             raise HeckeError("an eigensystem %s must be an integer, got %r" % (key, obj[key]))
     if obj.get("field", "elliptic") != "elliptic":
         raise HeckeError("only elliptic eigensystems are read, got field %r" % (obj["field"],))
-    return EigenSystem(
-        label=required_key(obj, "label", HeckeError),
-        weight=obj["weight"],
-        level=obj["level"],
-        ap=_table(obj, "ap_table", "an eigenvalue"),
-        character=None if obj.get("character") is None
-        else _table(obj, "character", "a character value"),
-    )
+    if obj["weight"] != 2:
+        raise HeckeError("only weight-2 eigensystems are read, got weight %d" % obj["weight"])
+    if obj.get("character") is not None:
+        raise HeckeError("only trivial-character eigensystems are read, got character %r"
+                         % (obj["character"],))
+    label = required_key(obj, "label", HeckeError)
+    pairs = required_key(obj, "ap_table", HeckeError)
+    if type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, str)
+            for pair in pairs):
+        raise HeckeError("ap_table must be a list of [key, value] pairs, got %r" % (pairs,))
+    # a key is an int or a string, and a digit string reads as its int
+    ap = {int(k) if str(k).isdigit() else k: read_rational(v, "an eigenvalue")
+          for k, v in pairs}
+    return EigenSystem(label, obj["level"], ap)

@@ -634,11 +634,9 @@ def _charpoly_int(A):
                 ]
                 for i in range(dim)
             ]
-    ints = []
-    for c in reversed(coeffs):
-        assert c.denominator == 1
-        ints.append(int(c))
-    return ints  # low-to-high
+    if any(c.denominator != 1 for c in coeffs):
+        raise PadicError("characteristic polynomial with a non-integral coefficient")
+    return [int(c) for c in reversed(coeffs)]  # low-to-high
 
 
 def _poly_at_matrix(coeffs, M, n):

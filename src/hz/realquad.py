@@ -24,16 +24,14 @@ class NotSquarefree(RealQuadError):
     pass
 
 
-class UnitSearchOverflow(RealQuadError):
-    pass
-
-
 class NotSplit(RealQuadError):
     pass
 
 
 class RealQuadraticField:
-    """Q(sqrt(d)) for squarefree d > 1, with integral basis (1, omega)."""
+    """Q(sqrt(d)) for squarefree d > 1, with integral basis (1, omega).  Its
+    totally positive fundamental unit is read off the rho-cycle of the
+    principal form, the walk that also decides narrow principality."""
 
     def __init__(self, d: int):
         if d <= 1:
@@ -49,14 +47,7 @@ class RealQuadraticField:
             self.discriminant = 4 * d
             self.omega_trace = 0
             self.omega_norm = -d
-        # the totally positive fundamental unit is +-u if N(u) = 1, else u^2
-        u = self.fundamental_unit = _fundamental_unit(self)
-        if u.norm() == 1:
-            eps = u if u.is_totally_positive() else -u
-        else:
-            eps = u * u
-        self.totally_positive_fundamental_unit = eps
-        assert eps.norm() == 1 and eps.is_totally_positive()
+        self.totally_positive_fundamental_unit = _totally_positive_unit(self)
         # sqrt(D) = 2*omega - Tr(omega): 2*sqrt(d) for d = 2,3 mod 4, sqrt(d)
         # for d = 1 mod 4
         self.different_generator = QuadElement(self, Fraction(-self.omega_trace), Fraction(2))
@@ -161,39 +152,6 @@ class QuadElement:
 
     def __repr__(self):
         return "QuadElement(d=%d, %s + %s*w)" % (self.F.d, self.x, self.y)
-
-
-# ---------------------------------------------------------------------------
-# fundamental unit by continued fractions
-
-
-def _fundamental_unit(F: RealQuadraticField) -> QuadElement:
-    """Smallest unit > 1 of the maximal order, from the continued fraction
-    of omega: the convergents h/k yield u = h - k*conj(omega), and the first
-    convergent with |N(u)| = 1 is the fundamental unit.  The search gives
-    up once a convergent passes 40,000 bits."""
-    d = F.d
-    t, n = F.omega_trace, F.omega_norm
-    if d % 4 == 1:
-        P, Q = 1, 2
-    else:
-        P, Q = 0, 1
-    sq = isqrt(d)
-    h0, h1 = 1, 0  # h_{-1}, h_{-2}
-    k0, k1 = 0, 1
-    for _ in range(10**6):
-        a = (P + sq) // Q
-        h0, h1 = a * h0 + h1, h0
-        k0, k1 = a * k0 + k1, k0
-        nm = h0 * h0 - h0 * k0 * t + k0 * k0 * n
-        if nm in (1, -1):
-            u = QuadElement(F, Fraction(h0 - k0 * t), Fraction(k0))
-            return u
-        if h0.bit_length() > 40000:
-            break
-        P = a * Q - P
-        Q = (d - P * P) // Q
-    raise UnitSearchOverflow("no unit found below 40,000 bits")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +305,24 @@ def _cycle_of(form, D: int):
     raise RealQuadError("form cycle did not close")
 
 
+def _totally_positive_unit(F: RealQuadraticField) -> QuadElement:
+    """The totally positive fundamental unit eps = (t + u sqrt(D))/2.  One
+    rho-period of the reduced principal form (a, b, c) closes with its
+    fundamental proper automorph [[(t - bu)/2, -cu], [au, (t + bu)/2]]
+    (Buchmann-Vollmer, ch. 6; Cohen, GTM 138, 5.7), from which t and u are
+    read off."""
+    D = F.discriminant
+    f, _ = _reduce_form(1, D % 2, (D % 2 - D) // 4, D)
+    _, [[x, _], [y, w]] = _rho(*_cycle_of(f, D)[-1], D)
+    t = abs(x + w)
+    u, rest = divmod(abs(y), abs(f[0]))
+    if rest or t * t - D * u * u != 4:
+        raise RealQuadError("the rho-period of the principal form of "
+                            "discriminant %d is not a unit's automorph" % D)
+    # sqrt(D) = 2*omega - Tr(omega)
+    return QuadElement(F, Fraction((t - u * F.omega_trace) // 2), Fraction(u))
+
+
 # ---------------------------------------------------------------------------
 # narrow principality with witnesses
 
@@ -383,10 +359,10 @@ def narrowly_principal_split(F: RealQuadraticField, p: int):
     x0 = U0[0][0] * hit[0][0] + U0[0][1] * hit[1][0]
     y0 = U0[1][0] * hit[0][0] + U0[1][1] * hit[1][0]
     z = F.element(p, 0) * F.element(x0, 0) + (F.element(r, 0) - F.omega()) * F.element(y0, 0)
-    assert z.norm() == p, "witness has wrong norm"
+    if z.norm() != p:
+        raise RealQuadError("the witness for p = %d does not have norm p" % p)
     if not z.is_totally_positive():
         z = -z
-    assert z.is_totally_positive()
     # assign to the ideal whose residue map kills it
     if split_prime(F, p, 1).residue(z, 1) % p == 0:
         pi1, pi2 = z, z.conjugate()

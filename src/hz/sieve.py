@@ -122,7 +122,8 @@ def _ap_exhaustive(E: EllipticCurveData, p: int) -> int:
             elif square[disc]:
                 points += 2
     ap = p + 1 - points
-    assert ap * ap <= 4 * p, "Hasse bound violated"
+    if ap * ap > 4 * p:
+        raise SieveError("a_%d = %d violates the Hasse bound" % (p, ap))
     return ap
 
 

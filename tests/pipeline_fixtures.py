@@ -39,13 +39,11 @@ def formal_ap(seed: int, overrides: dict, upto: int = 100) -> dict:
 
 TARGET_SYS = EigenSystem(
     label="target",
-    weight=2,
     level=1,
     ap=formal_ap(101, {2: -2, 3: -1, 7: -2}),
 )
 OTHER_SYS = EigenSystem(
     label="other",
-    weight=2,
     level=1,
     ap=formal_ap(202, {2: 1, 3: 2, 7: 1}),
 )

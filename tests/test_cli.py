@@ -294,6 +294,10 @@ class TestLValue:
         assert code == EXIT_OK
         record = json.loads(out)
         assert record["value"] == [expected.unit, expected.val]
+        # h_plus is ignored, whatever it holds
+        ignored = tmp_path / "h_plus.json"
+        ignored.write_text(json.dumps(_lvalue_record(h_plus="x")))
+        assert run(capsys, ["lvalue", "--input", str(ignored), "--verify"])[:2] == (EXIT_OK, out)
 
     def test_singular_basis_exits_with_the_stage(self, capsys, tmp_path):
         path, _ = self.make_input(tmp_path, 123)
@@ -505,6 +509,11 @@ DERIVE = ["qexp-op", "--op", "derive"]
 _MALFORMED_ERRORS = {
     # 3 is inert in Q(sqrt 2): refused before any stage runs
     "lvalue-p-inert": "error: p = 3 is not split in Q(sqrt(2))\n",
+    # the pipeline assumes weight 2 and trivial character: refused when read
+    "lvalue-eigen-weight-4":
+        "error: only weight-2 eigensystems are read, got weight 4\n",
+    "lvalue-eigen-character-minus-one":
+        "error: only trivial-character eigensystems are read, got character [[0, '-1']]\n",
 }
 HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
 
@@ -535,7 +544,6 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
     pytest.param(_lvalue_record(d=2.5), ["lvalue"], id="lvalue-d-float"),
     pytest.param(_lvalue_record(p=3), ["lvalue"], id="lvalue-p-inert"),
     pytest.param(_lvalue_record(bound="30"), ["lvalue"], id="lvalue-bound-string"),
-    pytest.param(_lvalue_record(h_plus="x"), ["lvalue"], id="lvalue-h-plus-word"),
     pytest.param(_lvalue_record(annihilation=[["x", "1"]]), ["lvalue"],
                  id="lvalue-annihilation-ell-word"),
     pytest.param(_lvalue_record(annihilation=[[3]]), ["lvalue"],
@@ -562,6 +570,10 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
                  id="lvalue-eigenvalue-word"),
     pytest.param(_lvalue_record(target=_eigen_changed(character=[])), ["lvalue"],
                  id="lvalue-eigen-character-empty"),
+    pytest.param(_lvalue_record(target=_eigen_changed(weight=4)), ["lvalue"],
+                 id="lvalue-eigen-weight-4"),
+    pytest.param(_lvalue_record(target=_eigen_changed(character=[[0, "-1"]])), ["lvalue"],
+                 id="lvalue-eigen-character-minus-one"),
 ])
 def test_malformed_records_are_input_errors(capsys, tmp_path, request, record, argv):
     path = tmp_path  # no record: the input is a directory

@@ -1,6 +1,7 @@
 """Every function, class, method and property defined in src/hz is reached
 from what the program runs, every defaulted parameter is passed by some
-call in it, and every option of an `hz` subcommand is read (stdlib only).
+call in it, every option of an `hz` subcommand is read, and src/hz has no
+`assert` statement, whose check `python -O` would strip (stdlib only).
 
 Reachability is a static name graph built with `ast`.  The roots are
 `hz.cli.main`, the names read by module-level statements of src/hz (except
@@ -351,9 +352,6 @@ ATTR_KEPT = {
     "RealQuadraticField.different_generator":
         "sqrt(D) as a field element; the trace-enumeration tests check "
         "membership in the inverse different with it",
-    "RealQuadraticField.fundamental_unit":
-        "the unit the continued fraction finds; the unit tests compare it "
-        "with a brute-force scan",
 }
 
 
@@ -434,3 +432,24 @@ def test_detector_sees_write_only_attributes():
         ("a.py", 13, "D.tag"), ("b.py", 2, "extra")]
     assert write_only_attributes(modules, readers=["print(k.lone.outer)\n"]) == [
         ("a.py", 3, "K.ghost"), ("a.py", 13, "D.tag"), ("b.py", 2, "extra")]
+
+
+def assert_statements(modules):
+    """(module, line) of each `assert` statement in `modules` (module name ->
+    source)."""
+    return sorted((mod, n.lineno) for mod, source in modules.items()
+                  for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_no_assert_statements():
+    modules = {p.name: p.read_text()
+               for p in sorted((ROOT / "src" / "hz").glob("*.py"))}
+    assert assert_statements(modules) == []
+
+
+def test_detector_sees_assert_statements():
+    modules = {"a.py": ("def f(x):\n"
+                        "    assert x, 'checked'\n"
+                        "    return x  # assert x\n"),
+               "b.py": "s = 'assert s'\nassert s\n"}
+    assert assert_statements(modules) == [("a.py", 2), ("b.py", 2)]

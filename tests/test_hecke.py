@@ -41,8 +41,8 @@ from hz.realquad import make_field, split_prime
 R75 = padic_ring(7, 5)
 
 
-def eigsys(label, ap, weight=2):
-    return EigenSystem(label=label, weight=weight, level=1, ap=ap)
+def eigsys(label, ap):
+    return EigenSystem(label=label, level=1, ap=ap)
 
 
 class TestStabilize:
@@ -58,7 +58,7 @@ class TestStabilize:
             stabilize(eigsys("bad", {3: 3}), 3, 4)
 
     def test_level_guard(self):
-        sys = EigenSystem(label="x", weight=2, level=7, ap={7: 1})
+        sys = EigenSystem(label="x", level=7, ap={7: 1})
         with pytest.raises(HeckeError):
             stabilize(sys, 7, 4)
 
@@ -455,7 +455,7 @@ class TestEigendataJson:
         sys = fx.TARGET_SYS
         again = eigensystem_from_json(eigensystem_to_json(sys))
         assert again.label == sys.label
-        assert again.weight == sys.weight
+        assert again.level == sys.level
         assert {k: Fraction(v) for k, v in sys.ap.items()} == again.ap
 
     def test_non_elliptic_field_is_refused(self):
@@ -466,3 +466,11 @@ class TestEigendataJson:
         # a record without the tag reads as elliptic
         del record["field"]
         assert eigensystem_from_json(record).label == fx.TARGET_SYS.label
+
+    def test_other_weight_or_character_is_refused(self):
+        record = eigensystem_to_json(fx.TARGET_SYS)
+        assert (record["weight"], record["character"]) == (2, None)
+        with pytest.raises(HeckeError, match="got weight 4"):
+            eigensystem_from_json(dict(record, weight=4))
+        with pytest.raises(HeckeError, match="trivial-character"):
+            eigensystem_from_json(dict(record, character=[[0, "1"]]))

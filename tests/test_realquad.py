@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 import sympy
+from sympy.solvers.diophantine.diophantine import diop_DN
 
 from hz.realquad import (
     NotSplit,
@@ -53,34 +54,26 @@ def brute_force_fundamental_unit(F, coord_bound=250):
 class TestMakeField:
     def test_d5(self):
         F = make_field(5)
-        u = F.fundamental_unit
-        # (1+sqrt5)/2 has coordinates (0,1) in the (1, omega) basis
-        assert xy(u) == xy(F.omega())
-        assert u.norm() == -1
         eps = F.totally_positive_fundamental_unit
         assert xy(eps) == xy(F.from_sqrt_basis(Fraction(3, 2), Fraction(1, 2)))
         assert eps.norm() == 1 and eps.is_totally_positive()
 
     def test_d2(self):
         F = make_field(2)
-        assert xy(F.fundamental_unit) == xy(F.from_sqrt_basis(1, 1))
-        assert F.fundamental_unit.norm() == -1
         assert xy(F.totally_positive_fundamental_unit) == xy(F.from_sqrt_basis(3, 2))
 
     def test_d3(self):
         F = make_field(3)
-        u = F.fundamental_unit
-        assert xy(u) == xy(F.from_sqrt_basis(2, 1))
-        assert u.norm() == 1
-        assert xy(F.totally_positive_fundamental_unit) == xy(u)
+        assert xy(F.totally_positive_fundamental_unit) == xy(F.from_sqrt_basis(2, 1))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 29])
     def test_against_brute_force(self, d):
         F = make_field(d)
-        oracle = brute_force_fundamental_unit(F)
-        if oracle is not None:  # unit small enough for the scan
-            assert xy(F.fundamental_unit) == xy(oracle)
         eps = F.totally_positive_fundamental_unit
+        u = brute_force_fundamental_unit(F)
+        if u is not None:  # unit small enough for the scan
+            # u > 1, so u is totally positive when N(u) = 1; else eps = u^2
+            assert xy(eps) == xy(u if u.norm() == 1 else u * u)
         assert eps.norm() == 1 and eps.is_totally_positive()
         # minimality of eps: no totally positive unit strictly between 1 and
         # it (scan only when the window is small enough to search exactly)
@@ -95,6 +88,25 @@ class TestMakeField:
                         and 1 + 1e-9 < first_embedding(z) < first_embedding(eps) - 1e-9
                     ):
                         raise AssertionError("smaller totally positive unit %r" % z)
+
+    def test_against_pell_solver(self):
+        """eps = (t + u sqrt(D))/2 for the least positive solution (t, u) of
+        t^2 - D u^2 = 4, as sympy's generalized Pell solver finds it."""
+        for d in range(2, 2000):
+            if sympy.ntheory.factor_.core(d) != d:
+                continue
+            F = make_field(d)
+            t, u = min((t, u) for t, u in diop_DN(F.discriminant, 4) if u > 0)
+            expected = (t + u * F.different_generator) * Fraction(1, 2)
+            assert xy(F.totally_positive_fundamental_unit) == xy(expected), d
+
+    def test_open_cycle_is_refused(self, monkeypatch):
+        """A rho-period that does not close on the principal form gives no
+        automorph, and make_field says so."""
+        monkeypatch.setattr("hz.realquad._cycle_of",
+                            lambda form, D: _cycle_of(form, D)[:-1])
+        with pytest.raises(RealQuadError, match="discriminant 5"):
+            make_field(5)
 
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
