@@ -104,8 +104,11 @@ def _load_json(path):
         raise CliError("input file does not exist: %s" % path)
     if not os.path.isfile(path):
         raise CliError("input is not a regular file: %s" % path)
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError:
+            raise CliError("input is not UTF-8 text: %s" % path) from None
 
 
 def _emit(record, fmt):
@@ -158,8 +161,11 @@ def cmd_sieve(args):
             if not reverify(F, quintic, E, result):
                 raise CliError("verification failed at p = %d" % result.p)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            write_csv(run.admissible, fh)
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                write_csv(run.admissible, fh)
+        except OSError as exc:
+            raise CliError("cannot write --csv %s: %s" % (args.csv, exc.strerror)) from None
     if args.format == "json":
         write_jsonl(run.admissible, sys.stdout)
     else:

@@ -4,9 +4,10 @@ reports, and the weight-2 L-value pipeline.
 
 Spaces are certified by windows: a basis is validated through its leading
 coefficient block, operator matrices are solved from that block and checked
-against the next block of coefficients.  Inner products are never computed;
-the projection onto a target eigensystem is realized by annihilating the
-other systems with Hecke operators and reading off the first coefficient."""
+against every later known coefficient prime to p.  Inner products are never
+computed; the projection onto a target eigensystem is realized by
+annihilating the other systems with Hecke operators and reading off the
+first coefficient."""
 
 from __future__ import annotations
 
@@ -175,8 +176,8 @@ def _mat_vec(M, x):
 class HeckeSpace:
     """Span of a supplied basis of expansions at common p-adic precision,
     certified through the leading dim x dim coefficient block (coefficients
-    1..dim); membership and operator matrices are validated on the next dim
-    coefficients."""
+    1..dim); membership and operator matrices are validated on every later
+    known coefficient prime to p."""
 
     def __init__(self, basis):
         if not basis:
@@ -203,15 +204,18 @@ class HeckeSpace:
 
     def coordinates(self, phi: EllipticQExp):
         """Coordinates of phi in the basis, solved from the leading block
-        and certified on the next dim coefficients."""
-        d = self.dimension
+        and certified on every later n <= min(phi.bound, self.bound) prime
+        to p; the coefficients at multiples of p are not compared."""
+        d, p = self.dimension, self.ring.p
         if phi.ring is not self.ring:
             raise HeckeError("mixed coefficient rings")
         if phi.bound < 2 * d:
             raise HeckeError("expansion bound below the certification window")
         b = [phi[n] for n in range(1, d + 1)]
         x = _solve_linear(self._block, b, "coordinates")
-        for n in range(d + 1, 2 * d + 1):
+        for n in range(d + 1, min(phi.bound, self.bound) + 1):
+            if n % p == 0:
+                continue
             recon = sum((x[j] * self.basis[j][n] for j in range(d)), self.zero)
             if not (recon - phi[n]).is_zero():
                 raise NotInSpan("residual nonzero at coefficient %d" % n)
@@ -253,7 +257,9 @@ class HeckeSpace:
 
 def e_ord(space: HeckeSpace, phi: EllipticQExp) -> EllipticQExp:
     """Ordinary projection of an expansion in the span: the unit-root-space
-    component of the U_p action."""
+    component of the U_p action.  Coefficients of phi at multiples of p are
+    ignored (assumed: phi projects as the span element agreeing with it
+    at every n prime to p; not machine-checkable)."""
     x = space.coordinates(phi)
     p, m = space.ring.p, space.ring.m
     E = bezout_projector(space.operator_matrix(("U", p)), p, m)
@@ -358,8 +364,11 @@ def euler_report(
     alpha_f, beta_f = (as_padic(x, p, m) for x in f_roots)
     one = PadicNumber.one(p, m)
     p_adic = as_padic(p, p, m)
-    for name, divisor in (("alpha", alpha_f), ("beta", beta_f), ("a1", a1), ("a2", a2),
-                          ("beta^2", beta_f * beta_f), ("a1*a2*p", a1 * a2 * p_adic)):
+    divisors = (("alpha", alpha_f), ("beta", beta_f), ("a1", a1), ("a2", a2),
+                ("beta^2", beta_f * beta_f), ("a1*a2*p", a1 * a2 * p_adic))
+    if alpha_exp < 0:  # the point value then inverts a1 a2 p^(2-ell) / alpha
+        divisors += (("a1*a2*p^(2-ell)", a1 * a2 * p_adic ** (2 - ell)),)
+    for name, divisor in divisors:
         if divisor.is_zero():
             raise HeckeError("the Euler report divides by %s, which is 0 modulo %d^%d"
                              % (name, p, m))
@@ -422,8 +431,9 @@ def lvalue_weight2(
     eigensystem, then divide the first coefficient by the ordinary factor
     1 - beta/alpha.  The twist by the trivial character is left out: it is
     depletion at the first prime, which the depleted expansion already
-    has.  With `verify`, the stage values are checked by `_check_lvalue`
-    before the value returns."""
+    has.  `e_ord` ignores the twisted expansion's coefficients at
+    multiples of p (assumed; not machine-checkable).  With `verify`, the
+    stage values are checked by `_check_lvalue` before the value returns."""
     p, m = prime_data.p, space.ring.m
     depleted = hilbert_deplete(g, prime_data, "both")
     inverted = theta_d_inverse(depleted, 1, prime_data)

@@ -1,6 +1,6 @@
-"""Fixed-precision p-adic numbers, the unit-root splitting machinery
-behind the ordinary projector, and the small-integer number theory
-(primality, prime ranges, factoring, orders) of the other layers.
+"""Fixed-precision p-adic numbers, the ordinary projector of a matrix, and
+the small-integer number theory (primality, prime ranges, factoring,
+orders) of the other layers.
 
 Precision model: a computation fixes its coefficient ring, the
 `PadicContext` that `padic_ring(p, m)` returns (one object per (p, m),
@@ -18,10 +18,11 @@ for digit.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import isqrt
+from math import isqrt, lcm
 
 
 class PadicError(ArithmeticError):
@@ -34,10 +35,6 @@ class PrecisionExhausted(PadicError):
 
 class NotOrdinary(PadicError):
     pass
-
-
-class SingularResultant(PadicError):
-    """Internal error: the unit/non-unit factors share a root mod p."""
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -522,84 +519,13 @@ def _gcd_poly_modp(f, g, p):
     return [c * inv % p for c in r0]
 
 
-def _xgcd_poly_modp(f, g, p):
-    """Extended gcd over F_p[X]; returns (gcd, s, t) with s f + t g = gcd."""
-    r0, r1 = _ptrim([c % p for c in f]), _ptrim([c % p for c in g])
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        q, r = _pdivmod_monic(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    lead = r0[-1]
-    inv = pow(lead, -1, p)
-    return ([c * inv % p for c in r0], [c * inv % p for c in s0], [c * inv % p for c in t0])
-
-
-def _hensel_step(f, g, h, s, t, mod_old, mod_new):
-    """One quadratic Hensel step: given f = g h and s g + t h = 1 mod
-    mod_old, return the lifts mod mod_new (mod_old^2 >= mod_new).
-    h must be monic."""
-    n = mod_new
-    e = _psub(f, _pmul(g, h, n), n)
-    q, r = _pdivmod_monic(_pmul(s, e, n), h, n)
-    g1 = _padd(_padd(g, _pmul(t, e, n), n), _pmul(q, g, n), n)
-    h1 = _padd(h, r, n)
-    b = _psub(_padd(_pmul(s, g1, n), _pmul(t, h1, n), n), [1], n)
-    c, d = _pdivmod_monic(_pmul(s, b, n), h1, n)
-    s1 = _psub(s, d, n)
-    t1 = _psub(_psub(t, _pmul(t, b, n), n), _pmul(c, g1, n), n)
-    return g1, h1, s1, t1
-
-
-def _split_int_poly(f_int, p, m):
-    """Split a monic integer polynomial mod p^m as (unit, nonunit, s, t),
-    both factors monic, with s*unit + t*nonunit = 1 mod p^m.  unit collects
-    the roots of valuation 0 and nonunit the roots of positive valuation."""
-    pm = p**m
-    f_int = [c % pm for c in f_int]
-    if f_int[-1] != 1:
-        raise PadicError("the polynomial to split must be monic")
-    fbar = [c % p for c in f_int]
-    if all(c == 0 for c in fbar):
-        raise PrecisionExhausted("polynomial is 0 mod p; polygon unresolved")
-    # strip the X^s factor of the reduction
-    sdeg = 0
-    while fbar[sdeg] == 0:
-        sdeg += 1
-    g = _ptrim(fbar[sdeg:])
-    if len(g) == 1:  # no unit roots
-        return [1], f_int, [1], [0]
-    if sdeg == 0:  # no non-unit roots
-        return f_int, [1], [0], [1]
-    # f = g * X^sdeg mod p; Hensel lifting keeps both factors monic
-    h = [0] * sdeg + [1]
-    gcd, s, t = _xgcd_poly_modp(g, h, p)
-    if gcd != [1]:
-        raise SingularResultant("unit and non-unit parts share a root mod p")
-    k = 1
-    while k < m:
-        k = min(2 * k, m)
-        g, h, s, t = _hensel_step(f_int, g, h, s, t, p ** (k // 2), p**k)
-    if _pmul(g, h, pm) != f_int:
-        raise PadicError(
-            "unit/non-unit split of degree %d + %d does not multiply back to "
-            "the polynomial mod %d^%d" % (len(g) - 1, len(h) - 1, p, m)
-        )
-    return g, h, s, t
-
-
 # ---------------------------------------------------------------------------
 # matrices of p-adic integers (residues mod p^m)
 
 
 def _mat_mul(A, B, n):
-    dim = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(dim)) % n for j in range(dim)]
-        for i in range(dim)
-    ]
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) % n for col in cols] for row in A]
 
 
 def _mat_pow(A, e, n):
@@ -613,63 +539,34 @@ def _mat_pow(A, e, n):
     return R
 
 
-def _charpoly_int(A):
-    """Characteristic polynomial (low-to-high, monic) of an integer matrix,
-    by the Faddeev-LeVerrier recursion over exact rationals."""
-    dim = len(A)
-    Mk = [[Fraction(x) for x in row] for row in A]
-    coeffs = [Fraction(1)]  # built high-to-low: X^dim + c1 X^{dim-1} + ...
-    I = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    Nk = Mk
-    for k in range(1, dim + 1):
-        tr = sum(Nk[i][i] for i in range(dim))
-        ck = -tr / k
-        coeffs.append(ck)
-        if k < dim:
-            shifted = [[Nk[i][j] + (ck if i == j else 0) for j in range(dim)] for i in range(dim)]
-            Nk = [
-                [
-                    sum(Mk[i][l] * shifted[l][j] for l in range(dim))
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
-    if any(c.denominator != 1 for c in coeffs):
-        raise PadicError("characteristic polynomial with a non-integral coefficient")
-    return [int(c) for c in reversed(coeffs)]  # low-to-high
-
-
-def _poly_at_matrix(coeffs, M, n):
-    dim = len(M)
-    acc = [[0] * dim for _ in range(dim)]
-    for c in reversed(coeffs):
-        acc = _mat_mul(acc, M, n)
-        for i in range(dim):
-            acc[i][i] = (acc[i][i] + c) % n
-    return acc
-
-
 def bezout_projector(M, p: int, m: int):
-    """The idempotent e = t(M) * v(M) where charpoly = u*v splits into unit
-    and non-unit parts and s u + t v = 1 mod p^m.  Acts as the identity on
-    the unit-root generalized eigenspace and as 0 on the rest; realizes the
-    limit of the U^{n!} iterates in finite dimension."""
-    pm = p**m
-    A = []
-    for row in M:
-        r = []
-        for x in row:
-            xp = as_padic(x, p, m)
-            if xp.val < 0:
-                raise PadicError("matrix entries must be p-adically integral")
-            r.append(xp.residue)
-        A.append(r)
-    u, v, s, t = _split_int_poly(_charpoly_int(A), p, m)
-    if len(v) == 1:  # all roots are units (with none, t = 0 makes E = 0)
-        E = [[1 if i == j else 0 for j in range(len(A))] for i in range(len(A))]
-    else:
-        tv = _pmul(t, v, pm)
-        E = _poly_at_matrix(tv, A, pm)
+    """The ordinary projector of a p-adically integral matrix M mod p^m:
+    the idempotent of Z/p^m[M] that is the identity on the unit-root
+    generalized eigenspace and 0 on the rest, the limit of the U^{n!}
+    iterates in finite dimension.  It is t(M) v(M) for the Bezout split
+    s u + t v = 1 of the characteristic polynomial into its unit-root part
+    u and non-unit part v, hence the name, but is built without that split:
+    mod p, M^e is the Fitting idempotent for e = lcm(p^f - 1, f <= dim)
+    times a power of p at least dim, and Newton's step E -> 3E^2 - 2E^3,
+    doubling the precision of E^2 = E each time, lifts it uniquely."""
+    pm, dim = p**m, len(M)
+    A = [[as_padic(x, p, m) for x in row] for row in M]
+    if any(x.val < 0 for row in A for x in row):
+        raise PadicError("matrix entries must be p-adically integral")
+    A = [[x.residue for x in row] for row in A]
+    e, q = 1, 1
+    for f in range(1, dim + 1):
+        e = lcm(e, p**f - 1)
+    while q < dim:
+        q *= p
+    E = _mat_pow(A, e * q, pm)
+    for _ in range((m - 1).bit_length()):
+        E2 = _mat_mul(E, E, pm)
+        E3 = _mat_mul(E2, E, pm)
+        E = [[(3 * a - 2 * b) % pm for a, b in zip(r2, r3)] for r2, r3 in zip(E2, E3)]
+    if _mat_mul(E, E, pm) != E:
+        raise PadicError("the ordinary projector of a %d x %d matrix is not idempotent "
+                         "mod %d^%d" % (dim, dim, p, m))
     return [[PadicNumber(p, m, x) for x in row] for row in E]
 
 
@@ -680,13 +577,11 @@ def ordinary_iterate_oracle(M, p: int, m: int):
     to the dimension (unit eigenvalues may live in unramified extensions)
     and by a high power of p (to flatten nilpotent parts and principal
     units); n! eventually is, so one such exponent realizes the limit."""
-    import math
-
     pm = p**m
     A = [[as_padic(x, p, m).residue for x in row] for row in M]
     e = 1
     for f in range(1, len(A) + 1):
-        e = math.lcm(e, p**f - 1)
+        e = lcm(e, p**f - 1)
     e *= p ** (m + len(A) + 2)
     E = _mat_pow(A, e, pm)
     return [[PadicNumber(p, m, x) for x in row] for row in E]

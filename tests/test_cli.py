@@ -514,7 +514,15 @@ _MALFORMED_ERRORS = {
         "error: only weight-2 eigensystems are read, got weight 4\n",
     "lvalue-eigen-character-minus-one":
         "error: only trivial-character eigensystems are read, got character [[0, '-1']]\n",
+    # {path} is the input file
+    "lvalue-not-utf8": "error: input is not UTF-8 text: {path}\n",
+    "qexp-op-not-utf8": "error: input is not UTF-8 text: {path}\n",
+    # the argv cases of test_malformed_argv_are_input_errors
+    "sieve-csv-no-dir": "error: cannot write --csv /no/such/dir/x.csv: No such file or directory\n",
+    "euler-point-base-zero": "error: the Euler report divides by a1*a2*p^(2-ell), "
+                             "which is 0 modulo 7^4\n",
 }
+NOT_UTF8 = b"\xff\xfe{"
 HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
 
 
@@ -533,12 +541,14 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
     pytest.param(_malformed(RATIONAL, bound=4.0), DERIVE, id="bound-float"),
     pytest.param([1, 2], DERIVE, id="not-an-object"),
     pytest.param(None, DERIVE, id="qexp-op-directory"),
+    pytest.param(NOT_UTF8, DERIVE, id="qexp-op-not-utf8"),
     pytest.param([1], ["lvalue"], id="lvalue-not-an-object"),
     pytest.param({"p": "x"}, ["lvalue"], id="lvalue-p-word"),
     pytest.param({"p": 7, "m": "x"}, ["lvalue"], id="lvalue-m-word"),
     pytest.param({"p": 7, "bound": [1]}, ["lvalue"], id="lvalue-bound-list"),
     pytest.param({"p": 7, "bound": 9, "d": None}, ["lvalue"], id="lvalue-d-null"),
     pytest.param(None, ["lvalue"], id="lvalue-directory"),
+    pytest.param(NOT_UTF8, ["lvalue"], id="lvalue-not-utf8"),
     pytest.param(_lvalue_record(p=7.9), ["lvalue"], id="lvalue-p-float"),
     pytest.param(_lvalue_record(m=4.5), ["lvalue"], id="lvalue-m-float"),
     pytest.param(_lvalue_record(d=2.5), ["lvalue"], id="lvalue-d-float"),
@@ -577,7 +587,10 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
 ])
 def test_malformed_records_are_input_errors(capsys, tmp_path, request, record, argv):
     path = tmp_path  # no record: the input is a directory
-    if record is not None:
+    if isinstance(record, bytes):
+        path = tmp_path / "f.json"
+        path.write_bytes(record)
+    elif record is not None:
         path = tmp_path / "f.json"
         path.write_text(json.dumps(record))
     code, out, err = run(capsys, argv + ["--input", str(path)])
@@ -585,7 +598,18 @@ def test_malformed_records_are_input_errors(capsys, tmp_path, request, record, a
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     expected = _MALFORMED_ERRORS.get(request.node.callspec.id)
-    assert expected is None or err == expected
+    assert expected is None or err == expected.format(path=path)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sieve", "--pmax", "40", "--pmin", "30", "--csv", "/no/such/dir/x.csv"],
+                 id="sieve-csv-no-dir"),
+    pytest.param(["euler", "--alphas", "1,2,3,4", "--froots", "2,21", "-p", "7",
+                  "--ell", "-10", "--alpha-exp", "-1"], id="euler-point-base-zero"),
+])
+def test_malformed_argv_are_input_errors(capsys, request, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_ERROR, "", _MALFORMED_ERRORS[request.node.callspec.id])
 
 
 @pytest.mark.parametrize("key", [[1, "1/1"], [None, "1/1"], [1.5, "0/1"],

@@ -89,6 +89,12 @@ def two_eigen_space(bound=60, p=7, m=5, beta_other=False):
     }
 
 
+def _shifted_at(phi, at, delta=1):
+    """phi with delta added to its coefficient at n = at."""
+    coeffs = [phi[n] + (delta if n == at else 0) for n in range(phi.bound + 1)]
+    return EllipticQExp(phi.weight, phi.level, phi.bound, coeffs, phi.ring)
+
+
 class TestHeckeSpace:
     def test_u_matrix_diagonal_on_eigenbasis(self):
         ctx = two_eigen_space()
@@ -158,17 +164,26 @@ class TestHeckeSpace:
             space.operator_matrix(("T", 3))
 
     def test_not_in_span(self):
+        # d = 2, p = 7: every n prime to 7 is checked, not only 1..2d
         ctx = two_eigen_space()
         phi = ctx["gt"] + ctx["go"].scale(3)
-        tampered = EllipticQExp(
-            phi.weight,
-            phi.level,
-            phi.bound,
-            [phi[n] + (1 if n == 3 else 0) for n in range(phi.bound + 1)],
-            phi.ring,
-        )
-        with pytest.raises(NotInSpan):
-            ctx["space"].coordinates(tampered)
+        for n in (3, 5, 6, 8, 59, 60):
+            with pytest.raises(NotInSpan, match="residual nonzero at coefficient %d$" % n):
+                ctx["space"].coordinates(_shifted_at(phi, n))
+        # the coefficients at multiples of p are not compared
+        for n in (7, 14, 56):
+            x = ctx["space"].coordinates(_shifted_at(phi, n))
+            assert x == [1, 3]
+
+    def test_basis_changed_past_the_leading_window_is_caught(self):
+        # gt with its coefficient at n = 2d + 1 zeroed is no eigenform; the
+        # T_3 images agree with the span on n <= 2d, so only a check past
+        # that window can see it
+        ctx = two_eigen_space()
+        gt = ctx["gt"]
+        bad = _shifted_at(gt, 5, -gt[5])
+        with pytest.raises(NotInvariant, match="at coefficient 5$"):
+            HeckeSpace([bad, ctx["go"]]).operator_matrix(("T", 3))
 
     def test_singular_block_names_the_stage(self):
         ctx = two_eigen_space()

@@ -12,10 +12,7 @@ from hz.padic import (
     PadicNumber,
     PrecisionExhausted,
     _gcd_poly_modp,
-    _padd,
     _pmul,
-    _split_int_poly,
-    _xgcd_poly_modp,
     as_padic,
     bezout_projector,
     hensel_unit_root,
@@ -315,7 +312,10 @@ class TestLiftRoot:
 
 
 class TestGcdPolyModp:
-    def test_matches_extended_gcd(self):
+    def test_matches_sympy_gcd(self):
+        import sympy
+        from sympy.abc import x
+
         rng = random.Random(1729)
         for p in (2, 3, 5, 7, 853):
             for _ in range(60):
@@ -325,104 +325,9 @@ class TestGcdPolyModp:
                 g = _pmul(common, [rng.randrange(p) for _ in range(rng.randrange(1, 6))], p)
                 if f == [0] and g == [0]:
                     continue
-                assert _gcd_poly_modp(f, g, p) == _xgcd_poly_modp(f, g, p)[0]
-
-
-class TestSplitIntPoly:
-    @staticmethod
-    def _random_mixed(rng, p, m, deg, sdeg):
-        """A monic integer polynomial of degree deg whose reduction mod p is
-        X^sdeg times a polynomial with nonzero constant term, so it has
-        exactly sdeg roots of positive valuation."""
-        pm = p**m
-        f = [p * rng.randrange(pm) for _ in range(sdeg)]
-        f.append(rng.randrange(1, p) + p * rng.randrange(pm))
-        f += [rng.randrange(pm) for _ in range(deg - sdeg - 1)]
-        return f[:deg] + [1]
-
-    def test_random_mixed_slopes(self):
-        rng = random.Random(2718)
-        for p in (2, 3, 5, 7):
-            for m in range(1, 9):
-                pm = p**m
-                for _ in range(8):
-                    deg = rng.randrange(1, 8)
-                    sdeg = rng.randrange(deg + 1)
-                    f = self._random_mixed(rng, p, m, deg, sdeg)
-                    g, h, s, t = _split_int_poly(f, p, m)
-                    assert g[-1] == 1 and h[-1] == 1
-                    assert (len(g) - 1, len(h) - 1) == (deg - sdeg, sdeg)
-                    assert _pmul(g, h, pm) == [c % pm for c in f]
-                    assert _padd(_pmul(s, g, pm), _pmul(t, h, pm), pm) == [1]
-                    # g has the unit roots, h reduces to X^sdeg
-                    assert g[0] % p != 0
-                    assert all(c % p == 0 for c in h[:-1])
-
-    def test_broken_lift_is_caught(self, monkeypatch):
-        import hz.padic
-
-        monkeypatch.setattr(hz.padic, "_hensel_step",
-                            lambda f, g, h, s, t, old, new: (g, h, s, t))
-        p, m = 5, 4
-        f = [5, 1 + 5, 1]  # X^2 + 6X + 5 = (X + 1)(X + 5)
-        with pytest.raises(PadicError, match=r"split of degree 1 \+ 1"):
-            _split_int_poly(f, p, m)
-
-
-def _poly_from_roots(roots, pm):
-    """The monic integer polynomial with the given roots, low-to-high mod pm."""
-    coeffs = [1]
-    for r in roots:
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= r * coeffs[i + 1]
-    return [c % pm for c in coeffs]
-
-
-def _at(f, x, pm):
-    return sum(c * x**i for i, c in enumerate(f)) % pm
-
-
-class TestNewtonPolygonSplit:
-    """`_split_int_poly` separates the roots of valuation 0 from those of
-    positive valuation, as the slopes of the Newton polygon do."""
-
-    def test_trivial_split(self):
-        p, m = 5, 6
-        pm = p**m
-        u, v, _, _ = _split_int_poly(_poly_from_roots([1, p], pm), p, m)
-        assert len(u) == len(v) == 2
-        assert _at(u, 1, pm) == 0
-        assert _at(v, p, pm) == 0
-
-    def test_all_nonunit(self):
-        p, m = 5, 6
-        u, v, _, _ = _split_int_poly([0, 0, 1], p, m)
-        assert u == [1]
-        assert len(v) - 1 == 2
-
-    def test_rejects_non_monic(self):
-        p, m = 5, 6
-        with pytest.raises(PadicError, match="monic"):
-            _split_int_poly([5, 1, 2], p, m)
-
-    def test_random_cubics_against_root_valuations(self):
-        rng = random.Random(7)
-        p, m = 7, 6
-        pm = p**m
-        for _ in range(20):
-            unit_root = rng.randrange(1, p) + p * rng.randrange(p ** (m - 1))
-            r2 = p * rng.randrange(1, p ** (m - 1))
-            r3 = p * rng.randrange(1, p ** (m - 1))
-            f = _poly_from_roots([unit_root, r2, r3], pm)
-            u, v, _, _ = _split_int_poly(f, p, m)
-            assert len(u) - 1 == 1
-            assert len(v) - 1 == 2
-            assert _at(u, unit_root, pm) == 0
-            assert _at(v, r2, pm) == 0
-            assert _at(v, r3, pm) == 0
-            # factors multiply back
-            assert _pmul(u, v, pm) == f
+                F, G = (sympy.Poly(list(reversed(h)), x, modulus=p) for h in (f, g))
+                expected = [int(c) % p for c in reversed(F.gcd(G).all_coeffs())]
+                assert _gcd_poly_modp(f, g, p) == expected
 
 
 def _pn_mat(entries, p, m):
@@ -490,6 +395,83 @@ class TestBezoutProjector:
                 for i in range(dim)
             ]
             assert EM == ME
+
+    @staticmethod
+    def _similar_pair(rng, p, pm, dim):
+        """A random S and its inverse mod pm, as products of elementary
+        row operations and their inverses in reverse order."""
+        S = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        S_inv = [row[:] for row in S]
+        for _ in range(3 * dim * dim):
+            i, j = rng.randrange(dim), rng.randrange(dim)
+            if i == j:  # scale row i by a unit
+                u = rng.randrange(1, pm)
+                while u % p == 0:
+                    u = rng.randrange(1, pm)
+                S[i] = [u * x % pm for x in S[i]]
+                for row in S_inv:
+                    row[i] = row[i] * pow(u, -1, pm) % pm
+            else:  # add c times row j to row i
+                c = rng.randrange(pm)
+                S[i] = [(x + c * y) % pm for x, y in zip(S[i], S[j])]
+                for row in S_inv:
+                    row[j] = (row[j] - c * row[i]) % pm
+        return S, S_inv
+
+    @staticmethod
+    def _jordan_form(rng, p, pm, dim):
+        """A block-diagonal J and the diagonal of its ordinary projector:
+        Jordan blocks of unit and non-unit eigenvalue, and the companion
+        block of a quadratic irreducible mod p, whose roots are units of
+        the unramified quadratic extension."""
+        J = [[0] * dim for _ in range(dim)]
+        ones = []
+        while len(ones) < dim:
+            at, left = len(ones), dim - len(ones)
+            kind = rng.choice(["unit", "nonunit", "quadratic"][: 3 if left >= 2 else 2])
+            if kind == "quadratic":
+                a, b = rng.randrange(pm), rng.randrange(pm)
+                while any((r * r - a * r + b) % p == 0 for r in range(p)):
+                    a, b = rng.randrange(pm), rng.randrange(pm)
+                J[at][at + 1], J[at + 1][at], J[at + 1][at + 1] = -b % pm, 1, a
+                ones += [1, 1]
+                continue
+            size = rng.randrange(1, left + 1)
+            lam = rng.randrange(pm) if kind == "unit" else p * rng.randrange(pm) % pm
+            if kind == "unit" and lam % p == 0:
+                lam += 1
+            for k in range(at, at + size):
+                J[k][k] = lam
+                if k + 1 < at + size:
+                    J[k][k + 1] = 1
+            ones += [int(kind == "unit")] * size
+        return J, ones
+
+    def test_matches_similarity_construction(self):
+        """M = S J S^-1 with J in block form: the projector must be S times
+        the 0/1 diagonal of J's unit-root blocks times S^-1."""
+        def mm(A, B, pm):
+            return [[sum(a * b for a, b in zip(row, col)) % pm for col in zip(*B)]
+                    for row in A]
+
+        rng = random.Random(3103)
+        for p in (2, 3, 5, 7, 11):
+            for m in range(1, 9):
+                pm = p**m
+                for _ in range(15):
+                    dim = rng.randrange(1, 7)
+                    S, S_inv = self._similar_pair(rng, p, pm, dim)
+                    J, ones = self._jordan_form(rng, p, pm, dim)
+                    D = [[ones[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+                    M = mm(mm(S, J, pm), S_inv, pm)
+                    E = bezout_projector(M, p, m)
+                    assert [[x.residue for x in row] for row in E] == mm(mm(S, D, pm), S_inv, pm)
+
+    def test_broken_power_is_caught(self, monkeypatch):
+        # M itself is not idempotent mod p, so Newton's step cannot lift it
+        monkeypatch.setattr(hz.padic, "_mat_pow", lambda A, e, n: A)
+        with pytest.raises(PadicError, match=r"2 x 2 matrix is not idempotent mod 5\^4"):
+            bezout_projector([[2, 1], [0, 3]], 5, 4)
 
     def test_rejects_nonintegral(self):
         p, m = 5, 6
