@@ -14,6 +14,7 @@ that finds no admissible prime.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -109,6 +110,8 @@ def _load_json(path):
             return json.load(fh)
         except UnicodeDecodeError:
             raise CliError("input is not UTF-8 text: %s" % path) from None
+        except json.JSONDecodeError as exc:
+            raise CliError("input is not JSON: %s: %s" % (path, exc)) from None
 
 
 def _emit(record, fmt):
@@ -155,17 +158,18 @@ def cmd_sieve(args):
     quintic = _int_list(args.quintic)
     E = _resolve_curve(args)
     F = make_field(args.d)
-    run = find_admissible(F, quintic, E, args.pmin, args.pmax)
-    if args.verify:
-        for result in run.admissible:
-            if not reverify(F, quintic, E, result):
-                raise CliError("verification failed at p = %d" % result.p)
-    if args.csv:
-        try:
-            with open(args.csv, "w", newline="") as fh:
-                write_csv(run.admissible, fh)
-        except OSError as exc:
-            raise CliError("cannot write --csv %s: %s" % (args.csv, exc.strerror)) from None
+    # the file is opened before the search, so that an unwritable path fails at once
+    try:
+        with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv:
+            run = find_admissible(F, quintic, E, args.pmin, args.pmax)
+            if args.verify:
+                for result in run.admissible:
+                    if not reverify(F, quintic, E, result):
+                        raise CliError("verification failed at p = %d" % result.p)
+            if csv is not None:
+                write_csv(run.admissible, csv)
+    except OSError as exc:
+        raise CliError("cannot write --csv %s: %s" % (args.csv, exc.strerror)) from None
     if args.format == "json":
         write_jsonl(run.admissible, sys.stdout)
     else:
@@ -504,7 +508,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, AsaiError, QExpError, RealQuadError, PadicError,
-            SieveError, HeckeError, json.JSONDecodeError) as exc:
+            SieveError, HeckeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

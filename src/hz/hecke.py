@@ -7,34 +7,24 @@ coefficient block, operator matrices are solved from that block and checked
 against every later known coefficient prime to p.  Inner products are never
 computed; the projection onto a target eigensystem is realized by
 annihilating the other systems with Hecke operators and reading off the
-first coefficient."""
+first coefficient.  A space holds its basis as residues mod p^m and works
+on ints mod p^m, reading an input of negative valuation once, as p^s phi
+with s = -min v; PadicNumbers appear only at its edges."""
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import (
-    PadicContext,
-    PadicNumber,
-    as_padic,
-    bezout_projector,
-    factorize,
-    hensel_unit_root,
+    PadicContext, PadicNumber, as_padic, bezout_projector, factorize, hensel_unit_root,
     int_valuation,
 )
 from .qexp import (
-    EllipticQExp,
-    HilbertQExp,
-    diagonal_restrict,
-    elliptic_twist,
-    hecke_T,
-    hilbert_deplete,
-    required_key,
-    theta_d_inverse,
-    u_operator,
-    v_operator,
+    EllipticQExp, HilbertQExp, diagonal_restrict, elliptic_twist, hecke_T, hilbert_deplete,
+    required_key, theta_d_inverse, u_operator, v_operator,
 )
 from .realquad import PrimeIdealData
 
@@ -108,65 +98,58 @@ def stabilized_expansion(f: EllipticQExp, beta, p: int) -> EllipticQExp:
 def expansion_from_eigensystem(
     system: EigenSystem, bound: int, ring
 ) -> EllipticQExp:
-    """Normalized weight-2 expansion (a_1 = 1) generated from prime
-    eigenvalues by the recursion a_{l^{r+1}} = a_l a_{l^r} - l a_{l^{r-1}}
-    and multiplicativity."""
-    coeffs = [Fraction(0), Fraction(1)]
-    vals = {1: Fraction(1)}
+    """Normalized weight-2 expansion (a_1 = 1) over the p-adic `ring`, made
+    mod p^m from prime eigenvalues by a_{l^{r+1}} = a_l a_{l^r} - l a_{l^{r-1}}
+    and multiplicativity.  Those of a normalized eigenform are algebraic
+    integers, so one with p in its denominator raises HeckeError."""
+    pm = ring.pm
+    a = [0, 1]
     for n in range(2, bound + 1):
-        fac = factorize(n)
-        if len(fac) > 1:
-            v = Fraction(1)
-            for q, e in fac:
-                v *= vals[q**e]
-            vals[n] = v
+        (q, e), *rest = factorize(n)
+        if rest:
+            a.append(a[q**e] * a[n // q**e] % pm)
+        elif e == 1:
+            a.append(_integral_residue(ring, system.a(q), "the eigenvalue at %d" % q))
         else:
-            (q, e), = fac
-            if e == 1:
-                vals[n] = Fraction(system.a(q))
-            else:
-                vals[n] = (
-                    Fraction(system.a(q)) * vals[q ** (e - 1)]
-                    - q * vals[q ** (e - 2)]
-                )
-        coeffs.append(vals[n])
-    return EllipticQExp(2, system.level, bound, coeffs, ring)
+            a.append((a[q] * a[n // q] - q * a[n // q**2]) % pm)
+    return EllipticQExp._make(2, system.level, bound, [ring.normalize(v, 0) for v in a], ring)
 
 
 # ---------------------------------------------------------------------------
-# p-adic linear algebra helpers
+# linear algebra mod p^m
 
 
-def _solve_linear(A, b, stage: str):
-    """Solve A x = b over the p-adic coefficients by elimination with unit
-    pivots; raises SingularBlock, naming the calling stage, when the
-    leading block is not invertible at precision."""
+def _integral_residue(ring, value, what: str) -> int:
+    """The rational `value` mod p^m; HeckeError naming `what` when p divides
+    its denominator."""
+    unit, val = ring.store(value)
+    if val < 0:
+        raise HeckeError("%s has %d in its denominator: %s" % (what, ring.p, value))
+    return unit * ring.p**val % ring.pm
+
+
+def _solve_linear(A, b, stage: str, p: int, pm: int):
+    """Solve A x = b mod p^m for residues A and b by elimination with unit
+    pivots (x % p != 0); raises SingularBlock, naming the calling stage,
+    when the leading block is not invertible mod p."""
     n = len(A)
-    M = [row[:] + [bi] for row, bi in zip(A, b)]
+    M = [list(row) + [bi] for row, bi in zip(A, b)]
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            v = M[r][col].valuation()
-            if v == 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if M[r][col] % p), None)
         if pivot is None:
             raise SingularBlock("%s: leading block not invertible at precision" % stage)
         M[col], M[pivot] = M[pivot], M[col]
-        inv = M[col][col].inverse()
-        M[col] = [x * inv for x in M[col]]
+        inv = pow(M[col][col], -1, pm)
+        M[col] = [x * inv % pm for x in M[col]]
         for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+            f = M[r][col]
+            if r != col and f:
+                M[r] = [(x - f * y) % pm for x, y in zip(M[r], M[col])]
+    return [row[n] for row in M]
 
 
-def _mat_vec(M, x):
-    return [
-        sum((M[i][j] * x[j] for j in range(len(x))), M[i][0] * 0)
-        for i in range(len(M))
-    ]
+def _mat_vec(M, x, pm: int):
+    return [sum(map(operator.mul, row, x)) % pm for row in M]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +157,11 @@ def _mat_vec(M, x):
 
 
 class HeckeSpace:
-    """Span of a supplied basis of expansions at common p-adic precision,
-    certified through the leading dim x dim coefficient block (coefficients
-    1..dim); membership and operator matrices are validated on every later
-    known coefficient prime to p."""
+    """Span of a supplied basis of p-adically integral expansions at common
+    precision, held as residues mod p^m and certified through the leading
+    dim x dim coefficient block (coefficients 1..dim); membership and
+    operator matrices are validated on every later known coefficient prime
+    to p."""
 
     def __init__(self, basis):
         if not basis:
@@ -189,70 +173,76 @@ class HeckeSpace:
             raise HeckeError("mixed coefficient rings in basis")
         self.basis = list(basis)
         self.ring = ring
-        self.zero = ring.load(ring.zero)
         self.dimension = len(basis)
         self.bound = min(f.bound for f in basis)
         if self.bound < 2 * self.dimension:
             raise HeckeError("basis bound below the certification window")
-        self._block = [
-            [basis[j][n] for j in range(self.dimension)]
-            for n in range(1, self.dimension + 1)
-        ]
+        columns = [self._read(f, self.bound) for f in basis]
+        if any(s for _, s in columns):
+            raise HeckeError("basis expansions must be p-adically integral")
+        # row n holds the basis coefficients at n
+        self._rows = list(zip(*(r for r, _ in columns)))
+        self._block = self._rows[1 : self.dimension + 1]
         # certify invertibility of the leading block
-        _solve_linear(self._block, [self.zero] * self.dimension, "HeckeSpace certification")
+        _solve_linear(self._block, [0] * self.dimension, "HeckeSpace certification",
+                      ring.p, ring.pm)
         self._matrices = {}
 
+    def _read(self, phi: EllipticQExp, top: int, floor: int = 0):
+        """(r, s): r[n] the residue mod p^m of p^s times phi's coefficient
+        n <= top, for the least s >= floor that makes them all integral."""
+        p, pm = self.ring.p, self.ring.pm
+        coeffs = phi.coeffs[: top + 1]
+        s = max([floor] + [-v for _, v in coeffs if v < 0])
+        return [u * p ** (v + s) % pm for u, v in coeffs], s
+
     def coordinates(self, phi: EllipticQExp):
-        """Coordinates of phi in the basis, solved from the leading block
-        and certified on every later n <= min(phi.bound, self.bound) prime
-        to p; the coefficients at multiples of p are not compared."""
-        d, p = self.dimension, self.ring.p
+        """(x, s): the coordinates x of p^s phi in the basis, as ints mod
+        p^m, for the least s >= 0 that makes phi integral up to
+        min(phi.bound, self.bound).  Solved from the leading block and
+        certified on every later n <= min(phi.bound, self.bound) prime to p;
+        the coefficients at multiples of p are not compared."""
+        d, p, pm = self.dimension, self.ring.p, self.ring.pm
         if phi.ring is not self.ring:
             raise HeckeError("mixed coefficient rings")
         if phi.bound < 2 * d:
             raise HeckeError("expansion bound below the certification window")
-        b = [phi[n] for n in range(1, d + 1)]
-        x = _solve_linear(self._block, b, "coordinates")
-        for n in range(d + 1, min(phi.bound, self.bound) + 1):
-            if n % p == 0:
-                continue
-            recon = sum((x[j] * self.basis[j][n] for j in range(d)), self.zero)
-            if not (recon - phi[n]).is_zero():
+        r, s = self._read(phi, min(phi.bound, self.bound))
+        x = _solve_linear(self._block, r[1 : d + 1], "coordinates", p, pm)
+        for n in range(d + 1, len(r)):
+            if n % p and (sum(map(operator.mul, x, self._rows[n])) - r[n]) % pm:
                 raise NotInSpan("residual nonzero at coefficient %d" % n)
-        return x
+        return x, s
 
-    def combine(self, x) -> EllipticQExp:
-        out = [
-            sum((x[j] * self.basis[j][n] for j in range(self.dimension)), self.zero)
-            for n in range(self.bound + 1)
-        ]
+    def combine(self, x, s: int) -> EllipticQExp:
+        """p^-s times the span element with coordinates x."""
+        normalize = self.ring.normalize
+        out = [normalize(sum(map(operator.mul, x, row)), -s) for row in self._rows]
         f0 = self.basis[0]
-        return EllipticQExp(f0.weight, f0.level, self.bound, out, self.ring)
+        return EllipticQExp._make(f0.weight, f0.level, self.bound, out, self.ring)
 
     def operator_matrix(self, descriptor):
-        if descriptor in self._matrices:
-            return self._matrices[descriptor]
-        kind = descriptor[0]
-        d = self.dimension
-        columns = []
-        for j in range(d):
-            if kind == "U":
-                img = u_operator(self.basis[j], descriptor[1])
-            elif kind == "T":
-                img = hecke_T(self.basis[j], descriptor[1])
-            else:
+        """The matrix of U_p or T_l (descriptor ("U", p) or ("T", l)) on the
+        basis, as ints mod p^m."""
+        if descriptor not in self._matrices:
+            kind, ell = descriptor
+            if kind not in ("U", "T"):
                 raise HeckeError("no operator %r on basis expansions" % kind)
-            if img.bound < 2 * d:
-                raise HeckeError("basis bound insufficient for %r" % (descriptor,))
-            try:
-                columns.append(self.coordinates(img))
-            except NotInSpan as exc:
-                raise NotInvariant(
-                    "span not stable under %r: %s" % (descriptor, exc)
-                ) from exc
-        M = [[columns[j][i] for j in range(d)] for i in range(d)]
-        self._matrices[descriptor] = M
-        return M
+            columns = []
+            for f in self.basis:
+                img = (u_operator if kind == "U" else hecke_T)(f, ell)
+                if img.bound < 2 * self.dimension:
+                    raise HeckeError("basis bound insufficient for %r" % (descriptor,))
+                try:
+                    x, s = self.coordinates(img)
+                except NotInSpan as exc:
+                    raise NotInvariant("span not stable under %r: %s" % (descriptor, exc)) from exc
+                if s:
+                    raise NotInvariant("%r takes the basis out of the integral span"
+                                       % (descriptor,))
+                columns.append(x)
+            self._matrices[descriptor] = [list(row) for row in zip(*columns)]
+        return self._matrices[descriptor]
 
 
 def e_ord(space: HeckeSpace, phi: EllipticQExp) -> EllipticQExp:
@@ -260,10 +250,10 @@ def e_ord(space: HeckeSpace, phi: EllipticQExp) -> EllipticQExp:
     component of the U_p action.  Coefficients of phi at multiples of p are
     ignored (assumed: phi projects as the span element agreeing with it
     at every n prime to p; not machine-checkable)."""
-    x = space.coordinates(phi)
-    p, m = space.ring.p, space.ring.m
-    E = bezout_projector(space.operator_matrix(("U", p)), p, m)
-    return space.combine(_mat_vec(E, x))
+    x, s = space.coordinates(phi)
+    ring = space.ring
+    E = bezout_projector(space.operator_matrix(("U", ring.p)), ring.p, ring.m)
+    return space.combine(_mat_vec([[e.residue for e in row] for row in E], x, ring.pm), s)
 
 
 def isotypic_project(space: HeckeSpace, phi: EllipticQExp, target: EigenSystem, annihilation):
@@ -272,19 +262,17 @@ def isotypic_project(space: HeckeSpace, phi: EllipticQExp, target: EigenSystem, 
     over the supplied (l, a_l(other)) pairs.  Returns (component, lambda1)
     where lambda1 is the first coefficient of the component (the
     coefficient of the normalized target eigenform)."""
-    x = space.coordinates(phi)
-    d, p, m = space.dimension, space.ring.p, space.ring.m
+    x, s = space.coordinates(phi)
+    ring, pm = space.ring, space.ring.pm
     for ell, a_other in annihilation:
         M = space.operator_matrix(("T", ell))
-        diff = as_padic(Fraction(target.a(ell)) - Fraction(a_other), p, m)
-        if diff.valuation() != 0:
-            raise NotSeparated(
-                "eigenvalues at %d not separated at precision" % ell
-            )
-        a_o = as_padic(a_other, p, m)
-        y = _mat_vec(M, x)
-        x = [(y[i] - a_o * x[i]) / diff for i in range(d)]
-    component = space.combine(x)
+        diff = ring.store(Fraction(target.a(ell)) - Fraction(a_other))
+        if diff[1] or not diff[0]:  # the valuation is not 0
+            raise NotSeparated("eigenvalues at %d not separated at precision" % ell)
+        inv = pow(diff[0], -1, pm)
+        a_o = _integral_residue(ring, a_other, "the annihilation eigenvalue at %d" % ell)
+        x = [(y - a_o * xi) * inv % pm for y, xi in zip(_mat_vec(M, x, pm), x)]
+    component = space.combine(x, s)
     return component, component[1]
 
 
@@ -298,14 +286,11 @@ def ordinary_projection_of_derivative(h: EllipticQExp) -> EllipticQExp:
     if not isinstance(h.ring, PadicContext):
         raise HeckeError("certification needs p-adic coefficients")
     p = h.ring.p
-    if not h[0].is_zero():
+    if h.coeffs[0][0]:  # a stored pair is zero exactly when its unit is
         raise NotDerivative("nonzero constant term")
-    for n in range(1, h.bound + 1):
-        v = h[n].valuation()
-        if v is not None and v < int_valuation(n, p):
-            raise NotDerivative(
-                "coefficient %d not divisible by its index" % n
-            )
+    for n, (unit, v) in enumerate(h.coeffs[1:], 1):
+        if unit and v < int_valuation(n, p):
+            raise NotDerivative("coefficient %d not divisible by its index" % n)
     return EllipticQExp.zero(h.weight, h.level, h.bound, h.ring)
 
 
@@ -445,11 +430,11 @@ def lvalue_weight2(
     E = PadicNumber.one(p, m) - beta_f / alpha_f
     value = lambda1 / E
     if verify:
-        _check_lvalue(space, fstar, component, lambda1, alpha_f, beta_f, value)
+        _check_lvalue(space, fstar, ordinary, component, lambda1, alpha_f, beta_f, value)
     return value
 
 
-def _check_lvalue(space, fstar, component, lambda1, alpha, beta, value):
+def _check_lvalue(space, fstar, ordinary, component, lambda1, alpha, beta, value):
     """Three checks of one `lvalue_weight2` run on its own stage values,
     each raising LValueCheckFailed that names it:
     - isotypic component: the component equals lambda1 times the target's
@@ -461,9 +446,13 @@ def _check_lvalue(space, fstar, component, lambda1, alpha, beta, value):
     - ordinary factor: value * (1 - beta * alpha^-1) = lambda1, by
       multiplication, not by the division that made the value."""
     ring, p = space.ring, space.ring.p
-    residual = component - space.basis[0].scale(lambda1)
-    for n, c in enumerate(residual.coeffs):
-        if c != ring.zero:
+    # on residues of p^s times both sides, s at least the shift `ordinary` was read
+    # with: the component read alone could take a smaller s, and compare unknown digits
+    r, s = space._read(component, space.bound,
+                       max(space._read(ordinary, space.bound)[1], -lambda1.val))
+    lam = lambda1.unit * p ** (lambda1.val + s)
+    for n, row in enumerate(space._rows):
+        if (r[n] - lam * row[0]) % ring.pm:
             raise LValueCheckFailed("isotypic component check failed: the component "
                                     "is not lambda1 times the target at n = %d" % n)
     if alpha.valuation() != 0 or alpha + beta != Fraction(fstar.a(p)) or alpha * beta != p:

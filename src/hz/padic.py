@@ -10,10 +10,10 @@ degrading.  Values of negative valuation are stored as a unit residue
 together with an explicit integer valuation.
 
 The precision rules live in the context's methods on normal-form
-(unit, val) int pairs: `normalize` and the `add`, `neg`, `mul`,
-`mul_residue` and `div_unit` built on it.  `PadicNumber` and the
-coefficient vectors of `hz.qexp` both call them, so the two agree digit
-for digit.
+(unit, val) int pairs: `normalize`, the `add`, `neg`, `mul` and
+`mul_residue` built on it, and `mul_unit`, which needs none of it.
+`PadicNumber` and the coefficient vectors of `hz.qexp` both call them, so
+the two agree digit for digit.
 """
 
 from __future__ import annotations
@@ -225,11 +225,10 @@ class PadicContext:
             val += 1
         return self.normalize(a[0] * r, val)
 
-    def div_unit(self, a, r: int):
-        """a divided by the integer r, a unit mod p whenever a is nonzero."""
-        if not a[0]:
-            return (0, 0)
-        return self.normalize(a[0] * pow(r, -1, self.pm), a[1])
+    def mul_unit(self, a, u: int):
+        """a times u, a unit mod p^m: a unit times a unit is a unit, so the
+        valuation stays and nothing is renormalized."""
+        return a[0] * u % self.pm, a[1]
 
     def store(self, value):
         """value as a normal-form pair: a PadicNumber of this ring as it is,

@@ -247,13 +247,12 @@ def elliptic_twist(f: EllipticQExp, j: int = 0, p: int = None) -> EllipticQExp:
         p = ring.p
     if p != ring.p:
         raise QExpError("twist prime must match the coefficient ring")
-    out = []
+    e, out = j % (p - 1), []
     for n, c in enumerate(f.coeffs):
         if n % p == 0:
-            out.append(ring.zero)
-            continue
-        if j % (p - 1) != 0:
-            c = ring.mul(c, ring.store(teichmuller(n, p, ring.m) ** (j % (p - 1))))
+            c = ring.zero
+        elif e:  # omega(n)^e is a unit, so the product needs no renormalizing
+            c = ring.mul_unit(c, pow(teichmuller(n, p, ring.m).unit, e, ring.pm))
         out.append(c)
     return f._derive(out)
 
@@ -291,8 +290,8 @@ class HilbertDomain:
     `offsets[t]` is the position where trace t starts, so the elements with
     trace <= T are the prefix of length `offsets[T + 1]`.  `index` maps the
     pair (a, b) of an element xi, D*xi = a + b*omega, to its position; that
-    pair is what `elements` holds.  Residue vectors at split primes are
-    cached in the same order and extended as the domain grows."""
+    pair is what `elements` holds.  Residue vectors at split primes and
+    their inverses are cached in the same order, extended as it grows."""
 
     def __init__(self, F: RealQuadraticField):
         self.F = F
@@ -300,6 +299,7 @@ class HilbertDomain:
         self.offsets = [0, 0]
         self.index = {}
         self._residues = {}
+        self._inverses = {}
 
     def size(self, T: int) -> int:
         """Number of elements with trace <= T, enumerating them if needed."""
@@ -322,6 +322,13 @@ class HilbertDomain:
         pm, r = prime_data.p**prime_data.m, prime_data.roots[which - 1]
         inv = pow(self.F.discriminant, -1, pm)
         vec.extend((a + b * r) * inv % pm for a, b in self.elements[len(vec):n])
+        return vec
+
+    def inverses(self, prime_data: PrimeIdealData, which, T: int):
+        """The inverses mod p^m of `residues`, 0 at a non-unit, cached alike."""
+        res, p, pm = self.residues(prime_data, which, T), prime_data.p, prime_data.p**prime_data.m
+        vec = self._inverses.setdefault((p, prime_data.m, prime_data.roots, which), [])
+        vec.extend(pow(r, -1, pm) if r % p else 0 for r in res[len(vec):])
         return vec
 
 
@@ -626,18 +633,18 @@ def theta_d(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
 def theta_d_inverse(g: HilbertQExp, i: int, prime_data: PrimeIdealData) -> HilbertQExp:
     """Inverse theta operator; defined only on expansions depleted at the
     prime i (every surviving coefficient sits at a unit residue)."""
-    dom, p = _prime_context(g, prime_data, "theta operators act on"), prime_data.p
-    # a stored pair is zero exactly when its unit is
+    dom = _prime_context(g, prime_data, "theta operators act on")
+    # a stored pair is zero exactly when its unit is, and an inverse residue
+    # is 0 exactly at a non-unit residue
     if g.a0[0]:
         raise NotDepleted("nonzero constant term")
-    res = dom.residues(prime_data, i, g.trace_bound)
-    if any(v[0] and r % p == 0 for v, r in zip(g.coeffs, res)):
+    inv = dom.inverses(prime_data, i, g.trace_bound)
+    if any(v[0] and not u for v, u in zip(g.coeffs, inv)):
         raise NotDepleted("nonzero coefficient at a non-unit index")
     w = list(g.weights)
     w[i - 1] -= 2
-    div_unit = g.ring.div_unit
-    coeffs = [div_unit(v, r) for v, r in zip(g.coeffs, res)]
-    return g._derive(coeffs, g.ring.zero, weights=w)
+    mul_unit = g.ring.mul_unit
+    return g._derive([mul_unit(v, u) for v, u in zip(g.coeffs, inv)], g.ring.zero, weights=w)
 
 
 def conjugate_ratio_partner(
@@ -648,12 +655,13 @@ def conjugate_ratio_partner(
     The pair then satisfies theta_1(partner) - theta_2(g1) = 0, and the
     diagonal restriction of their sum is a q-derivative (so its ordinary
     projection vanishes)."""
-    dom, p = _prime_context(g1, prime_data, "partner construction needs"), prime_data.p
-    res1, res2 = (dom.residues(prime_data, w, g1.trace_bound) for w in (1, 2))
-    if any(v[0] and r1 % p == 0 for v, r1 in zip(g1.coeffs, res1)):
+    dom = _prime_context(g1, prime_data, "partner construction needs")
+    inv1 = dom.inverses(prime_data, 1, g1.trace_bound)
+    res2 = dom.residues(prime_data, 2, g1.trace_bound)
+    if any(v[0] and not u for v, u in zip(g1.coeffs, inv1)):
         raise NotDepleted("nonzero coefficient at a non-unit first residue")
-    div_unit, mul_residue = g1.ring.div_unit, g1.ring.mul_residue
-    coeffs = [div_unit(mul_residue(v, r2), r1) for v, r1, r2 in zip(g1.coeffs, res1, res2)]
+    mul_unit, mul_residue = g1.ring.mul_unit, g1.ring.mul_residue
+    coeffs = [mul_unit(mul_residue(v, r2), u) for v, u, r2 in zip(g1.coeffs, inv1, res2)]
     return g1._derive(coeffs, g1.ring.zero, weights=(g1.weights[1], g1.weights[0]))
 
 

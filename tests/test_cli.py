@@ -16,7 +16,7 @@ import pipeline_fixtures as fx
 from hz import cli, hecke
 from hz.cli import EXIT_EMPTY, EXIT_ERROR, EXIT_OK, main
 from hz.hecke import eigensystem_to_json
-from hz.padic import PadicNumber
+from hz.padic import PadicContext, PadicNumber
 from hz.qexp import (RATIONAL, EllipticQExp, eisenstein_hilbert, padic_ring,
                      q_derivative, to_json)
 from hz.realquad import make_field
@@ -253,6 +253,14 @@ class TestSieve:
                                     "--weierstrass", "0,-1,1,-10,-20"])
         assert code == EXIT_ERROR
 
+    def test_unwritable_csv_fails_before_the_search(self, capsys, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("the search ran before --csv was opened")
+
+        monkeypatch.setattr(cli, "find_admissible", unreached)
+        argv = ["sieve", "--pmax", "20003", "--csv", "/no/such/dir/x.csv"]
+        assert run(capsys, argv) == (EXIT_ERROR, "", _MALFORMED_ERRORS["sieve-csv-no-dir"])
+
     def test_csv_summary(self, capsys, tmp_path):
         path = tmp_path / "summary.csv"
         code, _, _ = run(capsys, ["sieve", "--pmax", "1000",
@@ -326,6 +334,42 @@ class TestLValue:
         assert code == EXIT_ERROR
         assert "nope.json" in err
 
+    @pytest.mark.parametrize("c_unit, c_val", [(123, 0), (14, 1)])
+    def test_record_scaled_by_one_over_p(self, capsys, tmp_path, c_unit, c_val):
+        """Each entry written as its residue mod 7^4, then at valuation -1:
+        the value is the unscaled one divided by 7.  A pair model with
+        invented digits refused this record ("residual nonzero"); at
+        c = 14 every coefficient of the isotypic component is divisible by
+        7, so a check that re-read it alone would compare unknown digits."""
+        outputs = []
+        for val in (0, -1):
+            record = _lvalue_record(c_unit)
+            for entry in record["hilbert"]["entries"]:
+                unit, v = entry[1]
+                entry[1] = [unit * fx.P**v % fx.P**fx.M, val] if unit else [0, 0]
+            path = tmp_path / ("scaled%d.json" % val)
+            path.write_text(json.dumps(record))
+            code, out, _ = run(capsys, ["lvalue", "--input", str(path), "--verify"])
+            assert code == EXIT_OK
+            outputs.append(json.loads(out)["value"])
+        (unit, val), scaled = outputs
+        assert val == c_val and scaled == [unit, val - 1]
+
+    def test_work_count(self, capsys, tmp_path, monkeypatch):
+        """The Hecke layer runs on ints mod p^m: one `hz lvalue --verify`
+        makes at most 100 PadicNumbers from pairs."""
+        path, _ = self.make_input(tmp_path, 123)
+        calls = []
+        load = PadicContext.load
+
+        def counted(ring, pair):
+            calls.append(pair)
+            return load(ring, pair)
+
+        monkeypatch.setattr(PadicContext, "load", counted)
+        assert run(capsys, ["lvalue", "--input", path, "--verify"])[0] == EXIT_OK
+        assert 0 < len(calls) <= 100
+
     def test_verify_runs_the_pipeline_once(self, capsys, tmp_path, monkeypatch):
         path, expected = self.make_input(tmp_path, 123)
         calls = []
@@ -370,7 +414,7 @@ class TestLValue:
 
 def _no_annihilation(space, phi, target, annihilation):
     """`isotypic_project` without its annihilation loop."""
-    component = space.combine(space.coordinates(phi))
+    component = space.combine(*space.coordinates(phi))
     return component, component[1]
 
 
@@ -517,12 +561,20 @@ _MALFORMED_ERRORS = {
     # {path} is the input file
     "lvalue-not-utf8": "error: input is not UTF-8 text: {path}\n",
     "qexp-op-not-utf8": "error: input is not UTF-8 text: {path}\n",
+    "lvalue-not-json": "error: input is not JSON: {path}: "
+                       "Expecting ',' delimiter: line 1 column 8 (char 7)\n",
+    "qexp-op-not-json": "error: input is not JSON: {path}: "
+                        "Expecting ',' delimiter: line 1 column 8 (char 7)\n",
+    # the eigenvalues of a normalized eigenform are algebraic integers
+    "lvalue-eigenvalue-p-denominator":
+        "error: the eigenvalue at 2 has 7 in its denominator: 1/7\n",
     # the argv cases of test_malformed_argv_are_input_errors
     "sieve-csv-no-dir": "error: cannot write --csv /no/such/dir/x.csv: No such file or directory\n",
     "euler-point-base-zero": "error: the Euler report divides by a1*a2*p^(2-ell), "
                              "which is 0 modulo 7^4\n",
 }
 NOT_UTF8 = b"\xff\xfe{"
+NOT_JSON = b'{"p": 7'
 HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
 
 
@@ -542,6 +594,7 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
     pytest.param([1, 2], DERIVE, id="not-an-object"),
     pytest.param(None, DERIVE, id="qexp-op-directory"),
     pytest.param(NOT_UTF8, DERIVE, id="qexp-op-not-utf8"),
+    pytest.param(NOT_JSON, DERIVE, id="qexp-op-not-json"),
     pytest.param([1], ["lvalue"], id="lvalue-not-an-object"),
     pytest.param({"p": "x"}, ["lvalue"], id="lvalue-p-word"),
     pytest.param({"p": 7, "m": "x"}, ["lvalue"], id="lvalue-m-word"),
@@ -549,6 +602,7 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
     pytest.param({"p": 7, "bound": 9, "d": None}, ["lvalue"], id="lvalue-d-null"),
     pytest.param(None, ["lvalue"], id="lvalue-directory"),
     pytest.param(NOT_UTF8, ["lvalue"], id="lvalue-not-utf8"),
+    pytest.param(NOT_JSON, ["lvalue"], id="lvalue-not-json"),
     pytest.param(_lvalue_record(p=7.9), ["lvalue"], id="lvalue-p-float"),
     pytest.param(_lvalue_record(m=4.5), ["lvalue"], id="lvalue-m-float"),
     pytest.param(_lvalue_record(d=2.5), ["lvalue"], id="lvalue-d-float"),
@@ -578,6 +632,8 @@ HECKE = ["qexp-op", "--op", "hecke", "--ell", "2"]
                  id="lvalue-eigen-weight-string"),
     pytest.param(_lvalue_record(target=_eigen_changed(ap_table="x")), ["lvalue"],
                  id="lvalue-eigenvalue-word"),
+    pytest.param(_lvalue_record(target=_eigen_changed(ap_table="1/7")), ["lvalue"],
+                 id="lvalue-eigenvalue-p-denominator"),
     pytest.param(_lvalue_record(target=_eigen_changed(character=[])), ["lvalue"],
                  id="lvalue-eigen-character-empty"),
     pytest.param(_lvalue_record(target=_eigen_changed(weight=4)), ["lvalue"],

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
+import sympy
 
 import pipeline_fixtures as fx
 from hz.hecke import (
@@ -26,11 +29,12 @@ from hz.hecke import (
     stabilize,
     stabilized_expansion,
 )
-from hz.padic import NotOrdinary, PadicNumber, as_padic, ordinary_iterate_oracle
+from hz.padic import NotOrdinary, PadicNumber, as_padic, bezout_projector, ordinary_iterate_oracle
 from hz.qexp import (
     EllipticQExp,
     conjugate_ratio_partner,
     diagonal_restrict,
+    hecke_T,
     hilbert_deplete,
     padic_ring,
     q_derivative,
@@ -39,6 +43,7 @@ from hz.qexp import (
 from hz.realquad import make_field, split_prime
 
 R75 = padic_ring(7, 5)
+PM75 = 7**5
 
 
 def eigsys(label, ap):
@@ -95,19 +100,140 @@ def _shifted_at(phi, at, delta=1):
     return EllipticQExp(phi.weight, phi.level, phi.bound, coeffs, phi.ring)
 
 
+def fraction_solve(A, b):
+    """x with A x = b over Q, by Gauss-Jordan elimination on Fractions."""
+    n = len(A)
+    M = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(A, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col])
+        M[col], M[pivot] = M[pivot], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for r in range(n):
+            if r != col:
+                M[r] = [v - M[r][col] * w for v, w in zip(M[r], M[col])]
+    return [row[n] for row in M]
+
+
+def mod_pm(q, pm):
+    """The rational q, its denominator prime to p, mod pm = p^m."""
+    return q.numerator * pow(q.denominator, -1, pm) % pm
+
+
+# -- the PadicNumber reference ---------------------------------------------------
+# The Hecke space as it ran on PadicNumber arithmetic, one allocation per
+# product: the oracle of the int path on integral inputs.
+
+
+def ref_solve(A, b):
+    n = len(A)
+    M = [row[:] + [bi] for row, bi in zip(A, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if M[r][col].valuation() == 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = M[col][col].inverse()
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and not M[r][col].is_zero():
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+def ref_sum(terms, ring):
+    return sum(terms, ring.load(ring.zero))
+
+
+def ref_coordinates(basis, phi):
+    d, ring = len(basis), phi.ring
+    x = ref_solve([[f[n] for f in basis] for n in range(1, d + 1)],
+                  [phi[n] for n in range(1, d + 1)])
+    for n in range(d + 1, min([phi.bound] + [f.bound for f in basis]) + 1):
+        if n % ring.p and not (ref_sum((xj * f[n] for xj, f in zip(x, basis)), ring)
+                               - phi[n]).is_zero():
+            raise NotInSpan("residual nonzero at coefficient %d" % n)
+    return x
+
+
+def ref_combine(basis, x):
+    f0, ring = basis[0], basis[0].ring
+    bound = min(f.bound for f in basis)
+    return EllipticQExp(f0.weight, f0.level, bound, [
+        ref_sum((xj * f[n] for xj, f in zip(x, basis)), ring) for n in range(bound + 1)], ring)
+
+
+def ref_matrix(basis, op):
+    columns = [ref_coordinates(basis, op(f)) for f in basis]
+    return [list(row) for row in zip(*columns)]
+
+
+def ref_mat_vec(M, x, ring):
+    return [ref_sum((a * b for a, b in zip(row, x)), ring) for row in M]
+
+
+def ref_e_ord(basis, phi):
+    ring = phi.ring
+    E = bezout_projector(ref_matrix(basis, lambda f: u_operator(f, ring.p)), ring.p, ring.m)
+    return ref_combine(basis, ref_mat_vec(E, ref_coordinates(basis, phi), ring))
+
+
+def ref_isotypic(basis, phi, target, annihilation):
+    ring = phi.ring
+    x = ref_coordinates(basis, phi)
+    for ell, a_other in annihilation:
+        M = ref_matrix(basis, lambda f: hecke_T(f, ell))
+        diff = as_padic(Fraction(target.a(ell)) - Fraction(a_other), ring.p, ring.m)
+        a_o = as_padic(a_other, ring.p, ring.m)
+        y = ref_mat_vec(M, x, ring)
+        x = [(yi - a_o * xi) / diff for yi, xi in zip(y, x)]
+    component = ref_combine(basis, x)
+    return component, component[1]
+
+
+def random_span(rng, p, m, d):
+    """A random d-dimensional Hecke-stable span at (p, m): d formal
+    eigensystems, each stabilized at a random root, mixed by a random
+    integer matrix invertible mod p; with the target (system 0) and an
+    annihilation list that separates it from the others."""
+    ring, bound = padic_ring(p, m), 2 * d * p + 6
+    ells = [ell for ell in (2, 3, 5, 7, 11) if ell != p and bound // ell >= 2 * d]
+    while True:
+        systems = [eigsys("s%d" % j, {ell: rng.randrange(-9, 10)
+                                      for ell in sympy.primerange(2, bound + 1)})
+                   for j in range(d)]
+        if any(s.ap[p] % p == 0 for s in systems):
+            continue
+        annihilation = []
+        for other in systems[1:]:
+            ell = next((ell for ell in ells if (systems[0].ap[ell] - other.ap[ell]) % p), None)
+            annihilation.append((ell, other.ap.get(ell)))
+        if None in (ell for ell, _ in annihilation):
+            continue
+        eigen = []
+        for s in systems:
+            roots = stabilize(s, p, m)
+            f = expansion_from_eigensystem(s, bound, ring)
+            eigen.append(stabilized_expansion(f, roots[rng.randrange(2)], p))
+        S = [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(d)]
+        if int(sympy.Matrix(S).det()) % p == 0:
+            continue
+        basis = [reduce(add, (e.scale(c) for e, c in zip(eigen, row)))
+                 for row in S]
+        try:
+            return HeckeSpace(basis), basis, systems[0], annihilation
+        except SingularBlock:
+            continue
+
+
 class TestHeckeSpace:
     def test_u_matrix_diagonal_on_eigenbasis(self):
         ctx = two_eigen_space()
         M = ctx["space"].operator_matrix(("U", 7))
-        assert M[0][0] == ctx["t_eig"] and M[1][1] == ctx["o_eig"]
-        assert M[0][1].is_zero() and M[1][0].is_zero()
+        assert M == [[ctx["t_eig"].residue, 0], [0, ctx["o_eig"].residue]]
 
     def test_t_matrix_diagonal_on_eigenbasis(self):
         ctx = two_eigen_space()
         M = ctx["space"].operator_matrix(("T", 3))
-        assert M[0][0] == PadicNumber.from_int(-1, 7, 5)
-        assert M[1][1] == PadicNumber.from_int(2, 7, 5)
-        assert M[0][1].is_zero() and M[1][0].is_zero()
+        assert M == [[-1 % 7**5, 0], [0, 2]]
 
     def test_similarity_under_change_of_basis(self):
         ctx = two_eigen_space()
@@ -118,10 +244,8 @@ class TestHeckeSpace:
         # the eigenbasis matrix D must equal S M S^{-1}
         a, b, c, d = M[0][0], M[0][1], M[1][0], M[1][1]
         # S M = [[a, b], [a+c, b+d]]; then right-multiply by S^{-1} = [[1,0],[-1,1]]
-        smsi = [[a - b, b], [a + c - b - d, b + d]]
-        assert smsi[0][0] == ctx["t_eig"]
-        assert smsi[1][1] == ctx["o_eig"]
-        assert smsi[0][1].is_zero() and smsi[1][0].is_zero()
+        smsi = [[(a - b) % PM75, b], [(a + c - b - d) % PM75, (b + d) % PM75]]
+        assert smsi == [[ctx["t_eig"].residue, 0], [0, ctx["o_eig"].residue]]
 
     def test_three_dim_direct_application_oracle(self):
         ring = padic_ring(7, 5)
@@ -139,14 +263,9 @@ class TestHeckeSpace:
 
         for j in range(3):
             img = hecke_T(basis[j], 3)
-            recon = [
-                sum(
-                    (M[i][j] * basis[i][n] for i in range(3)),
-                    PadicNumber.zero(7, 5),
-                )
-                for n in range(img.bound + 1)
-            ]
-            assert all((x - img[n]).is_zero() for n, x in enumerate(recon))
+            recon = [sum(M[i][j] * basis[i][n].residue for i in range(3)) % PM75
+                     for n in range(img.bound + 1)]
+            assert recon == [img[n].residue for n in range(img.bound + 1)]
 
     def test_not_invariant(self):
         rng = random.Random(5)
@@ -172,8 +291,7 @@ class TestHeckeSpace:
                 ctx["space"].coordinates(_shifted_at(phi, n))
         # the coefficients at multiples of p are not compared
         for n in (7, 14, 56):
-            x = ctx["space"].coordinates(_shifted_at(phi, n))
-            assert x == [1, 3]
+            assert ctx["space"].coordinates(_shifted_at(phi, n)) == ([1, 3], 0)
 
     def test_basis_changed_past_the_leading_window_is_caught(self):
         # gt with its coefficient at n = 2d + 1 zeroed is no eigenform; the
@@ -190,9 +308,9 @@ class TestHeckeSpace:
         f = ctx["gt"] + ctx["go"]
         with pytest.raises(SingularBlock, match="^HeckeSpace certification: "):
             HeckeSpace([f, f.scale(2)])
-        block = [[f[n], f[n]] for n in (1, 2)]
+        block = [[f[n].residue] * 2 for n in (1, 2)]
         with pytest.raises(SingularBlock, match="^coordinates: "):
-            _solve_linear(block, [f[1], f[2]], "coordinates")
+            _solve_linear(block, [f[1].residue, f[2].residue], "coordinates", 7, PM75)
 
     def test_unknown_operator_is_refused(self):
         space = two_eigen_space()["space"]
@@ -203,6 +321,84 @@ class TestHeckeSpace:
         f = EllipticQExp(2, 1, 20, [Fraction(n) for n in range(21)])
         with pytest.raises(HeckeError):
             HeckeSpace([f])
+
+
+class TestIntPathOracle:
+    """The int path against the PadicNumber reference on random 2- and
+    3-dimensional spans, and the valuation shift."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_matches_padic_reference(self, p, m):
+        rng, pm = random.Random(100 * p + m), p**m
+        for d in (2, 3):
+            space, basis, target, annihilation = random_span(rng, p, m, d)
+            for descriptor, op in ((("U", p), lambda f: u_operator(f, p)),
+                                   (("T", annihilation[0][0]),
+                                    lambda f: hecke_T(f, annihilation[0][0]))):
+                assert space.operator_matrix(descriptor) == [
+                    [e.residue for e in row] for row in ref_matrix(basis, op)]
+            cs = [rng.randrange(pm) for _ in range(d)]
+            phi = reduce(add, (f.scale(c) for f, c in zip(basis, cs)))
+            x = [c.residue for c in ref_coordinates(basis, phi)]
+            assert space.coordinates(phi) == (x, 0) and x == cs
+            assert e_ord(space, phi).eq_at_precision(ref_e_ord(basis, phi))
+            comp, lam = isotypic_project(space, phi, target, annihilation)
+            ref_comp, ref_lam = ref_isotypic(basis, phi, target, annihilation)
+            assert comp.eq_at_precision(ref_comp) and lam == ref_lam
+            # a coefficient prime to p past the window, changed: both refuse it
+            n = rng.choice([n for n in range(d + 1, space.bound + 1) if n % p])
+            for coordinates in (space.coordinates, lambda f: ref_coordinates(basis, f)):
+                with pytest.raises(NotInSpan, match="coefficient %d$" % n):
+                    coordinates(_shifted_at(phi, n))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_valuation_shift(self, k):
+        """phi / 7^k is read as 7^-k times phi: the same coordinates with
+        shift k, and every output divided back by 7^k."""
+        ctx = two_eigen_space(beta_other=True)
+        space = ctx["space"]
+        phi = ctx["gt"].scale(3) + ctx["go"].scale(5)
+        scaled = phi.scale(Fraction(1, 7**k))
+        x, s = space.coordinates(phi)
+        assert (s, space.coordinates(scaled)) == (0, (x, k))
+
+        def divided(f):
+            return [(u, v - k) if u else (0, 0) for u, v in f.coeffs]
+
+        assert e_ord(space, scaled).coeffs == divided(e_ord(space, phi))
+        comp, lam = isotypic_project(space, scaled, fx.TARGET_SYS, [(2, fx.OTHER_SYS.ap[2])])
+        comp0, lam0 = isotypic_project(space, phi, fx.TARGET_SYS, [(2, fx.OTHER_SYS.ap[2])])
+        assert comp.coeffs == divided(comp0)
+        assert (lam.unit, lam.val) == (lam0.unit, lam0.val - k) == (3, -k)
+
+    def test_non_integral_basis_is_refused(self):
+        ctx = two_eigen_space()
+        with pytest.raises(HeckeError, match="p-adically integral"):
+            HeckeSpace([ctx["gt"].scale(Fraction(1, 7)), ctx["go"]])
+
+
+class TestExpansionFromEigensystem:
+    def test_matches_the_rational_recursion(self):
+        """Against the recursion over Q, reduced mod 7^4, with eigenvalues
+        whose denominators are prime to 7."""
+        ap = {**fx.TARGET_SYS.ap, 3: Fraction(1, 2), 5: Fraction(-4, 9)}
+        q = [Fraction(0), Fraction(1)]
+        for n in range(2, 61):
+            (ell, e), *rest = sympy.factorint(n).items()
+            if rest:
+                q.append(q[ell**e] * q[n // ell**e])
+            elif e == 1:
+                q.append(Fraction(ap[ell]))
+            else:
+                q.append(ap[ell] * q[n // ell] - ell * q[n // ell**2])
+        f = expansion_from_eigensystem(eigsys("t", ap), 60, padic_ring(7, 4))
+        assert [f[n] for n in range(61)] == [as_padic(c, 7, 4) for c in q]
+
+    def test_p_in_a_denominator_is_refused(self):
+        ap = {**fx.TARGET_SYS.ap, 3: Fraction(1, 7)}
+        with pytest.raises(HeckeError, match="^the eigenvalue at 3 has 7 in its denominator: 1/7$"):
+            expansion_from_eigensystem(eigsys("t", ap), 30, padic_ring(7, 4))
 
 
 class TestEOrd:
@@ -297,10 +493,11 @@ class TestIsotypic:
             fx.TARGET_SYS,
             [(2, fx.OTHER_SYS.ap[2]), (3, third.ap[3])],
         )
-        # direct oracle: solve the full 3x3 leading system
-        A = [[exps[j][n] for j in range(3)] for n in (1, 2, 3)]
-        direct = _solve_linear(A, [phi[n] for n in (1, 2, 3)], "coordinates")
-        assert lam == direct[0] == cs[0]
+        # direct oracle: solve the full 3x3 leading system of residues over
+        # Q, then reduce mod 7^5
+        A = [[exps[j][n].residue for j in range(3)] for n in (1, 2, 3)]
+        direct = fraction_solve(A, [phi[n].residue for n in (1, 2, 3)])
+        assert lam.residue == mod_pm(direct[0], PM75) == cs[0].residue
 
 
 class TestDerivativeProjection:
